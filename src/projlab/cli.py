@@ -1,9 +1,7 @@
 """Command-line front end: generation, sweeps, verification, report emission.
 
 Exit codes: 0 ok, 1 invalid parameters, 2 IO/parse failure, 3 hard-assertion
-failure.  All emitted JSON is key-sorted, so serial reruns are byte
-identical.  `--jobs` (or the PROJLAB_JOBS environment variable) parallelizes
-direction sweeps; outputs are merged in angle order either way.
+failure.  All emitted JSON is key-sorted, so reruns are byte identical.
 """
 
 from __future__ import annotations
@@ -11,12 +9,23 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
-from . import entropy as ent
 from .core import Direction, InvalidParameterError, ParamTriple, Scale
+from .entropy import (
+    ad_regularity_check,
+    blow_up,
+    conditional_entropy,
+    covering_from_entropy,
+    entropy,
+    from_pointset,
+    marstrand_average,
+    multiscale_check,
+    read_dmeas,
+    theorem_main2_experiment,
+    write_dmeas,
+)
 from .incidence import build_tubes, upper_bound_report
 from .pointsets import (
     ParseError,
@@ -26,7 +35,13 @@ from .pointsets import (
     read_pset,
     write_pset,
 )
-from .projections import compute_E_s, covering_number_directions, esets_csv, project
+from .projections import (
+    compute_E_s,
+    covering_number_1d,
+    covering_number_directions,
+    esets_csv,
+    project,
+)
 from .records import ExperimentRecord, record_from_dict, records_to_csv
 from .sharpness import per_slope_csv, run_sharpness
 
@@ -41,13 +56,6 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
-
-
-def _jobs_default() -> int:
-    try:
-        return max(1, int(os.environ.get("PROJLAB_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(payload, out_path: str | None) -> None:
@@ -78,7 +86,7 @@ def _load_pset(path: str):
 
 def _load_dmeas(path: str):
     with open(path) as f:
-        return ent.read_dmeas(f)
+        return read_dmeas(f)
 
 
 def _params(args) -> ParamTriple:
@@ -109,8 +117,6 @@ def cmd_project(args) -> int:
     ps = _load_pset(args.infile)
     prof = project(ps, Direction(args.theta))
     width = args.width if args.width is not None else ps.scale.delta
-    from .projections import covering_number_1d
-
     payload = {
         "theta": prof.direction.theta,
         "width": width,
@@ -126,7 +132,7 @@ def cmd_project(args) -> int:
 def cmd_esets(args) -> int:
     ps = _load_pset(args.infile)
     params = _params(args)
-    es = compute_E_s(ps, params, sweep=args.sweep, jobs=args.jobs)
+    es = compute_E_s(ps, params, sweep=args.sweep)
     n_cov = covering_number_directions(es, params.r)
     kaufman_target = min(
         params.delta_pow(-params.s) * math.sqrt(params.delta / params.r),
@@ -160,7 +166,7 @@ def cmd_esets(args) -> int:
 def cmd_incidence(args) -> int:
     ps = _load_pset(args.infile)
     params = _params(args)
-    es = compute_E_s(ps, params, sweep=args.sweep, jobs=args.jobs)
+    es = compute_E_s(ps, params, sweep=args.sweep)
     if not es.members:
         raise InvalidParameterError("E_s is empty at this threshold; nothing to count")
     tubes = build_tubes(ps, es)
@@ -186,15 +192,15 @@ def cmd_sharpness(args) -> int:
 def cmd_entropy(args) -> int:
     mu = _load_dmeas(args.infile)
     if args.entropy_cmd == "H":
-        ev = ent.entropy(mu, args.m if args.m is not None else mu.level)
+        ev = entropy(mu, args.m if args.m is not None else mu.level)
         rec = ExperimentRecord(
             "entropy_value",
             params={"m": ev.level, "n": mu.level, "d": mu.dim},
             results={"raw_nats": ev.raw, "normalized": ev.normalized},
         )
     elif args.entropy_cmd == "cef":
-        direct = ent.conditional_entropy(mu, args.fine, args.coarse)
-        diff = ent.entropy(mu, args.fine).raw - ent.entropy(mu, args.coarse).raw
+        direct = conditional_entropy(mu, args.fine, args.coarse)
+        diff = entropy(mu, args.fine).raw - entropy(mu, args.coarse).raw
         rec = ExperimentRecord(
             "entropy_conditional",
             params={"fine": args.fine, "coarse": args.coarse},
@@ -202,18 +208,18 @@ def cmd_entropy(args) -> int:
         )
         rec.check("conditional_entropy_identity", abs(direct - diff) <= 1e-9, direct, diff)
     elif args.entropy_cmd == "multiscale":
-        rec = ent.multiscale_check(mu, Direction(args.theta), args.m)
+        rec = multiscale_check(mu, Direction(args.theta), args.m)
     elif args.entropy_cmd == "marstrand":
         s_values = tuple(float(x) for x in args.s_list.split(","))
-        rec = ent.marstrand_average(mu, args.m, A=args.A, s_values=s_values)
+        rec = marstrand_average(mu, args.m, A=args.A, s_values=s_values)
     elif args.entropy_cmd == "cover":
-        rec = ent.covering_from_entropy(mu, args.s)
+        rec = covering_from_entropy(mu, args.s)
     else:  # blowup
         q = args.i if mu.dim == 1 else (args.i, args.j if args.j is not None else 0)
-        piece = ent.blow_up(mu, q, args.k)
+        piece = blow_up(mu, q, args.k)
         if args.outfile:
             with open(args.outfile, "w") as f:
-                ent.write_dmeas(piece, f)
+                write_dmeas(piece, f)
         rec = ExperimentRecord(
             "entropy_blowup",
             params={"k": args.k, "i": args.i, "j": args.j},
@@ -230,13 +236,11 @@ def cmd_entropy(args) -> int:
 
 def cmd_adreg(args) -> int:
     p_list = [int(x) for x in args.plist.split(",")]
-    rec = ent.theorem_main2_experiment(args.level, p_list, args.s)
+    rec = theorem_main2_experiment(args.level, p_list, args.s)
     atoms = 4**args.level
     if args.regularity or atoms <= args.regularity_atom_cap:
-        from .pointsets import gen_four_corners as gfc
-
-        mu = ent.from_pointset(gfc(args.level, Scale(2 * args.level)))
-        adr = ent.ad_regularity_check(mu)
+        mu = from_pointset(gen_four_corners(args.level, Scale(2 * args.level)))
+        adr = ad_regularity_check(mu)
         rec.results["A_lower"] = adr.A_lower
         rec.results["A_upper"] = adr.A_upper
         rec.results["A"] = adr.A
@@ -285,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
-        p.add_argument("--jobs", type=int, default=_jobs_default())
 
     g = sub.add_parser("gen", help="generate a point set file")
     g.add_argument("--shape", choices=["segment", "fourcorners", "grid3"], required=True)
@@ -353,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in (eh, ec, em, ema, ecov, eb):
         sp.add_argument("--in", dest="infile", required=True)
         sp.add_argument("--out", default="-")
-        sp.add_argument("--jobs", type=int, default=_jobs_default())
         sp.set_defaults(func=cmd_entropy)
 
     ad = sub.add_parser("adreg", help="four-corners direction-averaged covering numbers")

@@ -420,7 +420,7 @@ def theorem_main2_experiment(
     for p in p_list:
         total = 0
         for e in direction_grid(p):
-            total += project(ps, e).covering_number
+            total += covering_number_1d(project(ps, e).values, delta)
         averages[p] = total / p
     target = delta ** (-s)
     rec = ExperimentRecord(

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import Direction, InvalidParameterError, ParamTriple
 from .pointsets import LatticePointSet
-from .projections import DirectionSetES, greedy_cover_starts, project
+from .projections import COVER_RTOL, DirectionSetES, greedy_cover_starts, project
 from .records import ExperimentRecord
 
 
@@ -41,7 +41,7 @@ class Tube:
 
     def contains(self, x: float, y: float) -> bool:
         t = self.direction.project(x, y)
-        slack = self.width * 1e-12
+        slack = self.width * COVER_RTOL
         return self.interval_start - slack <= t <= self.interval_start + self.width + slack
 
 
@@ -73,8 +73,7 @@ def build_tubes(ps: LatticePointSet, E: DirectionSetES | list[Direction]) -> Tub
     delta = ps.scale.delta
     starts: dict[float, np.ndarray] = {}
     for d in dirs:
-        prof = project(ps, d)
-        starts[d.theta] = greedy_cover_starts(prof.values, delta)
+        starts[d.theta] = greedy_cover_starts(project(ps, d).values, delta)
     return TubeFamily(delta, list(dirs), starts)
 
 
@@ -82,15 +81,15 @@ def count_incidences(ps: LatticePointSet, tubes: TubeFamily) -> IncidenceCount:
     """Exact incidence count by binary search of each projection value into
     the sorted disjoint intervals of its direction."""
     delta = tubes.scale_delta
-    reach = delta * (1.0 + 1e-12)
+    reach = delta * (1.0 + COVER_RTOL)
     total = 0
     hist: dict[int, int] = {}
     for d in tubes.directions:
         starts = tubes.starts[d.theta]
-        prof = project(ps, d)
-        idx = np.searchsorted(starts, prof.values, side="right") - 1
+        vals = project(ps, d).values
+        idx = np.searchsorted(starts, vals, side="right") - 1
         idx = np.clip(idx, 0, len(starts) - 1)
-        inside = (prof.values >= starts[idx]) & (prof.values <= starts[idx] + reach)
+        inside = (vals >= starts[idx]) & (vals <= starts[idx] + reach)
         total += int(np.count_nonzero(inside))
         occ = np.bincount(idx[inside], minlength=len(starts))
         for o, f in zip(*np.unique(occ, return_counts=True)):

@@ -61,13 +61,17 @@ def covering_number_1d(values, width: float, stop_after: int | None = None) -> i
     """Minimum number of closed length-`width` intervals covering the values.
 
     Empty input gives 0.  Ties (a value exactly at an interval end) count as
-    covered, up to a relative 1e-12 slack.
+    covered, up to a relative 1e-12 slack.  With `stop_after` the result is
+    min(count, stop_after): counting stops there, and a lower bound that
+    already reaches it decides without counting.
     """
     if width <= 0:
         raise InvalidParameterError(f"width={width} must be positive")
     arr = _sorted_values(values)
     if arr.size == 0:
         return 0
+    if stop_after is not None and covering_lower_bound(arr, width) >= stop_after:
+        return stop_after
     return len(greedy_cover_starts(arr, width, stop_after=stop_after))
 
 
@@ -85,18 +89,15 @@ def covering_lower_bound(sorted_values: np.ndarray, width: float) -> int:
 class ProjectionProfile:
     direction: Direction
     values: np.ndarray  # sorted ascending
-    covering_number: int
-    width: float
 
 
 def project(ps: LatticePointSet, e: Direction) -> ProjectionProfile:
-    """Orthogonal projection values of the set along e, with the covering
-    number at width delta attached."""
+    """Sorted orthogonal projection values of the set along e, in the set's
+    unit coordinates (lattice points times its own delta).  Counting a cover
+    of them is `covering_number_1d`'s job."""
     c, s = e.unit
-    delta = ps.scale.delta
-    vals = (ps.points[:, 0] * c + ps.points[:, 1] * s) * delta
-    vals = _sorted_values(vals)
-    return ProjectionProfile(e, vals, covering_number_1d(vals, delta), delta)
+    vals = (ps.points[:, 0] * c + ps.points[:, 1] * s) * ps.scale.delta
+    return ProjectionProfile(e, _sorted_values(vals))
 
 
 @dataclass(frozen=True)
@@ -146,43 +147,27 @@ def compute_E_s(
     ps: LatticePointSet,
     params: ParamTriple,
     sweep: int | None = None,
-    jobs: int = 1,
     full_counts: bool = False,
 ) -> DirectionSetES:
     """Evaluate E_s membership on direction_grid(sweep).
 
     The sweep defaults to 4 * 2^n gridpoints so the angular resolution is
-    finer than delta.  Projections for different directions are independent;
-    with jobs > 1 they run on a thread pool and are merged in angle order.
+    finer than delta.  Each direction is `project` followed by
+    `covering_number_1d` at width params.delta; unless `full_counts`, the
+    count stops at floor(delta^-s) + 1, where membership is decided.
     """
     if sweep is None:
         sweep = 4 * ps.scale.side
     if sweep < 1:
         raise InvalidParameterError(f"sweep={sweep} must be >= 1")
-    delta = params.delta
     t_int = params.floor_delta_pow(params.s)  # floor(delta^-s), exact
     stop = None if full_counts else t_int + 1
     grid = direction_grid(sweep)
-    pts = ps.points
-    u = pts[:, 0] * delta
-    v = pts[:, 1] * delta
-
-    def count_for(d: Direction) -> int:
-        c, s = d.unit
-        vals = _sorted_values(u * c + v * s)
-        if not full_counts and covering_lower_bound(vals, delta) > t_int:
-            return t_int + 1  # certified non-member; exact count not needed
-        return len(greedy_cover_starts(vals, delta, stop_after=stop))
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            counts = list(pool.map(count_for, grid))
-    else:
-        counts = [count_for(d) for d in grid]
-
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = np.array(
+        [covering_number_1d(project(ps, d).values, params.delta, stop_after=stop)
+         for d in grid],
+        dtype=np.int64,
+    )
     is_member = counts <= t_int
     members = [d for d, ok in zip(grid, is_member) if ok]
     return DirectionSetES(

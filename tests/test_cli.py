@@ -1,0 +1,105 @@
+"""In-process runs of every `projlab` subcommand on small inputs."""
+
+import csv
+import json
+
+import numpy as np
+import pytest
+
+from projlab import DyadicMeasure, Scale, from_pointset, gen_four_corners, write_dmeas
+from projlab.cli import EXIT_OK, main
+
+TRIPLE = ["--log2delta", "8", "--s", "3/4", "--log2r", "6"]
+
+
+def _run(argv, out):
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    return json.loads(out.read_text())
+
+
+@pytest.fixture
+def grid3(tmp_path):
+    path = tmp_path / "grid3.pset"
+    assert main(["gen", "--shape", "grid3", *TRIPLE, "--out", str(path)]) == EXIT_OK
+    return path
+
+
+@pytest.fixture
+def plane_measure(tmp_path):
+    path = tmp_path / "plane.dmeas"
+    with open(path, "w") as f:
+        write_dmeas(from_pointset(gen_four_corners(3, Scale(6))), f)
+    return path
+
+
+@pytest.fixture
+def line_measure(tmp_path):
+    path = tmp_path / "line.dmeas"
+    idx = np.arange(0, 64, 2)
+    with open(path, "w") as f:
+        write_dmeas(DyadicMeasure(1, 6, idx, np.full(len(idx), 1 / len(idx))), f)
+    return path
+
+
+def test_gen(tmp_path, capsys):
+    path = tmp_path / "seg.pset"
+    assert main(["gen", "--shape", "segment", "--n", "5", "--out", str(path)]) == EXIT_OK
+    assert "count=32" in capsys.readouterr().out
+    assert path.read_text().startswith("PSET")
+
+
+def test_project(grid3, tmp_path):
+    payload = _run(["project", "--in", str(grid3), "--theta", "0"], tmp_path / "p.json")
+    assert payload["covering_number"] >= 1
+
+
+def test_esets(grid3, tmp_path):
+    rec = _run(["esets", "--in", str(grid3), *TRIPLE, "--sweep", "64"], tmp_path / "e.json")
+    assert rec["params"]["sweep"] == 64
+
+
+def test_incidence(grid3, tmp_path):
+    rec = _run(["incidence", "--in", str(grid3), *TRIPLE, "--sweep", "64"],
+               tmp_path / "i.json")
+    assert rec["results"]["incidences"] > 0
+
+
+def test_sharpness(tmp_path):
+    rec = _run(["sharpness", *TRIPLE, "--skip-full-set"], tmp_path / "s.json")
+    assert rec["results"]["covering_max_K"] is None
+
+
+@pytest.mark.parametrize(
+    "sub, args, key",
+    [
+        ("H", ["--m", "4"], "normalized"),
+        ("cef", ["--fine", "6", "--coarse", "2"], "direct"),
+        ("multiscale", ["--m", "2", "--theta", "0.7"], "slack"),
+        ("marstrand", ["--m", "4"], "average_normalized_entropy"),
+        ("blowup", ["--k", "2", "--i", "0", "--j", "0"], "atoms"),
+    ],
+)
+def test_entropy_plane(plane_measure, tmp_path, sub, args, key):
+    rec = _run(["entropy", sub, "--in", str(plane_measure), *args], tmp_path / "h.json")
+    assert key in rec["results"]
+
+
+def test_entropy_cover(line_measure, tmp_path):
+    rec = _run(["entropy", "cover", "--in", str(line_measure), "--s", "0.8"],
+               tmp_path / "c.json")
+    assert rec["results"]["occupied"] == 32
+
+
+def test_adreg(tmp_path):
+    rec = _run(["adreg", "--level", "3", "--plist", "2,8", "--s", "0.75"],
+               tmp_path / "a.json")
+    assert rec["results"]["table"][0]["average"] == 8.0
+
+
+def test_report(grid3, tmp_path):
+    rec_path = tmp_path / "e.json"
+    _run(["esets", "--in", str(grid3), *TRIPLE, "--sweep", "16"], rec_path)
+    csv_path = tmp_path / "r.csv"
+    assert main(["report", str(rec_path), "--out", str(csv_path)]) == EXIT_OK
+    with open(csv_path) as f:
+        assert [row["name"] for row in csv.DictReader(f)] == ["esets"]

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_min_arc_cover, brute_min_cover
 from projlab import (
@@ -56,6 +58,23 @@ class TestCovering1D:
             counts = [covering_number_1d(vals, w) for w in widths]
             assert all(a >= b for a, b in zip(counts, counts[1:]))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(-20.0, 20.0), max_size=20),
+        st.floats(0.01, 4.0),
+        st.integers(1, 16),
+    )
+    # values 3 widths apart sit in distinct 2w-bins: the lower bound 3 decides
+    @example([0.0, 3.0, 6.0, 9.0, 12.0, 15.0], 1.0, 2)
+    @example([0.0, 3.0, 6.0, 9.0, 12.0, 15.0], 1.0, 3)
+    # lower bound 1 equals the count, one below stop_after: it must not decide
+    @example([0.0, 0.5], 1.0, 2)
+    def test_stop_after_is_min_of_full_count(self, values, width, stop):
+        full = covering_number_1d(values, width)
+        assert covering_number_1d(values, width, stop_after=stop) == min(full, stop)
+        if len(values) <= 12:
+            assert full == brute_min_cover(values, width)
+
     def test_translation_invariance(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
@@ -70,22 +89,22 @@ class TestProject:
     def test_segment_vertical(self):
         prof = project(gen_segment(Scale(3)), Direction(PI / 2))
         assert np.allclose(prof.values, 0.0)
-        assert prof.covering_number == 1
+        assert covering_number_1d(prof.values, 1 / 8) == 1
 
     def test_segment_horizontal(self):
         # 8 values {k/8}; greedy pairs them up: 4 intervals (oracle-checked)
         prof = project(gen_segment(Scale(3)), Direction(0.0))
         assert np.allclose(prof.values, np.arange(8) / 8)
-        assert prof.covering_number == 4
+        assert covering_number_1d(prof.values, 1 / 8) == 4
         assert brute_min_cover(np.arange(8) / 8, 1 / 8) == 4
 
     def test_four_corners_axis(self):
         ps = gen_four_corners(3, Scale(6))
-        assert project(ps, Direction(0.0)).covering_number == 2**3
+        assert covering_number_1d(project(ps, Direction(0.0)).values, ps.scale.delta) == 2**3
 
     def test_four_corners_diagonal(self):
         ps = gen_four_corners(3, Scale(6))
-        assert project(ps, Direction(PI / 4)).covering_number == 3**3
+        assert covering_number_1d(project(ps, Direction(PI / 4)).values, ps.scale.delta) == 3**3
 
     def test_values_sorted(self):
         ps = gen_four_corners(2, Scale(4))
@@ -139,12 +158,13 @@ class TestComputeES:
         member_set = {round(d.theta, 12) for d in es.members}
         assert {round(0.0, 12), round(PI / 4, 12), round(PI / 2, 12)} <= member_set
 
-    def test_jobs_same_result(self):
-        ps = gen_four_corners(3, Scale(6))
-        params = ParamTriple(Scale(6), Fraction(3, 4), 6)
-        serial = compute_E_s(ps, params, sweep=128)
-        parallel = compute_E_s(ps, params, sweep=128, jobs=4)
-        assert np.array_equal(serial.sweep_counts, parallel.sweep_counts)
+    def test_set_level_finer_than_delta(self):
+        # 64 points at spacing 2^-6 swept at delta = 2^-8: no two values
+        # share a delta-interval at theta = 0, so the count is 64
+        params = ParamTriple(Scale(8), Fraction(3, 4), 8)
+        es = compute_E_s(gen_segment(Scale(6)), params, sweep=4)
+        assert es.sweep_thetas[0] == 0.0
+        assert es.sweep_counts[0] == 64
 
 
 class TestDirectionCovering:
