@@ -411,7 +411,7 @@ def theorem_main2_experiment(
     exactly 2^L.
     """
     from .pointsets import gen_four_corners
-    from .projections import covering_number_1d, project
+    from .projections import project
     from .core import Scale
 
     ps = gen_four_corners(L, Scale(2 * L))
@@ -420,7 +420,7 @@ def theorem_main2_experiment(
     for p in p_list:
         total = 0
         for e in direction_grid(p):
-            total += covering_number_1d(project(ps, e).values, delta)
+            total += project(ps, e).covering_number
         averages[p] = total / p
     target = delta ** (-s)
     rec = ExperimentRecord(

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import Direction, InvalidParameterError, ParamTriple
 from .pointsets import LatticePointSet
-from .projections import COVER_RTOL, DirectionSetES, greedy_cover_starts, project
+from .projections import COVER_RTOL, DirectionSetES, greedy_cover_starts, projection_values
 from .records import ExperimentRecord
 
 
@@ -73,7 +73,7 @@ def build_tubes(ps: LatticePointSet, E: DirectionSetES | list[Direction]) -> Tub
     delta = ps.scale.delta
     starts: dict[float, np.ndarray] = {}
     for d in dirs:
-        starts[d.theta] = greedy_cover_starts(project(ps, d).values, delta)
+        starts[d.theta] = greedy_cover_starts(projection_values(ps, d), delta)
     return TubeFamily(delta, list(dirs), starts)
 
 
@@ -86,7 +86,7 @@ def count_incidences(ps: LatticePointSet, tubes: TubeFamily) -> IncidenceCount:
     hist: dict[int, int] = {}
     for d in tubes.directions:
         starts = tubes.starts[d.theta]
-        vals = project(ps, d).values
+        vals = projection_values(ps, d)
         idx = np.searchsorted(starts, vals, side="right") - 1
         idx = np.clip(idx, 0, len(starts) - 1)
         inside = (vals >= starts[idx]) & (vals <= starts[idx] + reach)

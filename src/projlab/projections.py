@@ -89,15 +89,22 @@ def covering_lower_bound(sorted_values: np.ndarray, width: float) -> int:
 class ProjectionProfile:
     direction: Direction
     values: np.ndarray  # sorted ascending
+    covering_number: int  # at the set's own delta
+
+
+def projection_values(ps: LatticePointSet, e: Direction) -> np.ndarray:
+    """Sorted orthogonal projection values of the set along e, in the set's
+    unit coordinates (lattice points times its own delta).  Direction sweeps
+    call this and count with `covering_number_1d` at the width they need."""
+    c, s = e.unit
+    return _sorted_values((ps.points[:, 0] * c + ps.points[:, 1] * s) * ps.scale.delta)
 
 
 def project(ps: LatticePointSet, e: Direction) -> ProjectionProfile:
-    """Sorted orthogonal projection values of the set along e, in the set's
-    unit coordinates (lattice points times its own delta).  Counting a cover
-    of them is `covering_number_1d`'s job."""
-    c, s = e.unit
-    vals = (ps.points[:, 0] * c + ps.points[:, 1] * s) * ps.scale.delta
-    return ProjectionProfile(e, _sorted_values(vals))
+    """`projection_values` along e, with the covering number at the set's
+    own delta attached."""
+    vals = projection_values(ps, e)
+    return ProjectionProfile(e, vals, covering_number_1d(vals, ps.scale.delta))
 
 
 @dataclass(frozen=True)
@@ -152,7 +159,7 @@ def compute_E_s(
     """Evaluate E_s membership on direction_grid(sweep).
 
     The sweep defaults to 4 * 2^n gridpoints so the angular resolution is
-    finer than delta.  Each direction is `project` followed by
+    finer than delta.  Each direction is `projection_values` followed by
     `covering_number_1d` at width params.delta; unless `full_counts`, the
     count stops at floor(delta^-s) + 1, where membership is decided.
     """
@@ -164,7 +171,7 @@ def compute_E_s(
     stop = None if full_counts else t_int + 1
     grid = direction_grid(sweep)
     counts = np.array(
-        [covering_number_1d(project(ps, d).values, params.delta, stop_after=stop)
+        [covering_number_1d(projection_values(ps, d), params.delta, stop_after=stop)
          for d in grid],
         dtype=np.int64,
     )

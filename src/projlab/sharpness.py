@@ -35,7 +35,7 @@ from .core import (
     perpendicular_direction,
 )
 from .pointsets import GridSpec, gen_grid_example, grid_parameters
-from .projections import covering_number_1d, project
+from .projections import project
 from .records import ExperimentRecord
 
 
@@ -185,9 +185,8 @@ def run_sharpness(
     covering_max = None
     if project_full_set:
         K = gen_grid_example(params)
-        delta = params.scale.delta
         covering_max = max(
-            covering_number_1d(project(K, perpendicular_direction(sigma)).values, delta)
+            project(K, perpendicular_direction(sigma)).covering_number
             for sigma in S.slopes
         )
 

@@ -20,7 +20,7 @@ from projlab import (
     gen_segment,
     project,
 )
-from projlab.projections import covering_number_circle, esets_csv
+from projlab.projections import covering_number_circle, esets_csv, projection_values
 
 PI = math.pi
 
@@ -111,6 +111,13 @@ class TestProject:
         for th in (0.3, 1.2, 2.9):
             vals = project(ps, Direction(th)).values
             assert (np.diff(vals) >= 0).all()
+
+    def test_attached_count_is_the_cover_at_the_sets_delta(self):
+        ps = gen_four_corners(3, Scale(6))
+        for th in (0.0, 0.7, PI / 4, 2.2):
+            prof = project(ps, Direction(th))
+            assert np.array_equal(prof.values, projection_values(ps, Direction(th)))
+            assert prof.covering_number == covering_number_1d(prof.values, ps.scale.delta)
 
 
 class TestComputeES:
