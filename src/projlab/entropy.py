@@ -518,6 +518,8 @@ def read_dmeas(stream) -> DyadicMeasure:
             mass.append(float(fields[-1]))
         except ValueError:
             raise ParseError(f"malformed cube line {line!r}", lineno) from None
+        if not math.isfinite(mass[-1]):
+            raise ParseError(f"mass is not finite in {line!r}", lineno)
     try:
         return DyadicMeasure(dim, level, np.array(idx), np.array(mass))
     except InvalidParameterError as e:

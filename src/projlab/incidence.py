@@ -26,7 +26,13 @@ import numpy as np
 
 from .core import Direction, InvalidParameterError, ParamTriple
 from .pointsets import LatticePointSet
-from .projections import COVER_RTOL, DirectionSetES, greedy_cover_starts, projection_values
+from .projections import (
+    COVER_RTOL,
+    DirectionSetES,
+    _raw_projection,
+    greedy_cover_starts,
+    projection_values,
+)
 from .records import ExperimentRecord
 
 
@@ -78,22 +84,22 @@ def build_tubes(ps: LatticePointSet, E: DirectionSetES | list[Direction]) -> Tub
 
 
 def count_incidences(ps: LatticePointSet, tubes: TubeFamily) -> IncidenceCount:
-    """Exact incidence count by binary search of each projection value into
-    the sorted disjoint intervals of its direction."""
+    """Exact incidence count by binary search of each projection value, in
+    point order, into the sorted disjoint intervals of its direction."""
     delta = tubes.scale_delta
     reach = delta * (1.0 + COVER_RTOL)
     total = 0
-    hist: dict[int, int] = {}
+    freq = np.zeros(len(ps) + 1, dtype=np.int64)  # occupancy -> number of tubes
     for d in tubes.directions:
         starts = tubes.starts[d.theta]
-        vals = projection_values(ps, d)
+        vals = _raw_projection(ps, d)
         idx = np.searchsorted(starts, vals, side="right") - 1
         idx = np.clip(idx, 0, len(starts) - 1)
         inside = (vals >= starts[idx]) & (vals <= starts[idx] + reach)
         total += int(np.count_nonzero(inside))
-        occ = np.bincount(idx[inside], minlength=len(starts))
-        for o, f in zip(*np.unique(occ, return_counts=True)):
-            hist[int(o)] = hist.get(int(o), 0) + int(f)
+        occupancy = np.bincount(idx[inside], minlength=len(starts))
+        freq += np.bincount(occupancy, minlength=len(freq))
+    hist = {o: f for o, f in enumerate(freq.tolist()) if f}
     return IncidenceCount(total, hist)
 
 

@@ -269,6 +269,8 @@ def read_pset(stream) -> LatticePointSet:
         count = int(parts[3].removeprefix("count="))
     except ValueError:
         raise ParseError(f"bad PSET header fields {header!r}", 1) from None
+    if count < 0:
+        raise ParseError(f"negative point count in {header!r}", 1)
     pts = np.empty((count, 2), dtype=np.int64)
     for i in range(count):
         line = stream.readline()
@@ -280,6 +282,9 @@ def read_pset(stream) -> LatticePointSet:
             pts[i, 1] = int(fields[1])
         except ValueError:
             raise ParseError(f"non-integer coordinate in {line!r}", i + 2) from None
+    for lineno, line in enumerate(stream, start=count + 2):
+        if line.strip():
+            raise ParseError(f"line after the {count} declared points: {line!r}", lineno)
     try:
         return LatticePointSet(Scale(n), pts)
     except InvalidParameterError as e:

@@ -5,6 +5,13 @@ interval of the requested width at the leftmost uncovered value, repeat.
 For fixed-length intervals this greedy is exactly optimal, which the test
 suite re-verifies against exhaustive enumeration on small instances.
 
+The sweep runs on next pointers: one vectorized `searchsorted` gives, for
+every sorted value, the index of the first value past the interval that
+starts there, and the greedy walks those pointers from index 0.  A capped
+count first tries a sort-free lower bound, half the number of occupied
+2w-bins, marked in a boolean table; only when that bound stays below the
+cap are the values sorted and walked.
+
 `compute_E_s` evaluates the direction set
 
     E_s = { e : N(projection of the set along e, delta) <= delta^-s }
@@ -16,6 +23,7 @@ at the threshold never depends on float rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +42,15 @@ def _sorted_values(values) -> np.ndarray:
             arr = arr[::-1]
         d = np.diff(arr)
         if (d < 0).any():
-            arr = np.sort(arr, kind="stable")
+            arr = np.sort(arr)
     return np.ascontiguousarray(arr)
+
+
+def _next_pointers(sorted_values: np.ndarray, width: float) -> np.ndarray:
+    """nxt[i]: index of the first value past the closed width-interval that
+    starts at value i, i.e. where the greedy starts its next interval."""
+    reach = width * (1.0 + COVER_RTOL)
+    return np.searchsorted(sorted_values, sorted_values + reach, side="right")
 
 
 def greedy_cover_starts(
@@ -44,44 +59,68 @@ def greedy_cover_starts(
     """Left endpoints of the greedy cover of sorted values by closed
     width-intervals.  If `stop_after` is given, gives up once that many
     intervals have been started (the true count is then >= stop_after)."""
+    arr = np.asarray(sorted_values, dtype=np.float64)
+    nxt = _next_pointers(arr, width)
     starts = []
     i = 0
-    n = len(sorted_values)
-    reach = width * (1.0 + COVER_RTOL)
+    n = len(arr)
     while i < n:
-        v = sorted_values[i]
-        starts.append(v)
+        starts.append(i)
         if stop_after is not None and len(starts) >= stop_after:
             break
-        i = int(np.searchsorted(sorted_values, v + reach, side="right"))
-    return np.asarray(starts, dtype=np.float64)
+        i = nxt.item(i)
+    return arr[np.asarray(starts, dtype=np.intp)]
 
 
 def covering_number_1d(values, width: float, stop_after: int | None = None) -> int:
     """Minimum number of closed length-`width` intervals covering the values.
 
-    Empty input gives 0.  Ties (a value exactly at an interval end) count as
-    covered, up to a relative 1e-12 slack.  With `stop_after` the result is
-    min(count, stop_after): counting stops there, and a lower bound that
-    already reaches it decides without counting.
+    The values may come in any order.  Empty input gives 0.  Ties (a value
+    exactly at an interval end) count as covered, up to a relative 1e-12
+    slack.  With `stop_after` the result is min(count, stop_after): a lower
+    bound that already reaches it decides before any sort, otherwise
+    counting stops there.
     """
     if width <= 0:
         raise InvalidParameterError(f"width={width} must be positive")
-    arr = _sorted_values(values)
+    arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size == 0:
         return 0
     if stop_after is not None and covering_lower_bound(arr, width) >= stop_after:
         return stop_after
-    return len(greedy_cover_starts(arr, width, stop_after=stop_after))
+    arr = _sorted_values(arr)
+    nxt = _next_pointers(arr, width)
+    count = 0
+    i = 0
+    n = len(arr)
+    while i < n:
+        count += 1
+        if count == stop_after:
+            break
+        i = nxt.item(i)
+    return count
 
 
-def covering_lower_bound(sorted_values: np.ndarray, width: float) -> int:
-    """Cheap certified lower bound: ceil(B/2) where B counts occupied bins of
-    width 2w, since one closed w-interval meets at most two such bins."""
-    if len(sorted_values) == 0:
+def covering_lower_bound(values, width: float) -> int:
+    """Cheap certified lower bound, in any order: ceil(B/2) where B counts
+    occupied bins of width 2w, since one closed w-interval meets at most two
+    such bins.  Bins are marked in a table of at most 2n slots, folded modulo
+    its size; a collision only lowers B, so the bound stays certified."""
+    arr = np.asarray(values, dtype=np.float64).ravel()
+    if arr.size == 0:
         return 0
-    bins = np.floor(sorted_values / (2.0 * width))
-    occupied = 1 + int(np.count_nonzero(np.diff(bins)))
+    with np.errstate(over="ignore"):
+        bins = np.floor(arr / (2.0 * width))
+    bins -= bins.min()
+    top = float(bins.max())
+    if not math.isfinite(top):  # the width is too small to bin the values
+        return 1
+    size = int(min(top + 1.0, 2 * arr.size))
+    if top >= size:
+        bins %= size
+    table = np.zeros(size, dtype=bool)
+    table[bins.astype(np.intp)] = True
+    occupied = int(np.count_nonzero(table))
     return (occupied + 1) // 2
 
 
@@ -92,12 +131,17 @@ class ProjectionProfile:
     covering_number: int  # at the set's own delta
 
 
-def projection_values(ps: LatticePointSet, e: Direction) -> np.ndarray:
-    """Sorted orthogonal projection values of the set along e, in the set's
-    unit coordinates (lattice points times its own delta).  Direction sweeps
-    call this and count with `covering_number_1d` at the width they need."""
+def _raw_projection(ps: LatticePointSet, e: Direction) -> np.ndarray:
+    """Orthogonal projection values of the set along e in point order, in the
+    set's unit coordinates (lattice points times its own delta)."""
     c, s = e.unit
-    return _sorted_values((ps.points[:, 0] * c + ps.points[:, 1] * s) * ps.scale.delta)
+    return (ps.points[:, 0] * c + ps.points[:, 1] * s) * ps.scale.delta
+
+
+def projection_values(ps: LatticePointSet, e: Direction) -> np.ndarray:
+    """`_raw_projection` sorted ascending.  Direction sweeps count with
+    `covering_number_1d` at the width they need."""
+    return _sorted_values(_raw_projection(ps, e))
 
 
 def project(ps: LatticePointSet, e: Direction) -> ProjectionProfile:
@@ -159,9 +203,10 @@ def compute_E_s(
     """Evaluate E_s membership on direction_grid(sweep).
 
     The sweep defaults to 4 * 2^n gridpoints so the angular resolution is
-    finer than delta.  Each direction is `projection_values` followed by
+    finer than delta.  Each direction is the unsorted projection handed to
     `covering_number_1d` at width params.delta; unless `full_counts`, the
-    count stops at floor(delta^-s) + 1, where membership is decided.
+    count stops at floor(delta^-s) + 1, where membership is decided, and the
+    projection is sorted only when the lower bound leaves it open.
     """
     if sweep is None:
         sweep = 4 * ps.scale.side
@@ -171,7 +216,7 @@ def compute_E_s(
     stop = None if full_counts else t_int + 1
     grid = direction_grid(sweep)
     counts = np.array(
-        [covering_number_1d(projection_values(ps, d), params.delta, stop_after=stop)
+        [covering_number_1d(_raw_projection(ps, d), params.delta, stop_after=stop)
          for d in grid],
         dtype=np.int64,
     )

@@ -42,6 +42,19 @@ def brute_min_cover(values, width: float) -> int:
     return k
 
 
+def searchsorted_cover_starts(sorted_values, width: float) -> np.ndarray:
+    """Greedy cover starts found one interval at a time: each step binary
+    searches for the first value past the current interval's right end."""
+    vals = np.asarray(sorted_values, dtype=np.float64)
+    reach = width * (1.0 + 1e-12)
+    starts = []
+    i = 0
+    while i < len(vals):
+        starts.append(vals[i])
+        i = int(np.searchsorted(vals, vals[i] + reach, side="right"))
+    return np.array(starts, dtype=np.float64)
+
+
 def brute_min_arc_cover(angles, r: float, circumference: float) -> int:
     """Exact minimum number of closed arcs of length r covering circle
     points; arcs anchored at points, subsets by increasing size."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from projlab import DyadicMeasure, Scale, from_pointset, gen_four_corners, write_dmeas
-from projlab.cli import EXIT_OK, main
+from projlab.cli import EXIT_IO, EXIT_OK, main
 
 TRIPLE = ["--log2delta", "8", "--s", "3/4", "--log2r", "6"]
 
@@ -82,6 +82,13 @@ def test_sharpness(tmp_path):
 def test_entropy_plane(plane_measure, tmp_path, sub, args, key):
     rec = _run(["entropy", sub, "--in", str(plane_measure), *args], tmp_path / "h.json")
     assert key in rec["results"]
+
+
+def test_nan_mass_exits_with_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "nan.dmeas"
+    path.write_text("DMEAS v1 d=1 n=2\n0 1\n1 nan\n")
+    assert main(["entropy", "H", "--in", str(path), "--out", str(tmp_path / "h.json")]) == EXIT_IO
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_entropy_cover(line_measure, tmp_path):

@@ -223,3 +223,14 @@ class TestPsetFormat:
             read_pset(io.StringIO("PSET v1 n=2 count=2\n0 0\n1\n"))
         with pytest.raises(ParseError, match="line 2"):
             read_pset(io.StringIO("PSET v1 n=2 count=1\na b\n"))
+
+    def test_negative_count_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="line 1"):
+            read_pset(io.StringIO("PSET v1 n=2 count=-1\n"))
+
+    def test_lines_after_count_are_a_parse_error(self):
+        with pytest.raises(ParseError, match="line 4"):
+            read_pset(io.StringIO("PSET v1 n=2 count=1\n0 0\n\n1 1\n"))
+        # blank lines after the points are fine
+        ps = read_pset(io.StringIO("PSET v1 n=2 count=1\n0 0\n\n  \n"))
+        assert len(ps) == 1

@@ -7,20 +7,28 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_min_arc_cover, brute_min_cover
+from conftest import brute_min_arc_cover, brute_min_cover, searchsorted_cover_starts
 from projlab import (
     Direction,
+    LatticePointSet,
     ParamTriple,
     Scale,
+    build_tubes,
     compute_E_s,
     covering_number_1d,
     covering_number_directions,
     direction_grid,
     gen_four_corners,
+    gen_grid_example,
     gen_segment,
     project,
 )
-from projlab.projections import covering_number_circle, esets_csv, projection_values
+from projlab.projections import (
+    covering_lower_bound,
+    covering_number_circle,
+    esets_csv,
+    projection_values,
+)
 
 PI = math.pi
 
@@ -74,6 +82,34 @@ class TestCovering1D:
         assert covering_number_1d(values, width, stop_after=stop) == min(full, stop)
         if len(values) <= 12:
             assert full == brute_min_cover(values, width)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(-20.0, 20.0), max_size=30),
+        st.floats(0.01, 4.0),
+        st.none() | st.integers(1, 16),
+        st.data(),
+    )
+    def test_count_ignores_input_order(self, values, width, stop, data):
+        want = covering_number_1d(sorted(values), width, stop_after=stop)
+        shuffled = data.draw(st.permutations(values))
+        for order in (shuffled, values[::-1], sorted(values, reverse=True), values):
+            assert covering_number_1d(np.array(order), width, stop_after=stop) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=12),
+        # tiny widths put the values' 2w-bins far more than 2n slots apart
+        st.floats(1e-9, 1e-3) | st.floats(0.01, 4.0),
+    )
+    # bins 0, 6 and 12 fold onto one slot of the 6-slot table
+    @example([0.0, 3.0, 6.0], 0.25)
+    @example([0.0, 1e-9, 2e-9, 3e-9], 1e-9)
+    # a subnormal width overflows the bin index to inf
+    @example([0.0, 1.0], 1e-310)
+    def test_lower_bound_never_exceeds_the_minimum(self, values, width):
+        assert covering_lower_bound(values, width) <= brute_min_cover(values, width)
+        assert covering_lower_bound(values[::-1], width) <= brute_min_cover(values, width)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(2)
@@ -172,6 +208,35 @@ class TestComputeES:
         es = compute_E_s(gen_segment(Scale(6)), params, sweep=4)
         assert es.sweep_thetas[0] == 0.0
         assert es.sweep_counts[0] == 64
+
+
+class TestAgainstPerIntervalSearch:
+    """Sweep counts and tube starts against `searchsorted_cover_starts`."""
+
+    @staticmethod
+    def _sets():
+        params = ParamTriple(Scale(8), Fraction(3, 4), 6)
+        grid = gen_grid_example(params)
+        cells = np.random.default_rng(11).choice(1 << 16, size=len(grid), replace=False)
+        rand = LatticePointSet(Scale(8), np.column_stack([cells >> 8, cells & 255]))
+        return params, [grid, rand]
+
+    def test_full_counts(self):
+        params, sets = self._sets()
+        for ps in sets:
+            es = compute_E_s(ps, params, sweep=256, full_counts=True)
+            for th, count in zip(es.sweep_thetas, es.sweep_counts):
+                vals = projection_values(ps, Direction(th))
+                assert count == len(searchsorted_cover_starts(vals, params.delta))
+
+    def test_tube_starts(self):
+        params, sets = self._sets()
+        dirs = direction_grid(64)
+        for ps in sets:
+            fam = build_tubes(ps, dirs)
+            for d in dirs:
+                want = searchsorted_cover_starts(projection_values(ps, d), ps.scale.delta)
+                assert np.array_equal(fam.starts[d.theta], want)
 
 
 class TestDirectionCovering:
