@@ -42,15 +42,8 @@ def _sorted_values(values) -> np.ndarray:
             arr = arr[::-1]
         d = np.diff(arr)
         if (d < 0).any():
-            arr = np.sort(arr)
+            arr = np.sort(arr, kind="stable")
     return np.ascontiguousarray(arr)
-
-
-def _next_pointers(sorted_values: np.ndarray, width: float) -> np.ndarray:
-    """nxt[i]: index of the first value past the closed width-interval that
-    starts at value i, i.e. where the greedy starts its next interval."""
-    reach = width * (1.0 + COVER_RTOL)
-    return np.searchsorted(sorted_values, sorted_values + reach, side="right")
 
 
 def greedy_cover_starts(
@@ -58,16 +51,19 @@ def greedy_cover_starts(
 ) -> np.ndarray:
     """Left endpoints of the greedy cover of sorted values by closed
     width-intervals.  If `stop_after` is given, gives up once that many
-    intervals have been started (the true count is then >= stop_after)."""
+    intervals have been started (the true count is then >= stop_after).
+
+    The walk follows next pointers: nxt[i] is the index of the first value
+    past the interval that starts at value i, where the greedy starts its
+    next interval."""
     arr = np.asarray(sorted_values, dtype=np.float64)
-    nxt = _next_pointers(arr, width)
+    n = len(arr)
+    nxt = np.searchsorted(arr, arr + width * (1.0 + COVER_RTOL), side="right")
+    limit = n if stop_after is None else stop_after
     starts = []
     i = 0
-    n = len(arr)
-    while i < n:
+    while i < n and len(starts) < limit:
         starts.append(i)
-        if stop_after is not None and len(starts) >= stop_after:
-            break
         i = nxt.item(i)
     return arr[np.asarray(starts, dtype=np.intp)]
 
@@ -88,24 +84,14 @@ def covering_number_1d(values, width: float, stop_after: int | None = None) -> i
         return 0
     if stop_after is not None and covering_lower_bound(arr, width) >= stop_after:
         return stop_after
-    arr = _sorted_values(arr)
-    nxt = _next_pointers(arr, width)
-    count = 0
-    i = 0
-    n = len(arr)
-    while i < n:
-        count += 1
-        if count == stop_after:
-            break
-        i = nxt.item(i)
-    return count
+    return len(greedy_cover_starts(_sorted_values(arr), width, stop_after=stop_after))
 
 
 def covering_lower_bound(values, width: float) -> int:
     """Cheap certified lower bound, in any order: ceil(B/2) where B counts
     occupied bins of width 2w, since one closed w-interval meets at most two
-    such bins.  Bins are marked in a table of at most 2n slots, folded modulo
-    its size; a collision only lowers B, so the bound stays certified."""
+    such bins.  Bins are marked in a table of 2n slots, folded modulo its
+    size; a collision only lowers B, so the bound stays certified."""
     arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size == 0:
         return 0
@@ -115,10 +101,9 @@ def covering_lower_bound(values, width: float) -> int:
     top = float(bins.max())
     if not math.isfinite(top):  # the width is too small to bin the values
         return 1
-    size = int(min(top + 1.0, 2 * arr.size))
-    if top >= size:
-        bins %= size
-    table = np.zeros(size, dtype=bool)
+    table = np.zeros(2 * arr.size, dtype=bool)
+    if top >= table.size:  # float modulo costs more than the rest of the bound
+        bins %= table.size
     table[bins.astype(np.intp)] = True
     occupied = int(np.count_nonzero(table))
     return (occupied + 1) // 2
