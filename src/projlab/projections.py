@@ -244,35 +244,17 @@ def covering_number_circle(points, r: float, circumference: float) -> int:
         return 0
     if r >= circumference:
         return 1
-    gaps = np.diff(np.concatenate([th, [th[0] + circumference]]))
+    lifted = np.concatenate([th, th + circumference])  # th, then th one turn on
+    gaps = np.diff(lifted[:k + 1])
     reach = r * (1.0 + COVER_RTOL)
-
-    def greedy_from(idx: int) -> int:
-        # cover all k points going cyclically from the arc anchored at th[idx]
-        count = 0
-        pos = 0  # points consumed, counted from idx
-        while pos < k:
-            count += 1
-            i = idx + pos
-            start = th[i % k] + (circumference if i >= k else 0.0)
-            limit = start + reach
-            while pos < k:
-                j = idx + pos
-                val = th[j % k] + (circumference if j >= k else 0.0)
-                if val <= limit:
-                    pos += 1
-                else:
-                    break
-        return count
-
     pivot = (int(np.argmax(gaps)) + 1) % k
-    best = None
-    for idx in range(k):
-        back = (th[pivot] - th[idx]) % circumference
-        if back <= reach:  # the arc anchored at th[idx] reaches the pivot
-            cnt = greedy_from(idx)
-            best = cnt if best is None else min(best, cnt)
-    return best
+    # the linear greedy over the k points unrolled from each anchor th[idx]
+    # whose arc reaches the pivot (idx = pivot always does)
+    return min(
+        len(greedy_cover_starts(lifted[idx:idx + k], r))
+        for idx in range(k)
+        if (th[pivot] - th[idx]) % circumference <= reach
+    )
 
 
 def esets_csv(es: DirectionSetES, stream) -> None:

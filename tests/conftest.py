@@ -55,6 +55,12 @@ def searchsorted_cover_starts(sorted_values, width: float) -> np.ndarray:
     return np.array(starts, dtype=np.float64)
 
 
+def distinct_keys_ref(m: int, n_g: int, num: int, den: int) -> int:
+    """Distinct values of y - (num/den)*x over the m x n_g slope grid, as the
+    set of integer keys l*den - k*num*n_g over the shared denominator."""
+    return len({l * den - k * num * n_g for k in range(m) for l in range(n_g)})
+
+
 def brute_min_arc_cover(angles, r: float, circumference: float) -> int:
     """Exact minimum number of closed arcs of length r covering circle
     points; arcs anchored at points, subsets by increasing size."""

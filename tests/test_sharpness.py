@@ -2,7 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import distinct_keys_ref
 from projlab import (
     InvalidParameterError,
     ParamTriple,
@@ -49,6 +52,18 @@ PIPELINE_TRIPLES = [
 ]
 
 FLAGSHIP = (16, Fraction(3, 4), 12)
+
+# every valid triple with a <= 12; each grid has m * n_g <= 1024 points
+SMALL_TRIPLES = valid_triples(max_a=12)
+G12 = ParamTriple(Scale(12), Fraction(3, 4), 10)  # m = 4, n_g = 256
+
+# arbitrary exact slopes: negative, above 1, small denominators (where
+# columns collide), and numerators and denominators far beyond 2^62
+SLOPES = st.one_of(
+    st.fractions(-4, 4, max_denominator=64),
+    st.builds(Fraction, st.integers(-(2**10), 2**10), st.integers(1, 2**10)),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+)
 
 
 class TestBuildSlopeSet:
@@ -162,7 +177,19 @@ class TestProjectedCardinality:
         assert pc * hits <= 4 * 4 * 4096
         assert pc <= 64 * 2**12
 
-    @pytest.mark.parametrize("a,s,b", PIPELINE_TRIPLES)
+    @settings(max_examples=300, deadline=None)
+    @given(params=st.sampled_from(SMALL_TRIPLES), slope=SLOPES)
+    @example(params=G12, slope=Fraction(2**62 + 1, 3))
+    @example(params=G12, slope=Fraction(-(2**62 + 1)))
+    @example(params=G12, slope=Fraction(-5, 3))
+    @example(params=G12, slope=Fraction(3, 512))
+    def test_matches_key_set(self, params, slope):
+        spec = grid_parameters(params)
+        want = distinct_keys_ref(spec.m, spec.n_g, slope.numerator, slope.denominator)
+        assert projected_cardinality(params, slope) == want
+
+    # (20, 3/4, 16) has k_max = 2; its full set K is too large for the pipeline
+    @pytest.mark.parametrize("a,s,b", PIPELINE_TRIPLES + [(20, Fraction(3, 4), 16)])
     def test_lemma_every_slope(self, a, s, b):
         params = ParamTriple(Scale(a), s, b)
         spec = grid_parameters(params)
@@ -215,6 +242,9 @@ class TestRunSharpness:
         rep = run_sharpness(params, exploratory=True, project_full_set=False)
         assert rep.record.assertions == []
         assert rep.slope_count >= 1
+        spec = grid_parameters(params)
+        for num, den, _, pc in rep.per_slope[:: len(rep.per_slope) // 8]:
+            assert pc == distinct_keys_ref(spec.m, spec.n_g, num, den)
 
     def test_grid_matches_slope_parameters(self):
         params = ParamTriple(Scale(12), Fraction(3, 4), 10)
