@@ -18,6 +18,7 @@ discrete analogue of linear ball growth.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -126,6 +127,7 @@ class GridSpec:
         return Fraction(1, self.m * self.n_g)
 
 
+@functools.cache
 def grid_parameters(params: ParamTriple) -> GridSpec:
     """Validate integrality of (m, n_g, h/delta) and return exact exponents."""
     a, b, s = params.a, params.b, params.s

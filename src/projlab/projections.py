@@ -8,9 +8,9 @@ suite re-verifies against exhaustive enumeration on small instances.
 The sweep runs on next pointers: one vectorized `searchsorted` gives, for
 every sorted value, the index of the first value past the interval that
 starts there, and the greedy walks those pointers from index 0.  A capped
-count first tries a sort-free lower bound, half the number of occupied
-2w-bins, marked in a boolean table; only when that bound stays below the
-cap are the values sorted and walked.
+count first tries a sort-free lower bound, a parity packing of bins just
+wider than one interval's reach; only when that bound stays below the cap
+are the values sorted and walked.
 
 `compute_E_s` evaluates the direction set
 
@@ -23,7 +23,6 @@ at the threshold never depends on float rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +41,7 @@ def _sorted_values(values) -> np.ndarray:
             arr = arr[::-1]
         d = np.diff(arr)
         if (d < 0).any():
-            arr = np.sort(arr, kind="stable")
+            arr = np.sort(arr)
     return np.ascontiguousarray(arr)
 
 
@@ -88,25 +87,29 @@ def covering_number_1d(values, width: float, stop_after: int | None = None) -> i
 
 
 def covering_lower_bound(values, width: float) -> int:
-    """Cheap certified lower bound, in any order: ceil(B/2) where B counts
-    occupied bins of width 2w, since one closed w-interval meets at most two
-    such bins.  Bins are marked in a table of 2n slots, folded modulo its
-    size; a collision only lowers B, so the bound stays certified."""
+    """Cheap certified lower bound, in any order: a parity packing.  Values
+    are binned up from their minimum at width w(1 + COVER_RTOL) + 2^-48 max|v|,
+    past one interval's reach by a margin for the rounding of the bins and of
+    the greedy's right ends, so occupied bins of one parity are pairwise out
+    of reach.  Bins are marked in a table of 2n slots, folded modulo its even
+    size, which keeps parity; a collision only lowers the count."""
     arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size == 0:
         return 0
-    with np.errstate(over="ignore"):
-        bins = np.floor(arr / (2.0 * width))
-    bins -= bins.min()
-    top = float(bins.max())
-    if not math.isfinite(top):  # the width is too small to bin the values
+    lo, hi = float(arr.min()), float(arr.max())
+    if not hi - lo < np.inf:  # inf or NaN among the values
         return 1
+    bw = width * (1.0 + COVER_RTOL) + 2.0**-48 * max(-lo, hi)
+    bins = arr - lo
+    bins /= bw  # at most 2^49, as bw >= 2^-48 max|v|
+    bins = bins.astype(np.intp)  # truncation is floor: v - lo >= 0
     table = np.zeros(2 * arr.size, dtype=bool)
-    if top >= table.size:  # float modulo costs more than the rest of the bound
+    if (hi - lo) / bw >= table.size:
         bins %= table.size
-    table[bins.astype(np.intp)] = True
+    table[bins] = True
     occupied = int(np.count_nonzero(table))
-    return (occupied + 1) // 2
+    odd = int(np.count_nonzero(table[1::2]))
+    return max(odd, occupied - odd)
 
 
 @dataclass(frozen=True)

@@ -95,17 +95,19 @@ def verify_separation(S: SlopeSet) -> bool:
 def count_line_hits(G_params: ParamTriple, slope: ExactSlope) -> int:
     """|G cap line through the origin with the given slope|, exact.
 
-    Counts columns k' in [0, m) whose line point (k'/m, slope * k'/m) lands
-    on a grid row, i.e. l' = k' * n_g * slope is an integer in [0, n_g).
+    Column k' in [0, m) is hit when l' = k' n_g num / den is an integer in
+    [0, n_g): k' is a multiple of g = den / gcd(den, n_g) and k' num < den.
+    A negative slope hits only column 0; otherwise the multiples of g below
+    L = min(m, ceil(den / num)) number ceil(L / g).
     """
     spec = grid_parameters(G_params)
     sigma = Fraction(slope)
-    hits = 0
-    for kp in range(spec.m):
-        lp = kp * spec.n_g * sigma
-        if lp.denominator == 1 and 0 <= lp.numerator < spec.n_g:
-            hits += 1
-    return hits
+    num, den = sigma.numerator, sigma.denominator
+    if num < 0:
+        return 1
+    L = spec.m if num == 0 else min(spec.m, (den - 1) // num + 1)
+    g = den // math.gcd(den, spec.n_g)
+    return -(-L // g)
 
 
 def projected_cardinality(G_params: ParamTriple, slope: ExactSlope) -> int:

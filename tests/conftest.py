@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,6 +60,17 @@ def distinct_keys_ref(m: int, n_g: int, num: int, den: int) -> int:
     """Distinct values of y - (num/den)*x over the m x n_g slope grid, as the
     set of integer keys l*den - k*num*n_g over the shared denominator."""
     return len({l * den - k * num * n_g for k in range(m) for l in range(n_g)})
+
+
+def line_hits_ref(m: int, n_g: int, slope) -> int:
+    """Columns k' in [0, m) whose point on the line y = slope * x lands on a
+    grid row: l' = k' * n_g * slope is an integer in [0, n_g)."""
+    hits = 0
+    for kp in range(m):
+        lp = kp * n_g * Fraction(slope)
+        if lp.denominator == 1 and 0 <= lp.numerator < n_g:
+            hits += 1
+    return hits
 
 
 def brute_min_arc_cover(angles, r: float, circumference: float) -> int:

@@ -1,0 +1,47 @@
+"""CLI outputs frozen byte for byte in tests/golden/.
+
+Each case reruns one `projlab` command in process and compares every file
+it writes with the frozen copy.  A change that alters a count, a float's
+last digit or the key order shows up here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from projlab.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).with_name("golden")
+TRIPLE = ["--log2delta", "8", "--s", "3/4", "--log2r", "6"]
+
+# name -> argv; "{pset}" is the generated grid3 set, "{out}" the output dir
+CASES = {
+    "esets": ["esets", "--in", "{pset}", *TRIPLE, "--sweep", "256",
+              "--csv", "{out}/esets.csv"],
+    "incidence": ["incidence", "--in", "{pset}", *TRIPLE, "--sweep", "256"],
+    "project": ["project", "--in", "{pset}", "--theta", "0.7"],
+    "sharpness_8_6": ["sharpness", *TRIPLE, "--csv", "{out}/sharpness_8_6.csv"],
+    "sharpness_14_13": ["sharpness", "--log2delta", "14", "--s", "3/4",
+                        "--log2r", "13", "--csv", "{out}/sharpness_14_13.csv"],
+}
+
+
+@pytest.fixture(scope="module")
+def pset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "grid3.pset"
+    assert main(["gen", "--shape", "grid3", *TRIPLE, "--out", str(path)]) == EXIT_OK
+    return path
+
+
+def test_gen(pset):
+    assert pset.read_bytes() == (GOLDEN / "grid3.pset").read_bytes()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_command(name, pset, tmp_path):
+    argv = [arg.format(pset=pset, out=tmp_path) for arg in CASES[name]]
+    assert main(argv + ["--out", str(tmp_path / f"{name}.json")]) == EXIT_OK
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in GOLDEN.glob(f"{name}.*"))
+    for fname in written:
+        assert (tmp_path / fname).read_bytes() == (GOLDEN / fname).read_bytes(), fname

@@ -24,6 +24,8 @@ from projlab import (
     project,
 )
 from projlab.projections import (
+    COVER_RTOL,
+    _raw_projection,
     covering_lower_bound,
     covering_number_circle,
     esets_csv,
@@ -72,7 +74,7 @@ class TestCovering1D:
         st.floats(0.01, 4.0),
         st.integers(1, 16),
     )
-    # values 3 widths apart sit in distinct 2w-bins: the lower bound 3 decides
+    # values 3 widths apart: the lower bound reaches stop_after and decides
     @example([0.0, 3.0, 6.0, 9.0, 12.0, 15.0], 1.0, 2)
     @example([0.0, 3.0, 6.0, 9.0, 12.0, 15.0], 1.0, 3)
     # lower bound 1 equals the count, one below stop_after: it must not decide
@@ -99,13 +101,13 @@ class TestCovering1D:
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=12),
-        # tiny widths put the values' 2w-bins far more than 2n slots apart
+        # tiny widths put the values' bins far more than 2n slots apart
         st.floats(1e-9, 1e-3) | st.floats(0.01, 4.0),
     )
-    # bins 0, 6 and 12 fold onto one slot of the 6-slot table
+    # bins 0, 11 and 23 fold onto slots 0, 5 and 5 of the 6-slot table
     @example([0.0, 3.0, 6.0], 0.25)
     @example([0.0, 1e-9, 2e-9, 3e-9], 1e-9)
-    # a subnormal width overflows the bin index to inf
+    # a subnormal width: the 2^-48 max|v| margin sets the bin width
     @example([0.0, 1.0], 1e-310)
     def test_lower_bound_never_exceeds_the_minimum(self, values, width):
         assert covering_lower_bound(values, width) <= brute_min_cover(values, width)
@@ -119,6 +121,70 @@ class TestCovering1D:
             base = covering_number_1d(vals, w)
             for shift in rng.normal(scale=5.0, size=3):
                 assert covering_number_1d(vals + shift, w) == base
+
+
+class TestLowerBound:
+    """The parity packing against the exhaustive minimum."""
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 12])
+    @pytest.mark.parametrize("w", [0.1, 0.125, 1e-9])
+    def test_spacing_past_two_widths_is_tight(self, k, w):
+        # every value sits alone in an even bin; half the 2w-bins gave ceil(k/2)
+        vals = np.arange(k) * 2.01 * w
+        assert covering_lower_bound(vals, w) == brute_min_cover(vals, w) == k
+
+    @pytest.mark.parametrize("k", [2, 5, 11, 12])
+    @pytest.mark.parametrize("w", [0.1, 0.125, 3e-7])
+    def test_spacing_at_the_reach(self, k, w):
+        for step in (w, w * (1.0 + COVER_RTOL)):
+            vals = np.arange(k) * step
+            want = brute_min_cover(vals, w)
+            assert want == covering_number_1d(vals, w)
+            assert covering_lower_bound(vals, w) <= want
+            assert covering_lower_bound(vals[::-1], w) <= want
+
+    @pytest.mark.parametrize("offset", [1e6, -1e6])
+    @pytest.mark.parametrize("spacing", [1.0, 1.0 + COVER_RTOL, 2.01, 3.0])
+    def test_offset_far_beyond_the_width(self, offset, spacing):
+        # at 1e6 one ulp is about 1.2e-10, so w = 1e-9 spans only a few ulps
+        w = 1e-9
+        vals = offset + np.arange(10) * spacing * w
+        assert covering_lower_bound(vals, w) <= brute_min_cover(vals, w)
+
+    def test_pairs_within_reach_across_two_bins(self):
+        # each pair is 1 + 5e-13 apart, inside the reach 1 + 1e-12, and
+        # would straddle two bins of width 1 + 2^-48 max|v|
+        vals = np.array([0.0, 2 - 2e-13, 3 + 3e-13, 6 - 2e-13, 7 + 3e-13])
+        assert covering_lower_bound(vals, 1.0) <= brute_min_cover(vals, 1.0) == 3
+
+    def test_right_end_rounded_up_to_a_tie(self):
+        # the reach is exactly half an ulp of x, and x + reach rounds to the
+        # even neighbor x + ulp, so one interval covers both values
+        reach = 2.0**-33
+        w = reach / (1.0 + COVER_RTOL)
+        while w * (1.0 + COVER_RTOL) != reach:
+            w = math.nextafter(w, 0.0 if w * (1.0 + COVER_RTOL) > reach else 1.0)
+        x = 2.0**20 + 2.0**-32  # odd last mantissa bit
+        vals = np.array([x, x + 2.0**-32])
+        assert covering_lower_bound(vals, w) <= brute_min_cover(vals, w) == 1
+
+    @pytest.mark.parametrize("vals", [[0.0, np.inf], [-np.inf, 0.0, 5.0, np.inf]])
+    def test_infinite_values(self, vals):
+        assert covering_lower_bound(vals, 1.0) <= brute_min_cover(vals, 1.0)
+        assert covering_number_1d(vals, 1.0, stop_after=2) == 2
+
+    def test_folded_table(self):
+        # 6 values over 49 bins: the 12-slot table folds, and bins 0, 12, 24,
+        # 36 and 48 share slot 0 (the 1e-9 stretch keeps each value in the
+        # bin of its integer part)
+        w, stretch = 1.0, 1.0 + 1e-9
+        vals = np.array([0.0, 12.0, 24.0, 36.0, 48.0, 5.0]) * stretch
+        assert covering_lower_bound(vals, w) == 1
+        assert brute_min_cover(vals, w) == 6
+        # folding keeps parity: odd bins 1, 15 and 29 land on odd slots 1, 3, 5
+        vals = np.array([0.0, 1.0, 15.0, 29.0, 0.5, 0.25]) * stretch
+        assert covering_lower_bound(vals, w) == 3
+        assert brute_min_cover(vals, w) == 4
 
 
 class TestProject:
@@ -237,6 +303,23 @@ class TestAgainstPerIntervalSearch:
             for d in dirs:
                 want = searchsorted_cover_starts(projection_values(ps, d), ps.scale.delta)
                 assert np.array_equal(fam.starts[d.theta], want)
+
+
+class TestCappedSweep:
+    def test_counts_are_the_full_counts_capped(self):
+        params, sets = TestAgainstPerIntervalSearch._sets()
+        stop = params.floor_delta_pow(params.s) + 1
+        for ps in sets:
+            capped = compute_E_s(ps, params, sweep=256)
+            full = compute_E_s(ps, params, sweep=256, full_counts=True)
+            assert np.array_equal(capped.sweep_counts, np.minimum(full.sweep_counts, stop))
+            assert np.array_equal(capped.sweep_is_member, full.sweep_is_member)
+        # the random set's directions are all decided by the bound alone
+        rand = sets[1]
+        assert all(
+            covering_lower_bound(_raw_projection(rand, d), params.delta) >= stop
+            for d in direction_grid(256)
+        )
 
 
 class TestDirectionCovering:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import distinct_keys_ref
+from conftest import distinct_keys_ref, line_hits_ref
 from projlab import (
     InvalidParameterError,
     ParamTriple,
@@ -146,6 +146,17 @@ class TestLineHits:
         S = build_slope_set(params)
         hits = count_line_hits(params, S.slopes[-1])
         assert hits >= 2  # floor((r/delta)^(1/2)/2) = 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=st.sampled_from(SMALL_TRIPLES), slope=SLOPES)
+    @example(params=G12, slope=Fraction(0))
+    @example(params=G12, slope=Fraction(-1, 3))
+    @example(params=G12, slope=Fraction(1, 1024))  # g = 4 = m: column 0 only
+    @example(params=G12, slope=Fraction(3, 512))  # (den - 1) // num + 1 = 171
+    @example(params=G12, slope=Fraction(2**62 + 1, 3))
+    def test_matches_column_loop(self, params, slope):
+        spec = grid_parameters(params)
+        assert count_line_hits(params, slope) == line_hits_ref(spec.m, spec.n_g, slope)
 
     def test_all_slopes_meet_floor(self):
         for a, s, b in PIPELINE_TRIPLES:
