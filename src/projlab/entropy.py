@@ -23,7 +23,6 @@ constants, never the exact identities.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -44,15 +43,6 @@ def shannon(masses) -> float:
     if p.size == 0:
         return 0.0
     return float(-(p * np.log(p)).sum())
-
-
-def bin_entropy(values, masses, level: int) -> float:
-    """Entropy (nats) of masses binned on the length 2^-level dyadic grid of
-    the real line; values may fall anywhere, not only in [0,1)."""
-    bins = np.floor(np.asarray(values, dtype=np.float64) * 2.0**level).astype(np.int64)
-    _, inv = np.unique(bins, return_inverse=True)
-    agg = np.bincount(inv, weights=np.asarray(masses, dtype=np.float64))
-    return shannon(agg)
 
 
 @dataclass(frozen=True)
@@ -476,12 +466,6 @@ def write_dmeas(mu: DyadicMeasure, stream) -> None:
     else:
         for (i, j), w in zip(mu.idx, mu.mass):
             stream.write(f"{i} {j} {w:.17g}\n")
-
-
-def dmeas_to_string(mu: DyadicMeasure) -> str:
-    buf = io.StringIO()
-    write_dmeas(mu, buf)
-    return buf.getvalue()
 
 
 def read_dmeas(stream) -> DyadicMeasure:

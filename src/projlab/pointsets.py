@@ -19,10 +19,8 @@ discrete analogue of linear ball growth.
 from __future__ import annotations
 
 import functools
-import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -41,7 +39,6 @@ class ParseError(ValueError):
 class LatticePointSet:
     scale: Scale
     points: np.ndarray  # (N, 2) int64, lexicographically sorted, no duplicates
-    content_hint: Optional[float] = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -72,7 +69,7 @@ def gen_segment(scale: Scale) -> LatticePointSet:
     side = scale.side
     pts = np.zeros((side, 2), dtype=np.int64)
     pts[:, 0] = np.arange(side)
-    return LatticePointSet(scale, pts, content_hint=1.0)
+    return LatticePointSet(scale, pts)
 
 
 def gen_four_corners(level: int, scale: Scale) -> LatticePointSet:
@@ -95,7 +92,7 @@ def gen_four_corners(level: int, scale: Scale) -> LatticePointSet:
     u = np.repeat(axis, len(axis))
     v = np.tile(axis, len(axis))
     return LatticePointSet(
-        scale, np.column_stack([u, v]), content_hint=1.0, meta={"level": level}
+        scale, np.column_stack([u, v]), meta={"level": level}
     )
 
 
@@ -169,7 +166,6 @@ def gen_grid_example(params: ParamTriple) -> LatticePointSet:
     return LatticePointSet(
         params.scale,
         pts,
-        content_hint=1.0,
         meta={
             "m": m,
             "n_g": n_g,
@@ -237,7 +233,6 @@ def extract_delta_one_set(
     out = LatticePointSet(
         input_set.scale,
         np.array(kept, dtype=np.int64).reshape(-1, 2),
-        content_hint=input_set.content_hint,
         meta=dict(input_set.meta, frostman_C0=capacity_constant),
     )
     return out, _dyadic_ratio_report(out.points, n)
@@ -253,12 +248,6 @@ def write_pset(ps: LatticePointSet, stream) -> None:
     stream.write(f"PSET v1 n={ps.scale.n} count={len(ps)}\n")
     for u, v in ps.points:
         stream.write(f"{u} {v}\n")
-
-
-def pset_to_string(ps: LatticePointSet) -> str:
-    buf = io.StringIO()
-    write_pset(ps, buf)
-    return buf.getvalue()
 
 
 def read_pset(stream) -> LatticePointSet:

@@ -5,12 +5,19 @@ interval of the requested width at the leftmost uncovered value, repeat.
 For fixed-length intervals this greedy is exactly optimal, which the test
 suite re-verifies against exhaustive enumeration on small instances.
 
-The sweep runs on next pointers: one vectorized `searchsorted` gives, for
-every sorted value, the index of the first value past the interval that
-starts there, and the greedy walks those pointers from index 0.  A capped
-count first tries a sort-free lower bound, a parity packing of bins just
-wider than one interval's reach; only when that bound stays below the cap
-are the values sorted and walked.
+A count runs in up to three passes:
+- a capped count first tries a sort-free lower bound, a parity packing of
+  bins just wider than one interval's reach;
+- after the sort, one numpy pass splits the values at every gap wider than
+  the reach w(1 + COVER_RTOL).  The greedy restarts at each such gap, since
+  it compares with the same float expression and rounding is monotone.  A
+  component whose span is within reach costs exactly one interval, so those
+  are counted without a walk;
+- the values of the wider components, concatenated, are walked in one call
+  on next pointers: one vectorized `searchsorted` gives, for every value,
+  the index of the first value past the interval that starts there, and
+  the greedy follows those pointers from index 0.  The gaps between the
+  components restart this walk as they did before.
 
 `compute_E_s` evaluates the direction set
 
@@ -32,6 +39,9 @@ from .pointsets import LatticePointSet
 
 # Closed-interval coverage tolerance, relative to the interval width.
 COVER_RTOL = 1e-12
+
+# Values per chunk when the greedy walk computes its next pointers.
+_CHUNK = 8192
 
 
 def _sorted_values(values) -> np.ndarray:
@@ -57,14 +67,23 @@ def greedy_cover_starts(
     next interval."""
     arr = np.asarray(sorted_values, dtype=np.float64)
     n = len(arr)
-    nxt = np.searchsorted(arr, arr + width * (1.0 + COVER_RTOL), side="right")
+    reach = width * (1.0 + COVER_RTOL)
+    # Memory: the right ends are added in chunks, so only the pointers span
+    # all n values, and starts are flagged rather than appended to a list.
+    # Walks over arrays whose sizes change from call to call otherwise raise
+    # a sweep's peak RSS.
+    nxt = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, _CHUNK):
+        ends = arr[lo:lo + _CHUNK] + reach
+        nxt[lo:lo + _CHUNK] = np.searchsorted(arr, ends, side="right")
     limit = n if stop_after is None else stop_after
-    starts = []
-    i = 0
-    while i < n and len(starts) < limit:
-        starts.append(i)
+    started = bytearray(n)
+    k = i = 0
+    while i < n and k < limit:
+        started[i] = 1
+        k += 1
         i = nxt.item(i)
-    return arr[np.asarray(starts, dtype=np.intp)]
+    return arr[np.frombuffer(started, dtype=bool)]
 
 
 def covering_number_1d(values, width: float, stop_after: int | None = None) -> int:
@@ -75,15 +94,41 @@ def covering_number_1d(values, width: float, stop_after: int | None = None) -> i
     slack.  With `stop_after` the result is min(count, stop_after): a lower
     bound that already reaches it decides before any sort, otherwise
     counting stops there.
+
+    After the sort the values split into gap components, broken wherever
+    v[i+1] > v[i] + reach with the walk's own reach = w(1 + COVER_RTOL).
+    Rounding is monotone, so no interval started left of such a gap reaches
+    past it, and the greedy restarts at each component.  A component with
+    v[last] <= v[first] + reach costs exactly one interval; only the wider
+    ones are walked, in one `greedy_cover_starts` call over their
+    concatenation, whose gaps still restart the walk.  With `stop_after`,
+    the component count, and then that count plus one per wide component,
+    are lower bounds that may decide before the walk.
     """
-    if width <= 0:
-        raise InvalidParameterError(f"width={width} must be positive")
+    if not 0 < width < np.inf:
+        raise InvalidParameterError(f"width={width} must be positive and finite")
     arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size == 0:
         return 0
     if stop_after is not None and covering_lower_bound(arr, width) >= stop_after:
         return stop_after
-    return len(greedy_cover_starts(_sorted_values(arr), width, stop_after=stop_after))
+    arr = _sorted_values(arr)
+    reach = width * (1.0 + COVER_RTOL)
+    heads = np.flatnonzero(arr[1:] > arr[:-1] + reach) + 1
+    comps = heads.size + 1
+    if stop_after is not None and comps >= stop_after:
+        return stop_after
+    first = np.concatenate(([0], heads))
+    last = np.concatenate((heads - 1, [arr.size - 1]))
+    wide = ~(arr[last] <= arr[first] + reach)
+    ones = comps - int(np.count_nonzero(wide))
+    if ones == comps:
+        return ones
+    if stop_after is not None and 2 * comps - ones >= stop_after:
+        return stop_after  # a wide component takes two intervals or more
+    cap = None if stop_after is None else stop_after - ones
+    walked = arr if ones == 0 else arr[np.repeat(wide, last - first + 1)]
+    return ones + len(greedy_cover_starts(walked, width, stop_after=cap))
 
 
 def covering_lower_bound(values, width: float) -> int:
@@ -239,8 +284,8 @@ def covering_number_circle(points, r: float, circumference: float) -> int:
     first arc the rest of the circle is covered optimally by the linear
     greedy.  Minimizing over the (few) admissible anchors is exact.
     """
-    if r <= 0:
-        raise InvalidParameterError(f"arc length r={r} must be positive")
+    if not 0 < r < np.inf:
+        raise InvalidParameterError(f"arc length r={r} must be positive and finite")
     th = np.unique(np.asarray(points, dtype=np.float64) % circumference)
     k = len(th)
     if k == 0:

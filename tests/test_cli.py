@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from projlab import DyadicMeasure, Scale, from_pointset, gen_four_corners, write_dmeas
-from projlab.cli import EXIT_IO, EXIT_OK, main
+from projlab.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
 
 TRIPLE = ["--log2delta", "8", "--s", "3/4", "--log2r", "6"]
 
@@ -51,6 +51,15 @@ def test_gen(tmp_path, capsys):
 def test_project(grid3, tmp_path):
     payload = _run(["project", "--in", str(grid3), "--theta", "0"], tmp_path / "p.json")
     assert payload["covering_number"] >= 1
+
+
+@pytest.mark.parametrize("width", ["nan", "inf"])
+def test_project_rejects_a_non_finite_width(grid3, capsys, width):
+    argv = ["project", "--in", str(grid3), "--theta", "0", "--width", width]
+    assert main(argv) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid parameters" in err
 
 
 def test_esets(grid3, tmp_path):

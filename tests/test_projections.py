@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import brute_min_arc_cover, brute_min_cover, searchsorted_cover_starts
 from projlab import (
     Direction,
+    InvalidParameterError,
     LatticePointSet,
     ParamTriple,
     Scale,
@@ -23,6 +24,7 @@ from projlab import (
     gen_segment,
     project,
 )
+from projlab import projections
 from projlab.projections import (
     COVER_RTOL,
     _raw_projection,
@@ -187,6 +189,106 @@ class TestLowerBound:
         assert brute_min_cover(vals, w) == 4
 
 
+# Values on a lattice of half and whole widths, shifted by an offset: the
+# gaps and component spans land exactly on the width, so both the break test
+# and the one-interval test meet ties.
+def _tied_values(max_size):
+    return st.tuples(
+        st.lists(st.integers(0, 60), max_size=max_size),
+        st.sampled_from([0.125, 0.1, 1.0 / 3.0, 0.7, 1e-9]),
+        st.sampled_from([0.0, 1.0, -7.5, 1e3]),
+    ).map(lambda t: ([t[2] + k * 0.5 * t[1] for k in t[0]], t[1]))
+
+
+def _walk_count(values, width):
+    return len(searchsorted_cover_starts(np.sort(np.asarray(values, dtype=float)), width))
+
+
+class TestGapComponents:
+    """The component pass against the oracles, and the walks it leaves out."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tied_values(12), st.none() | st.integers(1, 14))
+    @example(([0, 2, 4, 6], 1.0), None)  # spans and gaps all exactly w
+    @example(([0, 3, 6, 9, 12, 13], 0.125), 4)  # comps reach the cap
+    # one narrow component and a wide one of 4 intervals: the walk's cap is 3
+    @example(([0.0, 0.6, 1.2, 1.8, 2.4, 3.0, 3.6, 4.2, 100.0], 1.0), 4)
+    def test_small_inputs_against_the_exhaustive_minimum(self, case, stop):
+        values, width = case
+        want = brute_min_cover(values, width)
+        assert want == _walk_count(values, width)
+        capped = want if stop is None else min(want, stop)
+        assert covering_number_1d(values, width, stop_after=stop) == capped
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tied_values(200), st.none() | st.integers(1, 40), st.data())
+    def test_large_inputs_against_the_per_interval_search(self, case, stop, data):
+        values, width = case
+        values = data.draw(st.permutations(values))
+        want = _walk_count(values, width)
+        capped = want if stop is None else min(want, stop)
+        assert covering_number_1d(values, width, stop_after=stop) == capped
+
+    @staticmethod
+    def _no_walk(monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("greedy_cover_starts ran")
+        monkeypatch.setattr(projections, "greedy_cover_starts", boom)
+
+    def test_narrow_clusters_count_without_a_walk(self, monkeypatch):
+        self._no_walk(monkeypatch)
+        w = 0.125
+        reach = w * (1.0 + COVER_RTOL)
+        # 12 clusters 3w apart (gaps of 2w) of span 0, w/2, w and the full
+        # reach, where the last value ties the interval's right end
+        shapes = [[0.0], [0.0, 0.5 * w], [0.0, 0.3 * w, w], [0.0, reach]]
+        vals = [3 * w * c + x for c in range(12) for x in shapes[c % 4]]
+        assert brute_min_cover(vals[:8], w) == 4
+        assert covering_number_1d(vals, w) == 12
+        assert covering_number_1d(vals[::-1], w, stop_after=13) == 12
+
+    def test_one_walk_over_every_wide_component(self, monkeypatch):
+        calls = []
+        walk = projections.greedy_cover_starts
+
+        def spy(sorted_values, width, stop_after=None):
+            calls.append(len(sorted_values))
+            return walk(sorted_values, width, stop_after=stop_after)
+
+        monkeypatch.setattr(projections, "greedy_cover_starts", spy)
+        w = 1.0
+        # three wide components of 3, 3 and 4 values, two narrow ones
+        vals = [0.0, 1.0, 2.0, 5.0, 10.0, 10.8, 11.6, 20.0, 20.5, 21.0, 21.5, 30.0, 30.9]
+        assert covering_number_1d(vals, w) == _walk_count(vals, w) == 8
+        assert calls == [10]
+        assert covering_number_1d(vals[::-1], w, stop_after=9) == 8
+        assert calls == [10, 10]
+
+    def test_a_capped_count_decided_by_the_components(self, monkeypatch):
+        self._no_walk(monkeypatch)
+        w = 1.0
+        # 8 singletons 1.5w apart: the parity bound finds 4, the components 8
+        vals = np.arange(8) * 1.5 * w
+        assert covering_lower_bound(vals, w) < 6
+        assert covering_number_1d(vals, w, stop_after=6) == 6
+
+    def test_a_capped_count_decided_by_two_per_wide_component(self, monkeypatch):
+        self._no_walk(monkeypatch)
+        w = 1.0
+        # 4 components {5k, 5k + 0.6, 5k + 1.2}: each takes two intervals
+        vals = np.array([[5.0 * k, 5.0 * k + 0.6, 5.0 * k + 1.2] for k in range(4)]).ravel()
+        assert covering_lower_bound(vals, w) < 7
+        assert covering_number_1d(vals, w, stop_after=7) == 7
+        assert brute_min_cover(vals, w) == 8
+
+    @pytest.mark.parametrize("width", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_width_is_rejected(self, width):
+        with pytest.raises(InvalidParameterError):
+            covering_number_1d([0.0, 1.0], width)
+        with pytest.raises(InvalidParameterError):
+            covering_number_circle([0.0, 1.0], width, PI)
+
+
 class TestProject:
     def test_segment_vertical(self):
         prof = project(gen_segment(Scale(3)), Direction(PI / 2))
@@ -303,6 +405,18 @@ class TestAgainstPerIntervalSearch:
             for d in dirs:
                 want = searchsorted_cover_starts(projection_values(ps, d), ps.scale.delta)
                 assert np.array_equal(fam.starts[d.theta], want)
+
+    @pytest.mark.parametrize("width", [1e-4, 3e-4, 1.0 / 8192])
+    def test_starts_across_pointer_chunks(self, width):
+        # the next pointers are computed in chunks of _CHUNK values; the
+        # grid spacing puts ties on the chunk edges at width 1/8192
+        n = 3 * projections._CHUNK + 1  # a last chunk of one value
+        rng = np.random.default_rng(3)
+        for vals in (np.sort(rng.random(n)), np.arange(n) / 8192.0):
+            want = searchsorted_cover_starts(vals, width)
+            assert np.array_equal(projections.greedy_cover_starts(vals, width), want)
+            got = projections.greedy_cover_starts(vals, width, stop_after=len(want) // 2)
+            assert np.array_equal(got, want[:len(want) // 2])
 
 
 class TestCappedSweep:
