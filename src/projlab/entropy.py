@@ -431,27 +431,6 @@ def theorem_main2_experiment(
     return rec
 
 
-def smallest_good_scale(
-    mu: DyadicMeasure, s: float, m_max: int, A: float | None = None
-) -> tuple[int | None, ExperimentRecord]:
-    """Smallest m <= m_max whose direction-averaged projected entropy clears
-    the target s for this measure; None if no tested m does."""
-    if A is None:
-        A = ad_regularity_check(mu).A
-    rec = ExperimentRecord(
-        "smallest_good_scale", params={"s": s, "m_max": m_max, "A": A}, results={}
-    )
-    found = None
-    for m in range(1, min(m_max, mu.level) + 1):
-        sub = marstrand_average(mu, m, A=A, s_values=(s,))
-        avg = sub.results["average_normalized_entropy"]
-        rec.results[f"average_m_{m}"] = avg
-        if found is None and avg >= s:
-            found = m
-    rec.results["smallest_m"] = found
-    return found, rec
-
-
 # ---------------------------------------------------------------------------
 # DMEAS v1 text format: header "DMEAS v1 d=<1|2> n=<level>", then one line
 # per cube "<i> [<j>] <mass>" with 17-significant-digit decimal mass.

@@ -13,11 +13,15 @@ A count runs in up to three passes:
   it compares with the same float expression and rounding is monotone.  A
   component whose span is within reach costs exactly one interval, so those
   are counted without a walk;
-- the values of the wider components, concatenated, are walked in one call
-  on next pointers: one vectorized `searchsorted` gives, for every value,
-  the index of the first value past the interval that starts there, and
-  the greedy follows those pointers from index 0.  The gaps between the
-  components restart this walk as they did before.
+- the values of the wider components, concatenated, are walked in one
+  call, which steps from each start to the first value past its interval.
+  Two walks take those steps, chosen from the input.  The pointer walk gets
+  every value's next index from one vectorized `searchsorted` and follows
+  the pointers from index 0.  When the values far outnumber the intervals
+  the greedy can start, the bisection walk finds only the indices it visits,
+  with `bisect_right`.  Both compare the same float64 right ends, so they
+  return the same starts.  The gaps between the components restart either
+  walk as they did before.
 
 `compute_E_s` evaluates the direction set
 
@@ -30,6 +34,7 @@ at the threshold never depends on float rounding.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +48,18 @@ COVER_RTOL = 1e-12
 # Values per chunk when the greedy walk computes its next pointers.
 _CHUNK = 8192
 
+# Values per interval of the greedy's count bound at which the bisection
+# walk takes over from the pointer walk (see `greedy_cover_starts`).
+# Measured on a 2-core x86 box, Python 3.11, numpy 2.4: the pointer walk
+# costs 30-55 ns per value plus about 0.2 us per interval, the bisection
+# walk 0.4-0.55 us per interval on lattice projections, whose strides mostly
+# repeat.  Sorted uniform random values, whose strides keep missing the
+# guess, break even between 8 and 12 values per bound interval (n = 5000
+# and 65,000).  At 8 the four-corner projections (1 per bound interval) stay
+# on the pointer walk, which bisection would make 1.5-1.8x slower, while the
+# (16, 5/8, 16) sharpness slopes (36-65) bisect 5-7x faster.
+_SPARSE = 8
+
 
 def _sorted_values(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64).ravel()
@@ -50,7 +67,7 @@ def _sorted_values(values) -> np.ndarray:
         if arr[0] > arr[-1]:
             arr = arr[::-1]
         d = np.diff(arr)
-        if (d < 0).any():
+        if not (d >= 0).all():  # a NaN beside any value also sorts
             arr = np.sort(arr)
     return np.ascontiguousarray(arr)
 
@@ -62,28 +79,71 @@ def greedy_cover_starts(
     width-intervals.  If `stop_after` is given, gives up once that many
     intervals have been started (the true count is then >= stop_after).
 
-    The walk follows next pointers: nxt[i] is the index of the first value
-    past the interval that starts at value i, where the greedy starts its
-    next interval."""
+    Each step starts an interval at value i and moves to the first value
+    past v[i] + reach, reach = width * (1 + COVER_RTOL).  Two walks take
+    that step.  The pointer walk finds every value's next index in one
+    vectorized `searchsorted` and follows the pointers.  The bisection walk
+    finds only the indices it visits, with `bisect_right` on a memoryview,
+    which pays off when the values far outnumber the intervals.  Python
+    float addition is numpy's float64 addition, and `bisect_right` finds
+    the same index as `searchsorted(side="right")`, so the two walks return
+    identical starts.  The walk is chosen from the input: consecutive starts
+    are more than reach apart, so the greedy starts at most
+    min(stop_after, (v[-1] - v[0]) / reach + 1) intervals, and the bisection
+    walk runs when there are _SPARSE values or more per interval of that
+    bound."""
     arr = np.asarray(sorted_values, dtype=np.float64)
     n = len(arr)
     reach = width * (1.0 + COVER_RTOL)
-    # Memory: the right ends are added in chunks, so only the pointers span
-    # all n values, and starts are flagged rather than appended to a list.
+    limit = n if stop_after is None else stop_after
+    # Memory: both walks flag starts rather than append them to a list.
     # Walks over arrays whose sizes change from call to call otherwise raise
     # a sweep's peak RSS.
+    started = bytearray(n)
+    if n and n >= _SPARSE * min(limit, (float(arr[-1]) - float(arr[0])) / reach + 1):
+        _bisection_walk(arr, reach, limit, started)
+    else:
+        _pointer_walk(arr, reach, limit, started)
+    return arr[np.frombuffer(started, dtype=bool)]
+
+
+def _pointer_walk(arr: np.ndarray, reach: float, limit: int, started: bytearray) -> None:
+    n = len(arr)
+    # The right ends are added in chunks, so only the pointers span all n
+    # values.
     nxt = np.empty(n, dtype=np.intp)
     for lo in range(0, n, _CHUNK):
         ends = arr[lo:lo + _CHUNK] + reach
         nxt[lo:lo + _CHUNK] = np.searchsorted(arr, ends, side="right")
-    limit = n if stop_after is None else stop_after
-    started = bytearray(n)
     k = i = 0
     while i < n and k < limit:
         started[i] = 1
         k += 1
         i = nxt.item(i)
-    return arr[np.frombuffer(started, dtype=bool)]
+
+
+def _bisection_walk(arr: np.ndarray, reach: float, limit: int, started: bytearray) -> None:
+    mv = memoryview(arr)
+    n = len(mv)
+    k = i = 0
+    stride = 1
+    while i < n and k < limit:
+        started[i] = 1
+        k += 1
+        end = mv[i] + reach
+        # Guess the previous stride: two comparisons confirm a hit.  A miss
+        # bisects the stride below the guess, or the stride above it before
+        # the rest of the array.
+        j = i + stride
+        if j >= n:
+            j = n if mv[n - 1] <= end else bisect_right(mv, end, i + 1, n - 1)
+        elif mv[j] <= end:
+            hi = j + stride
+            j = bisect_right(mv, end, j + 1, hi if hi < n and end < mv[hi] else n)
+        elif not mv[j - 1] <= end:
+            j = bisect_right(mv, end, i + 1, j - 1)
+        stride = j - i
+        i = j
 
 
 def covering_number_1d(values, width: float, stop_after: int | None = None) -> int:
@@ -91,9 +151,12 @@ def covering_number_1d(values, width: float, stop_after: int | None = None) -> i
 
     The values may come in any order.  Empty input gives 0.  Ties (a value
     exactly at an interval end) count as covered, up to a relative 1e-12
-    slack.  With `stop_after` the result is min(count, stop_after): a lower
-    bound that already reaches it decides before any sort, otherwise
-    counting stops there.
+    slack.  A NaN value raises `InvalidParameterError`; an infinite value is
+    a point of its own, and equal infinities share one interval.  With
+    `stop_after` the result is min(count, stop_after): a lower bound that
+    already reaches it decides before any sort, otherwise counting stops
+    there.  The lower bound of non-empty input is at least 1, so a
+    `stop_after` of 1 or less returns `stop_after` after that one pass.
 
     After the sort the values split into gap components, broken wherever
     v[i+1] > v[i] + reach with the walk's own reach = w(1 + COVER_RTOL).
@@ -113,6 +176,8 @@ def covering_number_1d(values, width: float, stop_after: int | None = None) -> i
     if stop_after is not None and covering_lower_bound(arr, width) >= stop_after:
         return stop_after
     arr = _sorted_values(arr)
+    if np.isnan(arr[-1]):  # the sort puts any NaN last
+        raise InvalidParameterError("values must not be NaN")
     reach = width * (1.0 + COVER_RTOL)
     heads = np.flatnonzero(arr[1:] > arr[:-1] + reach) + 1
     comps = heads.size + 1
@@ -137,12 +202,15 @@ def covering_lower_bound(values, width: float) -> int:
     past one interval's reach by a margin for the rounding of the bins and of
     the greedy's right ends, so occupied bins of one parity are pairwise out
     of reach.  Bins are marked in a table of 2n slots, folded modulo its even
-    size, which keeps parity; a collision only lowers the count."""
+    size, which keeps parity; a collision only lowers the count.  A NaN
+    value raises `InvalidParameterError`, as in `covering_number_1d`."""
     arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size == 0:
         return 0
     lo, hi = float(arr.min()), float(arr.max())
-    if not hi - lo < np.inf:  # inf or NaN among the values
+    if np.isnan(hi):  # min and max both propagate a NaN
+        raise InvalidParameterError("values must not be NaN")
+    if not hi - lo < np.inf:  # an infinite value
         return 1
     bw = width * (1.0 + COVER_RTOL) + 2.0**-48 * max(-lo, hi)
     bins = arr - lo

@@ -1,6 +1,7 @@
 import io
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -287,6 +288,107 @@ class TestGapComponents:
             covering_number_1d([0.0, 1.0], width)
         with pytest.raises(InvalidParameterError):
             covering_number_circle([0.0, 1.0], width, PI)
+
+
+# Sorted runs of copies on the half-width lattice offset + k·w/2: steps of
+# one to three half-widths put ties exactly at the reach, and the copies set
+# each interval's stride.  Up to 40 copies give many values per width, the
+# bisection side of the walk selection; single copies give the pointer side.
+# With `tail`, a last value lands exactly at the last start's right end.
+def _lattice_runs(max_copies):
+    def build(t):
+        runs, w, offset, tail = t
+        steps, copies = zip(*runs)
+        vals = np.repeat(offset + np.cumsum(steps) * 0.5 * w, copies)
+        if tail:
+            last = searchsorted_cover_starts(vals, w)[-1]
+            vals = np.append(vals, last + w * (1.0 + COVER_RTOL))
+        return vals, w
+
+    return st.tuples(
+        st.lists(st.tuples(st.integers(1, 3), st.integers(1, max_copies)),
+                 min_size=1, max_size=60),
+        st.sampled_from([0.125, 0.1, 1.0 / 3.0, 0.7, 1e-9]),
+        st.sampled_from([0.0, 1.0, -7.5, 1e3]),
+        st.booleans(),
+    ).map(build)
+
+
+class TestWalks:
+    """Both greedy walks against `searchsorted_cover_starts`, and the input
+    properties that select between them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_lattice_runs(40) | _lattice_runs(1), st.none() | st.integers(0, 50))
+    # strides of 3, 12, 48, 48, 12 and 3 values: they grow, then shrink
+    @example((np.repeat(np.arange(12.0), [1, 2, 4, 8, 16, 32, 32, 16, 8, 4, 2, 1]), 1.0), None)
+    @example((np.repeat(np.arange(12.0), [1, 2, 4, 8, 16, 32, 32, 16, 8, 4, 2, 1]), 1.0), 4)
+    # every value a tie at the previous start's reach: 40 values of stride 1
+    @example((np.arange(40) * (1.0 + COVER_RTOL), 1.0), None)
+    def test_both_walks_match_the_per_interval_search(self, case, stop):
+        vals, width = case
+        want = searchsorted_cover_starts(vals, width)
+        if stop is not None:
+            want = want[:stop]
+        # _SPARSE at 0 forces the bisection walk, a huge one the pointer walk
+        for sparse in (projections._SPARSE, 0, 1 << 40):
+            with mock.patch.object(projections, "_SPARSE", sparse):
+                got = projections.greedy_cover_starts(vals, width, stop_after=stop)
+            assert np.array_equal(got, want)
+
+    @staticmethod
+    def _no_bisection(monkeypatch):
+        def boom(*args):
+            raise AssertionError("the bisection walk ran")
+        monkeypatch.setattr(projections, "bisect_right", boom)
+
+    def test_dense_inputs_stay_on_the_pointer_walk(self, monkeypatch):
+        # a full-count E_s sweep and the tubes of a grid set, as esets runs
+        self._no_bisection(monkeypatch)
+        params, sets = TestAgainstPerIntervalSearch._sets()
+        grid = sets[0]
+        full = compute_E_s(grid, params, sweep=256, full_counts=True)
+        assert full.sweep_counts.max() > 1
+        build_tubes(grid, direction_grid(64))
+        # the four-corner projections the adreg experiment counts
+        ps = gen_four_corners(3, Scale(6))
+        assert covering_number_1d(_raw_projection(ps, Direction(PI / 4)), ps.scale.delta) == 27
+
+    def test_chunk_inputs_stay_on_the_pointer_walk(self, monkeypatch):
+        # the uncapped inputs of test_starts_across_pointer_chunks
+        self._no_bisection(monkeypatch)
+        n = 3 * projections._CHUNK + 1
+        for width in (1e-4, 3e-4, 1.0 / 8192):
+            rng = np.random.default_rng(3)
+            for vals in (np.sort(rng.random(n)), np.arange(n) / 8192.0):
+                projections.greedy_cover_starts(vals, width)
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("stop", [None, 0, 1, 2, 5])
+    @pytest.mark.parametrize("vals", [
+        [0.0, 5.0, np.nan], [np.nan, 0.0, 5.0], [0.0, np.nan, 5.0], [np.nan],
+        [np.inf, np.nan, -np.inf], [5.0, 0.0, np.nan, np.nan],
+    ])
+    def test_nan_is_rejected_in_any_order(self, vals, stop):
+        with pytest.raises(InvalidParameterError):
+            covering_number_1d(vals, 1.0, stop_after=stop)
+        with pytest.raises(InvalidParameterError):
+            covering_number_1d(np.array(vals[::-1]), 1.0, stop_after=stop)
+
+    @pytest.mark.parametrize("stop", [None, 1, 2, 3, 4, 9])
+    def test_infinities_count_the_same_in_any_order(self, stop):
+        # each infinity is a point of its own; equal infinities share one
+        vals = [np.inf, 0.0, -np.inf, 5.0, 0.5, np.inf, -np.inf]
+        want = brute_min_cover(vals, 1.0)
+        assert want == 4
+        capped = want if stop is None else min(want, stop)
+        rng = np.random.default_rng(5)
+        orders = [vals, vals[::-1], sorted(vals), sorted(vals, reverse=True)]
+        orders += [list(rng.permutation(vals)) for _ in range(6)]
+        with np.errstate(invalid="ignore"):  # inf - inf in the sortedness test
+            for order in orders:
+                assert covering_number_1d(order, 1.0, stop_after=stop) == capped
 
 
 class TestProject:
