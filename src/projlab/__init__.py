@@ -27,7 +27,6 @@ from .entropy import (
     covering_from_entropy,
     entropy,
     from_pointset,
-    l2_energy,
     marstrand_average,
     multiscale_check,
     project_measure,
@@ -117,7 +116,6 @@ __all__ = [
     "gen_grid_example",
     "gen_segment",
     "grid_parameters",
-    "l2_energy",
     "marstrand_average",
     "multiscale_check",
     "pair_direction_arc",

@@ -118,29 +118,9 @@ class ParamTriple:
         """delta^expo as a float, exponent handled exactly as a rational."""
         return 2.0 ** (-self.a * float(Fraction(expo)))
 
-    def count_leq_delta_pow(self, count: int, expo: Fraction) -> bool:
-        """Exact integer test `count <= delta^-expo` for expo = p/q >= 0.
-
-        Avoids float thresholds: count^q <= 2^(a p) is evaluated in integer
-        arithmetic, so membership tests at the threshold are exact.
-        """
-        e = Fraction(expo)
-        if count <= 0:
-            return True
-        return count ** e.denominator <= 1 << (self.a * e.numerator)
-
     def floor_delta_pow(self, expo: Fraction) -> int:
         """floor(delta^-expo) for expo = p/q >= 0, exact."""
-        e = Fraction(expo)
-        lo, hi = 0, 1 << (self.a * e.numerator // e.denominator + 1)
-        target = 1 << (self.a * e.numerator)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if mid ** e.denominator <= target:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return floor_pow2(self.a * Fraction(expo))
 
 
 def integer_root(x: int, k: int) -> int:

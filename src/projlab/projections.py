@@ -14,14 +14,10 @@ A count runs in up to three passes:
   component whose span is within reach costs exactly one interval, so those
   are counted without a walk;
 - the values of the wider components, concatenated, are walked in one
-  call, which steps from each start to the first value past its interval.
-  Two walks take those steps, chosen from the input.  The pointer walk gets
-  every value's next index from one vectorized `searchsorted` and follows
-  the pointers from index 0.  When the values far outnumber the intervals
-  the greedy can start, the bisection walk finds only the indices it visits,
-  with `bisect_right`.  Both compare the same float64 right ends, so they
-  return the same starts.  The gaps between the components restart either
-  walk as they did before.
+  call.  The walk bisects from each start to the first value past its
+  interval, trying the previous stride first, so it reads only the values
+  near the starts.  A gap between two components restarts the walk, as a
+  separate call per component would.
 
 `compute_E_s` evaluates the direction set
 
@@ -45,29 +41,15 @@ from .pointsets import LatticePointSet
 # Closed-interval coverage tolerance, relative to the interval width.
 COVER_RTOL = 1e-12
 
-# Values per chunk when the greedy walk computes its next pointers.
-_CHUNK = 8192
-
-# Values per interval of the greedy's count bound at which the bisection
-# walk takes over from the pointer walk (see `greedy_cover_starts`).
-# Measured on a 2-core x86 box, Python 3.11, numpy 2.4: the pointer walk
-# costs 30-55 ns per value plus about 0.2 us per interval, the bisection
-# walk 0.4-0.55 us per interval on lattice projections, whose strides mostly
-# repeat.  Sorted uniform random values, whose strides keep missing the
-# guess, break even between 8 and 12 values per bound interval (n = 5000
-# and 65,000).  At 8 the four-corner projections (1 per bound interval) stay
-# on the pointer walk, which bisection would make 1.5-1.8x slower, while the
-# (16, 5/8, 16) sharpness slopes (36-65) bisect 5-7x faster.
-_SPARSE = 8
-
 
 def _sorted_values(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size > 1:
         if arr[0] > arr[-1]:
             arr = arr[::-1]
-        d = np.diff(arr)
-        if not (d >= 0).all():  # a NaN beside any value also sorts
+        # A comparison, not np.diff: inf - inf would be NaN.  A NaN beside
+        # any value fails it, so NaN inputs are sorted too.
+        if not (arr[1:] >= arr[:-1]).all():
             arr = np.sort(arr)
     return np.ascontiguousarray(arr)
 
@@ -80,60 +62,30 @@ def greedy_cover_starts(
     intervals have been started (the true count is then >= stop_after).
 
     Each step starts an interval at value i and moves to the first value
-    past v[i] + reach, reach = width * (1 + COVER_RTOL).  Two walks take
-    that step.  The pointer walk finds every value's next index in one
-    vectorized `searchsorted` and follows the pointers.  The bisection walk
-    finds only the indices it visits, with `bisect_right` on a memoryview,
-    which pays off when the values far outnumber the intervals.  Python
-    float addition is numpy's float64 addition, and `bisect_right` finds
-    the same index as `searchsorted(side="right")`, so the two walks return
-    identical starts.  The walk is chosen from the input: consecutive starts
-    are more than reach apart, so the greedy starts at most
-    min(stop_after, (v[-1] - v[0]) / reach + 1) intervals, and the bisection
-    walk runs when there are _SPARSE values or more per interval of that
-    bound."""
+    past v[i] + reach, reach = width * (1 + COVER_RTOL), with `bisect_right`
+    on a memoryview: the walk reads only the values near the starts.
+    Python float addition is numpy's float64 addition, and `bisect_right`
+    finds the index `searchsorted(side="right")` finds, so the starts are
+    those of a per-interval numpy search.  The previous stride is tried
+    first: on lattice projections the strides mostly repeat, and two
+    comparisons confirm a hit."""
     arr = np.asarray(sorted_values, dtype=np.float64)
-    n = len(arr)
+    mv = memoryview(arr)
+    n = len(mv)
     reach = width * (1.0 + COVER_RTOL)
     limit = n if stop_after is None else stop_after
-    # Memory: both walks flag starts rather than append them to a list.
+    # Memory: the walk flags starts rather than append them to a list.
     # Walks over arrays whose sizes change from call to call otherwise raise
     # a sweep's peak RSS.
     started = bytearray(n)
-    if n and n >= _SPARSE * min(limit, (float(arr[-1]) - float(arr[0])) / reach + 1):
-        _bisection_walk(arr, reach, limit, started)
-    else:
-        _pointer_walk(arr, reach, limit, started)
-    return arr[np.frombuffer(started, dtype=bool)]
-
-
-def _pointer_walk(arr: np.ndarray, reach: float, limit: int, started: bytearray) -> None:
-    n = len(arr)
-    # The right ends are added in chunks, so only the pointers span all n
-    # values.
-    nxt = np.empty(n, dtype=np.intp)
-    for lo in range(0, n, _CHUNK):
-        ends = arr[lo:lo + _CHUNK] + reach
-        nxt[lo:lo + _CHUNK] = np.searchsorted(arr, ends, side="right")
-    k = i = 0
-    while i < n and k < limit:
-        started[i] = 1
-        k += 1
-        i = nxt.item(i)
-
-
-def _bisection_walk(arr: np.ndarray, reach: float, limit: int, started: bytearray) -> None:
-    mv = memoryview(arr)
-    n = len(mv)
     k = i = 0
     stride = 1
     while i < n and k < limit:
         started[i] = 1
         k += 1
         end = mv[i] + reach
-        # Guess the previous stride: two comparisons confirm a hit.  A miss
-        # bisects the stride below the guess, or the stride above it before
-        # the rest of the array.
+        # A miss bisects the stride below the guess, or the stride above it
+        # before the rest of the array.
         j = i + stride
         if j >= n:
             j = n if mv[n - 1] <= end else bisect_right(mv, end, i + 1, n - 1)
@@ -144,6 +96,7 @@ def _bisection_walk(arr: np.ndarray, reach: float, limit: int, started: bytearra
             j = bisect_right(mv, end, i + 1, j - 1)
         stride = j - i
         i = j
+    return arr[np.frombuffer(started, dtype=bool)]
 
 
 def covering_number_1d(values, width: float, stop_after: int | None = None) -> int:
@@ -164,9 +117,10 @@ def covering_number_1d(values, width: float, stop_after: int | None = None) -> i
     past it, and the greedy restarts at each component.  A component with
     v[last] <= v[first] + reach costs exactly one interval; only the wider
     ones are walked, in one `greedy_cover_starts` call over their
-    concatenation, whose gaps still restart the walk.  With `stop_after`,
-    the component count, and then that count plus one per wide component,
-    are lower bounds that may decide before the walk.
+    concatenation that bisects from start to start, and whose gaps still
+    restart the walk.  With `stop_after`, the component count, and then that
+    count plus one per wide component, are lower bounds that may decide
+    before the walk.
     """
     if not 0 < width < np.inf:
         raise InvalidParameterError(f"width={width} must be positive and finite")
@@ -257,8 +211,8 @@ class DirectionSetES:
     """Sweep-grid approximation of E_s, with the full sweep table retained.
 
     `sweep_counts` are exact covering numbers for members; for non-members
-    they may be clipped to threshold+1 (the sweep stops counting once
-    membership is decided) unless the set was built with full_counts=True.
+    they are min(count, floor(threshold) + 1), since the sweep stops
+    counting once membership is decided.
     """
 
     params: ParamTriple
@@ -299,25 +253,23 @@ def compute_E_s(
     ps: LatticePointSet,
     params: ParamTriple,
     sweep: int | None = None,
-    full_counts: bool = False,
 ) -> DirectionSetES:
     """Evaluate E_s membership on direction_grid(sweep).
 
     The sweep defaults to 4 * 2^n gridpoints so the angular resolution is
     finer than delta.  Each direction is the unsorted projection handed to
-    `covering_number_1d` at width params.delta; unless `full_counts`, the
-    count stops at floor(delta^-s) + 1, where membership is decided, and the
-    projection is sorted only when the lower bound leaves it open.
+    `covering_number_1d` at width params.delta.  The count stops at
+    floor(delta^-s) + 1, where membership is decided, and the projection is
+    sorted only when the lower bound leaves it open.
     """
     if sweep is None:
         sweep = 4 * ps.scale.side
     if sweep < 1:
         raise InvalidParameterError(f"sweep={sweep} must be >= 1")
     t_int = params.floor_delta_pow(params.s)  # floor(delta^-s), exact
-    stop = None if full_counts else t_int + 1
     grid = direction_grid(sweep)
     counts = np.array(
-        [covering_number_1d(_raw_projection(ps, d), params.delta, stop_after=stop)
+        [covering_number_1d(_raw_projection(ps, d), params.delta, stop_after=t_int + 1)
          for d in grid],
         dtype=np.int64,
     )

@@ -112,6 +112,16 @@ def test_adreg(tmp_path):
     assert rec["results"]["table"][0]["average"] == 8.0
 
 
+def test_adreg_averages_need_not_grow_with_p(tmp_path):
+    # the average drops from p = 3 to p = 4, which the paper allows
+    rec = _run(["adreg", "--level", "4", "--plist", "2,3,4,8", "--s", "0.75"],
+               tmp_path / "a.json")
+    averages = [row["average"] for row in rec["results"]["table"]]
+    assert averages == pytest.approx([16.0, 448 / 3, 48.5, 121.25])
+    assert rec["results"]["first_p_reaching_target"] == 3  # delta^-s = 64
+    assert [a["status"] for a in rec["assertions"]] == ["pass"]
+
+
 def test_report(grid3, tmp_path):
     rec_path = tmp_path / "e.json"
     _run(["esets", "--in", str(grid3), *TRIPLE, "--sweep", "16"], rec_path)

@@ -150,9 +150,11 @@ class TestParamTriple:
     def test_exact_threshold(self):
         p = ParamTriple(Scale(10), Fraction(17, 20), 10)
         # delta^-s = 2^8.5 = 362.03...; 362 passes, 363 fails
-        assert p.count_leq_delta_pow(362, p.s)
-        assert not p.count_leq_delta_pow(363, p.s)
         assert p.floor_delta_pow(p.s) == 362
+        for a in (0, 1, 10, 24):
+            for s in (Fraction(1, 2), Fraction(3, 4), Fraction(17, 20), Fraction(0)):
+                x = ParamTriple(Scale(a), Fraction(1, 2), 0).floor_delta_pow(s)
+                assert x ** s.denominator <= 2 ** (a * s.numerator) < (x + 1) ** s.denominator
 
 
 class TestExactPowers:

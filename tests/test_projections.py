@@ -1,7 +1,6 @@
 import io
 import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -292,8 +291,8 @@ class TestGapComponents:
 
 # Sorted runs of copies on the half-width lattice offset + k·w/2: steps of
 # one to three half-widths put ties exactly at the reach, and the copies set
-# each interval's stride.  Up to 40 copies give many values per width, the
-# bisection side of the walk selection; single copies give the pointer side.
+# each interval's stride.  Up to 40 copies give long strides that keep
+# changing, single copies dense inputs of a few values per interval.
 # With `tail`, a last value lands exactly at the last start's right end.
 def _lattice_runs(max_copies):
     def build(t):
@@ -315,8 +314,7 @@ def _lattice_runs(max_copies):
 
 
 class TestWalks:
-    """Both greedy walks against `searchsorted_cover_starts`, and the input
-    properties that select between them."""
+    """The greedy walk against `searchsorted_cover_starts`."""
 
     @settings(max_examples=300, deadline=None)
     @given(_lattice_runs(40) | _lattice_runs(1), st.none() | st.integers(0, 50))
@@ -330,38 +328,8 @@ class TestWalks:
         want = searchsorted_cover_starts(vals, width)
         if stop is not None:
             want = want[:stop]
-        # _SPARSE at 0 forces the bisection walk, a huge one the pointer walk
-        for sparse in (projections._SPARSE, 0, 1 << 40):
-            with mock.patch.object(projections, "_SPARSE", sparse):
-                got = projections.greedy_cover_starts(vals, width, stop_after=stop)
-            assert np.array_equal(got, want)
-
-    @staticmethod
-    def _no_bisection(monkeypatch):
-        def boom(*args):
-            raise AssertionError("the bisection walk ran")
-        monkeypatch.setattr(projections, "bisect_right", boom)
-
-    def test_dense_inputs_stay_on_the_pointer_walk(self, monkeypatch):
-        # a full-count E_s sweep and the tubes of a grid set, as esets runs
-        self._no_bisection(monkeypatch)
-        params, sets = TestAgainstPerIntervalSearch._sets()
-        grid = sets[0]
-        full = compute_E_s(grid, params, sweep=256, full_counts=True)
-        assert full.sweep_counts.max() > 1
-        build_tubes(grid, direction_grid(64))
-        # the four-corner projections the adreg experiment counts
-        ps = gen_four_corners(3, Scale(6))
-        assert covering_number_1d(_raw_projection(ps, Direction(PI / 4)), ps.scale.delta) == 27
-
-    def test_chunk_inputs_stay_on_the_pointer_walk(self, monkeypatch):
-        # the uncapped inputs of test_starts_across_pointer_chunks
-        self._no_bisection(monkeypatch)
-        n = 3 * projections._CHUNK + 1
-        for width in (1e-4, 3e-4, 1.0 / 8192):
-            rng = np.random.default_rng(3)
-            for vals in (np.sort(rng.random(n)), np.arange(n) / 8192.0):
-                projections.greedy_cover_starts(vals, width)
+        got = projections.greedy_cover_starts(vals, width, stop_after=stop)
+        assert np.array_equal(got, want)
 
 
 class TestNonFiniteValues:
@@ -386,9 +354,15 @@ class TestNonFiniteValues:
         rng = np.random.default_rng(5)
         orders = [vals, vals[::-1], sorted(vals), sorted(vals, reverse=True)]
         orders += [list(rng.permutation(vals)) for _ in range(6)]
-        with np.errstate(invalid="ignore"):  # inf - inf in the sortedness test
-            for order in orders:
-                assert covering_number_1d(order, 1.0, stop_after=stop) == capped
+        for order in orders:
+            assert covering_number_1d(order, 1.0, stop_after=stop) == capped
+        # sorted, with equal infinities side by side
+        for order in ([0.0, np.inf, np.inf], [-np.inf, -np.inf, 0.0, 0.5],
+                      [-np.inf, -np.inf, np.inf, np.inf]):
+            want = brute_min_cover(order, 1.0)
+            capped = want if stop is None else min(want, stop)
+            assert covering_number_1d(order, 1.0, stop_after=stop) == capped
+            assert covering_number_1d(order[::-1], 1.0, stop_after=stop) == capped
 
 
 class TestProject:
@@ -461,7 +435,7 @@ class TestComputeES:
         # exact threshold floor(2^8.5) = 362
         ps = gen_four_corners(5, Scale(10))
         params = ParamTriple(Scale(10), Fraction(17, 20), 10)
-        es = compute_E_s(ps, params, sweep=64, full_counts=True)
+        es = compute_E_s(ps, params, sweep=64)
         counts = {
             round(th, 12): c for th, c in zip(es.sweep_thetas, es.sweep_counts)
         }
@@ -492,12 +466,16 @@ class TestAgainstPerIntervalSearch:
         return params, [grid, rand]
 
     def test_full_counts(self):
+        # uncapped counts along the sweep, and the sweep's counts capped
         params, sets = self._sets()
+        stop = params.floor_delta_pow(params.s) + 1
         for ps in sets:
-            es = compute_E_s(ps, params, sweep=256, full_counts=True)
+            es = compute_E_s(ps, params, sweep=256)
             for th, count in zip(es.sweep_thetas, es.sweep_counts):
                 vals = projection_values(ps, Direction(th))
-                assert count == len(searchsorted_cover_starts(vals, params.delta))
+                full = len(searchsorted_cover_starts(vals, params.delta))
+                assert covering_number_1d(vals, params.delta) == full
+                assert count == min(full, stop)
 
     def test_tube_starts(self):
         params, sets = self._sets()
@@ -510,9 +488,9 @@ class TestAgainstPerIntervalSearch:
 
     @pytest.mark.parametrize("width", [1e-4, 3e-4, 1.0 / 8192])
     def test_starts_across_pointer_chunks(self, width):
-        # the next pointers are computed in chunks of _CHUNK values; the
-        # grid spacing puts ties on the chunk edges at width 1/8192
-        n = 3 * projections._CHUNK + 1  # a last chunk of one value
+        # long inputs, uncapped and capped; at width 1/8192 the grid spacing
+        # puts a value exactly at every interval's right end
+        n = 3 * 8192 + 1
         rng = np.random.default_rng(3)
         for vals in (np.sort(rng.random(n)), np.arange(n) / 8192.0):
             want = searchsorted_cover_starts(vals, width)
@@ -527,9 +505,12 @@ class TestCappedSweep:
         stop = params.floor_delta_pow(params.s) + 1
         for ps in sets:
             capped = compute_E_s(ps, params, sweep=256)
-            full = compute_E_s(ps, params, sweep=256, full_counts=True)
-            assert np.array_equal(capped.sweep_counts, np.minimum(full.sweep_counts, stop))
-            assert np.array_equal(capped.sweep_is_member, full.sweep_is_member)
+            full = np.array([
+                len(searchsorted_cover_starts(projection_values(ps, d), params.delta))
+                for d in direction_grid(256)
+            ])
+            assert np.array_equal(capped.sweep_counts, np.minimum(full, stop))
+            assert np.array_equal(capped.sweep_is_member, full < stop)
         # the random set's directions are all decided by the bound alone
         rand = sets[1]
         assert all(

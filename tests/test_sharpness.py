@@ -1,5 +1,4 @@
 import math
-from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -19,7 +18,6 @@ from projlab import (
     run_sharpness,
     verify_separation,
 )
-from projlab import projections
 from projlab.sharpness import SlopeSet
 
 
@@ -244,21 +242,6 @@ class TestRunSharpness:
         assert not rep.record.failed
         # end-to-end: every perpendicular projection of the full set is small
         assert rep.covering_max_K <= 64 * rep.proj_target
-
-    def test_a_pipeline_projection_takes_the_bisection_walk(self, monkeypatch):
-        # K at (8, 1/2, 8) has 256 points; the one slope whose projection is
-        # walked has about 15 values per interval of the greedy's bound
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return bisect_right(*args)
-
-        monkeypatch.setattr(projections, "bisect_right", spy)
-        params = ParamTriple(Scale(8), Fraction(1, 2), 8)
-        assert (8, Fraction(1, 2), 8) in PIPELINE_TRIPLES
-        assert not run_sharpness(params).record.failed
-        assert calls
 
     def test_range_violation(self):
         params = ParamTriple(Scale(16), Fraction(3, 4), 10)
