@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -153,19 +154,16 @@ def conditional_entropy(mu: DyadicMeasure, fine: int, coarse: int) -> float:
     fine_idx, fine_mass = mu.coarsen(fine)
     group = fine_idx >> (fine - coarse)
     _, inv = np.unique(group, axis=None if mu.dim == 1 else 0, return_inverse=True)
-    inv = inv.ravel()
-    direct = 0.0
-    order = np.argsort(inv, kind="stable")
-    inv_sorted = inv[order]
-    mass_sorted = fine_mass[order]
-    boundaries = np.concatenate(
-        [[0], np.flatnonzero(np.diff(inv_sorted)) + 1, [len(inv_sorted)]]
-    )
-    for gi in range(len(boundaries) - 1):
-        piece = mass_sorted[boundaries[gi] : boundaries[gi + 1]]
-        w = piece.sum()
-        direct += w * shannon(piece / w)
-    return direct
+    return _grouped_entropy(inv.ravel(), fine_mass)
+
+
+def _grouped_entropy(group: np.ndarray, mass: np.ndarray) -> float:
+    """Mass-weighted entropy of the renormalized groups, in nats:
+    sum_g mass(g) * shannon(masses of g / mass(g)), which equals
+    -sum_a mass_a log(mass_a / mass(g_a)).  `group` holds dense ids in
+    [0, number of groups); the masses are positive."""
+    total = np.bincount(group, weights=mass)
+    return float(-(mass * np.log(mass / total[group])).sum())
 
 
 def blow_up(mu: DyadicMeasure, q, k: int) -> DyadicMeasure:
@@ -197,6 +195,16 @@ def projection_offset(e: Direction) -> float:
     return min(0.0, math.cos(e.theta))
 
 
+def _projected_bins(xy: np.ndarray, e: Direction, level: int) -> np.ndarray:
+    """Level-`level` bins of the points xy in [0,1)^2 projected along e and
+    mapped into [0,1) by the similarity w = (t - offset)/2: integers in
+    [0, 2^level)."""
+    c, s = e.unit
+    t = xy[:, 0] * c + xy[:, 1] * s
+    w = (t - projection_offset(e)) * 0.5
+    return np.floor(w * 2.0**level).astype(np.int64)
+
+
 def project_measure(mu: DyadicMeasure, e: Direction, out_level: int) -> DyadicMeasure:
     """Push-forward of mu under projection along e, renormalized into [0,1)
     by the per-direction similarity, binned at out_level."""
@@ -204,12 +212,7 @@ def project_measure(mu: DyadicMeasure, e: Direction, out_level: int) -> DyadicMe
         raise InvalidParameterError("project_measure needs a planar measure")
     if not (0 <= out_level <= 62):
         raise InvalidParameterError(f"out_level={out_level} outside [0, 62]")
-    c, s = e.unit
-    xy = mu.centers()
-    t = xy[:, 0] * c + xy[:, 1] * s
-    offset = projection_offset(e)
-    w = (t - offset) * 0.5
-    bins = np.floor(w * 2.0**out_level).astype(np.int64)
+    bins = _projected_bins(mu.centers(), e, out_level)
     uniq, inv = np.unique(bins, return_inverse=True)
     agg = np.bincount(inv, weights=mu.mass)
     return DyadicMeasure(
@@ -217,7 +220,7 @@ def project_measure(mu: DyadicMeasure, e: Direction, out_level: int) -> DyadicMe
         out_level,
         uniq,
         agg / agg.sum(),
-        meta={"theta": e.theta, "offset": offset, "ratio": 0.5},
+        meta={"theta": e.theta, "offset": projection_offset(e), "ratio": 0.5},
     )
 
 
@@ -231,18 +234,26 @@ def multiscale_check(mu: DyadicMeasure, e: Direction, m: int) -> ExperimentRecor
 
     the absolute constant 10 covering the discarded remainder levels and the
     grid-alignment slack of the per-cube similarities.
+
+    All level-km blow-ups are taken in one pass per k: each atom is binned
+    at its center local to its cube, as `blow_up` and `project_measure`
+    would place it, and sum_Q mu(Q) H_m(...) is the entropy of the
+    (cube, bin) masses conditional on the cube.  The sum agrees with the
+    per-cube evaluation up to the order of the floating-point additions.
     """
     n = mu.level
     if not (0 < m < n):
         raise InvalidParameterError(f"need 0 < m < n = {n}, got m = {m}")
     lhs = entropy(project_measure(mu, e, n), n).normalized
-    k0 = n // m
     block_sum = 0.0
-    for k in range(k0):
-        cubes, weights = mu.coarsen(k * m)
-        for q, w in zip(cubes, weights):
-            piece = blow_up(mu, q if mu.dim == 1 else tuple(q), k * m)
-            block_sum += w * entropy(project_measure(piece, e, m), m).normalized
+    for k in range(n // m):
+        shift = n - k * m
+        local = ((mu.idx & ((1 << shift) - 1)) + 0.5) * 2.0 ** (-shift)
+        keys = np.column_stack([mu.idx >> shift, _projected_bins(local, e, m)])
+        pieces, piece = np.unique(keys, axis=0, return_inverse=True)
+        _, cube = np.unique(pieces[:, :2], axis=0, return_inverse=True)
+        piece_mass = np.bincount(piece.ravel(), weights=mu.mass)
+        block_sum += _grouped_entropy(cube.ravel(), piece_mass) / (m * LOG2)
     rhs = (m / n) * block_sum
     slack = lhs - (rhs - 10.0 / m)
     rec = ExperimentRecord(
@@ -252,14 +263,6 @@ def multiscale_check(mu: DyadicMeasure, e: Direction, m: int) -> ExperimentRecor
     )
     rec.check("multiscale_inequality", slack >= -1e-12, lhs, rhs - 10.0 / m)
     return rec
-
-
-def l2_energy_1d(nu: DyadicMeasure, m: int) -> float:
-    """2^m * sum of squared level-m interval masses."""
-    if nu.dim != 1:
-        raise InvalidParameterError("l2_energy_1d needs a line measure")
-    _, agg = nu.coarsen(m)
-    return float(2.0**m * (agg * agg).sum())
 
 
 @dataclass(frozen=True)
@@ -279,12 +282,20 @@ class ADRegularityReport:
 def ad_regularity_check(mu: DyadicMeasure) -> ADRegularityReport:
     """Sweep all (atom center, dyadic radius) pairs for the regularity ratios.
 
-    Quadratic in the number of atoms; blocks of REGULARITY_BLOCK centers keep
-    memory bounded.
+    Blocks of REGULARITY_BLOCK centers keep memory bounded.  The atoms are
+    sorted by row, so their center abscissas x are non-decreasing, and for
+    each block and radius r only a window of columns can reach the balls:
+    when the rounded difference x_b - x_c is at least r for every center b
+    of the block, then so is (x_b - x_c)^2 >= r^2 after rounding, since
+    rounding is monotone and r^2 is a power of two, and the tested d^2 < r^2
+    fails.  Those columns form a prefix and a suffix of the sorted atoms, so
+    the window leaves every comparison unchanged at any level; only the
+    matrix-vector product runs over fewer zeros.
     """
     if mu.dim != 2:
         raise InvalidParameterError("ad_regularity_check needs a planar measure")
     pts = mu.centers()
+    x = pts[:, 0]
     mass = mu.mass
     n = mu.level
     radii = 2.0 ** (-np.arange(n + 1))
@@ -292,13 +303,17 @@ def ad_regularity_check(mu: DyadicMeasure) -> ADRegularityReport:
     worst_upper = 0.0
     for lo in range(0, len(pts), REGULARITY_BLOCK):
         block = pts[lo : lo + REGULARITY_BLOCK]
+        from_first = x - block[0, 0]  # ascending, like x
+        from_last = x - block[-1, 0]
         d2 = (
             (block[:, None, 0] - pts[None, :, 0]) ** 2
             + (block[:, None, 1] - pts[None, :, 1]) ** 2
         )
-        for j, r in enumerate(radii):
-            inside = d2 < r * r  # open balls
-            ball_mass = inside @ mass
+        for r in radii:
+            a = np.searchsorted(from_first, -r, side="right")
+            b = np.searchsorted(from_last, r, side="left")
+            inside = d2[:, a:b] < r * r  # open balls
+            ball_mass = inside @ mass[a:b]
             worst_lower = max(worst_lower, float((r / ball_mass).max()))
             worst_upper = max(worst_upper, float((ball_mass / r).max()))
     counts = {}
@@ -321,18 +336,27 @@ def marstrand_average(
     absolute constant that is not pinned, so per-s deficits are reported, not
     asserted.  The measured regularity constant A is attached (computed here
     unless supplied) and flagged against REGULARITY_ALARM_A.
+
+    Each direction bins the atom centers as `project_measure` does, into
+    [0, 2^m) since w < 1, and reads H_m and the L^2 energy 2^m sum p^2 off
+    the occupied bins of one weighted bincount; the values are those of the
+    projected measure.
     """
+    if mu.dim != 2:
+        raise InvalidParameterError("marstrand_average needs a planar measure")
     if not (0 < m <= mu.level):
         raise InvalidParameterError(f"need 0 < m <= {mu.level}, got m = {m}")
     if A is None:
         A = ad_regularity_check(mu).A
-    dirs = direction_grid(1 << m)
+    xy = mu.centers()
     hs = []
     energies = []
-    for e in dirs:
-        nu = project_measure(mu, e, m)
-        hs.append(entropy(nu, m).normalized)
-        energies.append(l2_energy_1d(nu, m))
+    for e in direction_grid(1 << m):
+        agg = np.bincount(_projected_bins(xy, e, m), weights=mu.mass)
+        agg = agg[agg > 0.0]
+        p = agg / agg.sum()
+        hs.append(shannon(p) / (m * LOG2))
+        energies.append(float(2.0**m * (p * p).sum()))
     avg_h = float(np.mean(hs))
     avg_energy = float(np.mean(energies))
     rec = ExperimentRecord(
@@ -391,6 +415,10 @@ def theorem_main2_experiment(
     p = 2 averages to exactly 2^L, a hard check.  The averages need not grow
     with p, so the first p in the list whose average reaches delta^-s is
     only reported (None if none does).
+
+    Grids share directions (theta = 0 is in every one, and direction_grid(2)
+    lies inside direction_grid(4)), so each direction k/p is counted once,
+    keyed by the reduced fraction.
     """
     from .pointsets import gen_four_corners
     from .projections import project
@@ -398,11 +426,15 @@ def theorem_main2_experiment(
 
     ps = gen_four_corners(L, Scale(2 * L))
     delta = ps.scale.delta
+    counts: dict[Fraction, int] = {}
     averages = {}
     for p in p_list:
         total = 0
-        for e in direction_grid(p):
-            total += project(ps, e).covering_number
+        for k, e in enumerate(direction_grid(p)):
+            key = Fraction(k, p)
+            if key not in counts:
+                counts[key] = project(ps, e).covering_number
+            total += counts[key]
         averages[p] = total / p
     target = delta ** (-s)
     rec = ExperimentRecord(
@@ -451,11 +483,15 @@ def read_dmeas(stream) -> DyadicMeasure:
         level = int(parts[3].removeprefix("n="))
     except ValueError:
         raise ParseError(f"bad DMEAS header fields {header!r}", 1) from None
+    if dim not in (1, 2):
+        raise ParseError(f"dimension must be 1 or 2 in {header!r}", 1)
     idx = []
     mass = []
+    blank = []  # line numbers of blank lines, to place an index on its line
     for lineno, line in enumerate(stream, start=2):
         fields = line.split()
         if not fields:
+            blank.append(lineno)
             continue
         if len(fields) != dim + 1:
             raise ParseError(f"expected {dim + 1} fields, got {line!r}", lineno)
@@ -470,6 +506,14 @@ def read_dmeas(stream) -> DyadicMeasure:
         if not math.isfinite(mass[-1]):
             raise ParseError(f"mass is not finite in {line!r}", lineno)
     try:
-        return DyadicMeasure(dim, level, np.array(idx), np.array(mass))
+        return DyadicMeasure(dim, level, np.array(idx, dtype=np.int64), np.array(mass))
     except InvalidParameterError as e:
         raise ParseError(str(e), 2) from None
+    except OverflowError:
+        entry = next(k for k, i in enumerate(idx)
+                     if not all(-(2**63) <= v < 2**63 for v in (i if dim == 2 else (i,))))
+        line = entry + 2
+        for b in blank:
+            if b <= line:
+                line += 1
+        raise ParseError(f"cube index {idx[entry]} beyond 64 bits", line) from None

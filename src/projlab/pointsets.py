@@ -262,7 +262,10 @@ def read_pset(stream) -> LatticePointSet:
         raise ParseError(f"bad PSET header fields {header!r}", 1) from None
     if count < 0:
         raise ParseError(f"negative point count in {header!r}", 1)
-    pts = np.empty((count, 2), dtype=np.int64)
+    try:
+        pts = np.empty((count, 2), dtype=np.int64)
+    except (ValueError, MemoryError):
+        raise ParseError(f"point count too large in {header!r}", 1) from None
     for i in range(count):
         line = stream.readline()
         fields = line.split()
@@ -271,8 +274,8 @@ def read_pset(stream) -> LatticePointSet:
         try:
             pts[i, 0] = int(fields[0])
             pts[i, 1] = int(fields[1])
-        except ValueError:
-            raise ParseError(f"non-integer coordinate in {line!r}", i + 2) from None
+        except (ValueError, OverflowError):
+            raise ParseError(f"coordinate not a 64-bit integer in {line!r}", i + 2) from None
     for lineno, line in enumerate(stream, start=count + 2):
         if line.strip():
             raise ParseError(f"line after the {count} declared points: {line!r}", lineno)

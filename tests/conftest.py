@@ -12,8 +12,20 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
-from projlab import DyadicMeasure
+from projlab import (
+    ADRegularityReport,
+    Direction,
+    DyadicMeasure,
+    ExperimentRecord,
+    InvalidParameterError,
+    blow_up,
+    direction_grid,
+    entropy,
+    project_measure,
+)
+from projlab.entropy import REGULARITY_ALARM_A, REGULARITY_BLOCK
 
 
 def brute_min_cover(values, width: float) -> int:
@@ -121,6 +133,48 @@ def random_measure(rng: np.random.Generator, dim: int, level: int, max_atoms: in
     return DyadicMeasure(dim, level, idx, mass)
 
 
+def clustered_measure(rng: np.random.Generator, level: int, n_atoms: int) -> DyadicMeasure:
+    """Planar measure at any level up to 62 whose atoms sit in small clusters
+    spread over the square, with rows and columns offset by the dyadic radii
+    2^(level - j) and by one more or less, so that ball tests at every radius
+    see atoms on both sides of the boundary."""
+    side = 1 << level
+    n_atoms = min(n_atoms, side * side)
+    atoms = set()
+    while len(atoms) < n_atoms:
+        i, j = (int(v) for v in rng.integers(0, side, size=2))
+        step = 1 << int(rng.integers(0, level + 1))
+        for di in (0, step - 1, step, step + 1):
+            dj = int(rng.integers(-2, 3))
+            if 0 <= i + di < side and 0 <= j + dj < side:
+                atoms.add((i + di, j + dj))
+    idx = np.array(sorted(atoms)[:n_atoms], dtype=np.int64)
+    mass = rng.random(len(idx)) + 1e-3
+    return DyadicMeasure(2, level, idx, mass / mass.sum())
+
+
+# Text for fuzzing the PSET and DMEAS readers: a header of the reader's form
+# with integer fields that are small, negative or far beyond 64 bits, or
+# arbitrary text; then lines of integer-like, float-like or arbitrary words.
+_CHARS = st.characters(blacklist_categories=("Cs",))
+_FIELD = st.one_of(st.integers(-2, 64), st.integers(-(2**80), 2**80))
+_WORD = st.one_of(
+    _FIELD.map(str),
+    st.sampled_from(["0.5", "1", "0.25", "nan", "inf", "1e400", "-0", "0x1"]),
+    st.text(_CHARS, max_size=6),
+)
+_LINE = st.one_of(st.lists(_WORD, min_size=1, max_size=3).map(" ".join),
+                  st.text(_CHARS, max_size=20))
+
+
+def parser_text(header: str, first=_FIELD, second=_FIELD):
+    """Reader input whose header is `header` formatted with the two fields,
+    or arbitrary text, followed by up to six body lines."""
+    head = st.one_of(st.builds(header.format, first, second), st.text(_CHARS, max_size=30))
+    return st.builds(lambda h, body: "\n".join([h, *body]) + "\n", head,
+                     st.lists(_LINE, max_size=6))
+
+
 def measure_mix(t: float, mu: DyadicMeasure, nu: DyadicMeasure) -> DyadicMeasure:
     """t*mu + (1-t)*nu for measures at the same level and dimension."""
     assert mu.dim == nu.dim and mu.level == nu.level
@@ -135,3 +189,110 @@ def measure_mix(t: float, mu: DyadicMeasure, nu: DyadicMeasure) -> DyadicMeasure
     idx = np.array(keys)
     mass = np.array([accum[k] for k in keys])
     return DyadicMeasure(mu.dim, mu.level, idx, mass / mass.sum())
+
+
+# ---------------------------------------------------------------------------
+# The entropy layer's per-cube and per-direction evaluations, kept as the
+# references for the vectorised versions in projlab.entropy.
+# ---------------------------------------------------------------------------
+
+
+def regularity_ref(mu: DyadicMeasure) -> ADRegularityReport:
+    """`ad_regularity_check` with every block compared against every atom."""
+    if mu.dim != 2:
+        raise InvalidParameterError("ad_regularity_check needs a planar measure")
+    pts = mu.centers()
+    mass = mu.mass
+    n = mu.level
+    radii = 2.0 ** (-np.arange(n + 1))
+    worst_lower = 0.0
+    worst_upper = 0.0
+    for lo in range(0, len(pts), REGULARITY_BLOCK):
+        block = pts[lo : lo + REGULARITY_BLOCK]
+        d2 = (
+            (block[:, None, 0] - pts[None, :, 0]) ** 2
+            + (block[:, None, 1] - pts[None, :, 1]) ** 2
+        )
+        for j, r in enumerate(radii):
+            inside = d2 < r * r  # open balls
+            ball_mass = inside @ mass
+            worst_lower = max(worst_lower, float((r / ball_mass).max()))
+            worst_upper = max(worst_upper, float((ball_mass / r).max()))
+    counts = {}
+    for j in range(n + 1):
+        uniq, _ = mu.coarsen(j)
+        counts[j] = len(uniq)
+    return ADRegularityReport(worst_lower, worst_upper, counts)
+
+
+def l2_energy_1d_ref(nu: DyadicMeasure, m: int) -> float:
+    """2^m * sum of squared level-m interval masses."""
+    if nu.dim != 1:
+        raise InvalidParameterError("l2_energy_1d needs a line measure")
+    _, agg = nu.coarsen(m)
+    return float(2.0**m * (agg * agg).sum())
+
+
+def marstrand_ref(
+    mu: DyadicMeasure,
+    m: int,
+    A: float | None = None,
+    s_values: tuple[float, ...] = (0.5, 0.75, 0.9),
+) -> ExperimentRecord:
+    """`marstrand_average` through one projected `DyadicMeasure` per
+    direction."""
+    if not (0 < m <= mu.level):
+        raise InvalidParameterError(f"need 0 < m <= {mu.level}, got m = {m}")
+    if A is None:
+        A = regularity_ref(mu).A
+    dirs = direction_grid(1 << m)
+    hs = []
+    energies = []
+    for e in dirs:
+        nu = project_measure(mu, e, m)
+        hs.append(entropy(nu, m).normalized)
+        energies.append(l2_energy_1d_ref(nu, m))
+    avg_h = float(np.mean(hs))
+    avg_energy = float(np.mean(energies))
+    rec = ExperimentRecord(
+        "entropy_marstrand_average",
+        params={"m": m, "n_directions": 1 << m, "A": A},
+        results={
+            "average_normalized_entropy": avg_h,
+            "average_l2_energy": avg_energy,
+            "A": A,
+            "per_direction_min": float(np.min(hs)),
+            "per_direction_max": float(np.max(hs)),
+        },
+    )
+    for s in s_values:
+        bound_term = m * 2.0 ** ((s - 1.0) * m) + 1.0 / m
+        rec.results[f"deficit_s_{s}"] = s - avg_h
+        rec.soft(f"deficit_vs_A_bound_s_{s}", s - avg_h, A * bound_term)
+    rec.soft("l2_energy_vs_Am", avg_energy, A * m)
+    rec.soft("regularity_alarm_A", A, REGULARITY_ALARM_A)
+    return rec
+
+
+def multiscale_ref(mu: DyadicMeasure, e: Direction, m: int) -> ExperimentRecord:
+    """`multiscale_check` through one `blow_up` per cube."""
+    n = mu.level
+    if not (0 < m < n):
+        raise InvalidParameterError(f"need 0 < m < n = {n}, got m = {m}")
+    lhs = entropy(project_measure(mu, e, n), n).normalized
+    k0 = n // m
+    block_sum = 0.0
+    for k in range(k0):
+        cubes, weights = mu.coarsen(k * m)
+        for q, w in zip(cubes, weights):
+            piece = blow_up(mu, q if mu.dim == 1 else tuple(q), k * m)
+            block_sum += w * entropy(project_measure(piece, e, m), m).normalized
+    rhs = (m / n) * block_sum
+    slack = lhs - (rhs - 10.0 / m)
+    rec = ExperimentRecord(
+        "entropy_multiscale",
+        params={"theta": e.theta, "m": m, "n": n},
+        results={"lhs": lhs, "rhs_sum": rhs, "allowance": 10.0 / m, "slack": slack},
+    )
+    rec.check("multiscale_inequality", slack >= -1e-12, lhs, rhs - 10.0 / m)
+    return rec

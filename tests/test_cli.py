@@ -5,8 +5,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from projlab import DyadicMeasure, Scale, from_pointset, gen_four_corners, write_dmeas
+from conftest import parser_text
+from projlab import (
+    DyadicMeasure,
+    ParseError,
+    Scale,
+    from_pointset,
+    gen_four_corners,
+    read_dmeas,
+    read_pset,
+    write_dmeas,
+)
 from projlab.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
 
 TRIPLE = ["--log2delta", "8", "--s", "3/4", "--log2r", "6"]
@@ -98,6 +110,38 @@ def test_nan_mass_exits_with_a_parse_error(tmp_path, capsys):
     path.write_text("DMEAS v1 d=1 n=2\n0 1\n1 nan\n")
     assert main(["entropy", "H", "--in", str(path), "--out", str(tmp_path / "h.json")]) == EXIT_IO
     assert "line 3" in capsys.readouterr().err
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(
+    st.tuples(st.just("pset"), parser_text("PSET v1 n={} count={}",
+                                           second=st.integers(0, 6))),
+    st.tuples(st.just("dmeas"), parser_text("DMEAS v1 d={} n={}",
+                                            st.sampled_from([1, 2]))),
+))
+def test_unreadable_input_exits_with_a_parse_error(tmp_path, capsys, kind_text):
+    kind, text = kind_text
+    path = tmp_path / f"input.{kind}"
+    path.write_text(text)
+    reader = read_pset if kind == "pset" else read_dmeas
+    try:
+        with open(path) as f:
+            reader(f)
+        want = (EXIT_OK, EXIT_INVALID)
+    except ParseError:
+        want = (EXIT_IO,)
+    argv = (["project", "--in", str(path), "--theta", "0"] if kind == "pset"
+            else ["entropy", "H", "--in", str(path), "--m", "0"])
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) in want
+    capsys.readouterr()
+
+
+def test_oversized_index_exits_with_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "big.dmeas"
+    path.write_text("DMEAS v1 d=1 n=2\n99999999999999999999999 1\n")
+    assert main(["entropy", "H", "--in", str(path), "--m", "1"]) == EXIT_IO
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_entropy_cover(line_measure, tmp_path):

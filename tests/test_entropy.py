@@ -1,14 +1,45 @@
 import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_measure, shannon_ref
-from projlab import ParseError, conditional_entropy, entropy, read_dmeas
-from projlab.entropy import shannon
+from conftest import (
+    clustered_measure,
+    marstrand_ref,
+    multiscale_ref,
+    parser_text,
+    random_measure,
+    regularity_ref,
+    shannon_ref,
+)
+from projlab import (
+    Direction,
+    DyadicMeasure,
+    InvalidParameterError,
+    ParseError,
+    Scale,
+    ad_regularity_check,
+    blow_up,
+    conditional_entropy,
+    direction_grid,
+    entropy,
+    from_pointset,
+    gen_four_corners,
+    marstrand_average,
+    multiscale_check,
+    project_measure,
+    projections,
+    read_dmeas,
+    theorem_main2_experiment,
+)
+from projlab.entropy import MASS_TOL, shannon
+
+EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected.json"
 
 LEVEL = 6
 
@@ -33,6 +64,27 @@ class TestDmeasFormat:
         text = f"DMEAS v1 d=1 n=2\n0 1\n1 {bad}\n"
         with pytest.raises(ParseError, match="line 3"):
             read_dmeas(io.StringIO(text))
+
+    @pytest.mark.parametrize("text, line", [
+        ("DMEAS v1 d=1 n=2\n99999999999999999999999 1\n", 2),
+        ("DMEAS v1 d=2 n=2\n0 0 0.5\n\n1 -9223372036854775809 0.5\n", 4),
+        ("DMEAS v1 d=1 n=2\n\n0 0.5\n\n\n9223372036854775808 0.5\n", 6),
+    ])
+    def test_index_beyond_64_bits_is_a_parse_error(self, text, line):
+        with pytest.raises(ParseError, match=f"line {line}:"):
+            read_dmeas(io.StringIO(text))
+
+    def test_dimension_outside_1_2_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="line 1"):
+            read_dmeas(io.StringIO("DMEAS v1 d=0 n=2\n5\n"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(parser_text("DMEAS v1 d={} n={}", st.one_of(st.sampled_from([1, 2]), st.integers())))
+    def test_any_text_parses_or_raises_a_parse_error(self, text):
+        try:
+            read_dmeas(io.StringIO(text))
+        except ParseError:
+            pass
 
 
 class TestEntropyAgainstReference:
@@ -59,3 +111,160 @@ class TestEntropyAgainstReference:
         mu = _measure(seed, dim)
         want = entropy(mu, fine).raw - entropy(mu, coarse).raw
         assert abs(conditional_entropy(mu, fine, coarse) - want) <= 1e-9
+
+
+def _four_corners(L: int):
+    return from_pointset(gen_four_corners(L, Scale(2 * L)))
+
+
+def _one_cube_measure(seed: int, level: int, k: int):
+    """A random measure all of whose atoms lie in one level-k cube."""
+    rng = np.random.default_rng(seed)
+    inner = random_measure(rng, 2, level - k, 40)
+    q = rng.integers(0, 1 << k, size=2)
+    return DyadicMeasure(2, level, (q << (level - k)) + inner.idx, inner.mass)
+
+
+def _measures():
+    """Planar measures: random at levels 1 to 8, a single atom, or all atoms
+    in one cube."""
+    seeds = st.integers(0, 2**32 - 1)
+    return st.one_of(
+        st.builds(lambda seed, level: random_measure(np.random.default_rng(seed), 2, level, 300),
+                  seeds, st.integers(1, 8)),
+        st.builds(lambda seed, level: random_measure(np.random.default_rng(seed), 2, level, 1),
+                  seeds, st.integers(1, 8)),
+        st.integers(2, 8).flatmap(lambda level: st.builds(
+            _one_cube_measure, seeds, st.just(level), st.integers(1, level - 1))),
+    )
+
+
+_THETAS = st.one_of(st.sampled_from([0.0, math.pi - 1e-12, math.pi / 2]),
+                    st.floats(0.0, math.pi, exclude_max=True))
+
+
+def _same_report(got, want, rel=0.0):
+    assert got.per_level_counts == want.per_level_counts
+    assert got.A_lower == pytest.approx(want.A_lower, rel=rel, abs=0)
+    assert got.A_upper == pytest.approx(want.A_upper, rel=rel, abs=0)
+
+
+class TestAgainstPerCubeReferences:
+    """The vectorised regularity sweep, Marstrand average and multiscale
+    check against their per-atom-pair, per-direction and per-cube forms."""
+
+    @pytest.mark.parametrize("L", [3, 4, 5])
+    def test_four_corners(self, L):
+        mu = _four_corners(L)
+        got = ad_regularity_check(mu)
+        assert got == regularity_ref(mu)
+        assert marstrand_average(mu, L).to_json() == marstrand_ref(mu, L).to_json()
+        for theta in (0.0, 0.7, math.pi - 1e-12):
+            rec = multiscale_check(mu, Direction(theta), 2)
+            want = multiscale_ref(mu, Direction(theta), 2)
+            assert rec.results["lhs"] == want.results["lhs"]
+            assert rec.results["rhs_sum"] == pytest.approx(want.results["rhs_sum"], rel=1e-12)
+            assert [a.status for a in rec.assertions] == ["pass"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_measures())
+    def test_regularity(self, mu):
+        # a shorter BLAS matrix-vector product may round the ball masses differently
+        _same_report(ad_regularity_check(mu), regularity_ref(mu), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_measures(), st.integers(1, 8), st.floats(0.5, 200.0))
+    def test_marstrand(self, mu, m, A):
+        m = min(m, mu.level)
+        assert marstrand_average(mu, m, A=A).to_json() == marstrand_ref(mu, m, A=A).to_json()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_measures().filter(lambda mu: mu.level >= 2), _THETAS, st.integers(1, 7))
+    def test_multiscale(self, mu, theta, m):
+        m = min(m, mu.level - 1)
+        rec = multiscale_check(mu, Direction(theta), m)
+        want = multiscale_ref(mu, Direction(theta), m)
+        assert rec.results["lhs"] == want.results["lhs"]
+        assert rec.results["rhs_sum"] == pytest.approx(want.results["rhs_sum"], rel=1e-12, abs=0)
+        assert [a.status for a in rec.assertions] == [a.status for a in want.assertions]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(27, 62))
+    def test_regularity_beyond_exact_squares(self, seed, level):
+        # Above level 26 the squared distances round, and above 52 the
+        # centers do; the column window must still drop only columns whose
+        # tested d^2 < r^2 is false.
+        mu = clustered_measure(np.random.default_rng(seed), level, 48)
+        _same_report(ad_regularity_check(mu), regularity_ref(mu), rel=1e-12)
+
+
+class TestBlowUp:
+    @settings(max_examples=50, deadline=None)
+    @given(_measures(), st.data())
+    def test_identities(self, mu, data):
+        k = data.draw(st.integers(0, mu.level))
+        q = data.draw(st.sampled_from(mu.coarse_keys(k).tolist()))
+        piece = blow_up(mu, tuple(q), k)
+        assert piece.level == mu.level - k
+        assert abs(piece.mass.sum() - 1.0) <= MASS_TOL
+
+    @pytest.mark.parametrize("mu, q", [
+        (DyadicMeasure(1, 4, [1, 5, 9], [0.25, 0.25, 0.5]), 0),
+        (_four_corners(2), (0, 0)),
+    ])
+    def test_level_zero_is_the_measure(self, mu, q):
+        piece = blow_up(mu, q, 0)
+        assert piece.level == mu.level
+        assert np.array_equal(piece.idx, mu.idx)
+        assert np.abs(piece.mass - mu.mass).max() <= MASS_TOL
+
+    def test_empty_cube_is_rejected(self):
+        mu = DyadicMeasure(2, 2, [(0, 0), (3, 0)], [0.5, 0.5])
+        with pytest.raises(InvalidParameterError, match="carries no mass"):
+            blow_up(mu, (0, 1), 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_measures().filter(lambda mu: mu.level >= 2), _THETAS, st.integers(1, 7))
+    def test_weighted_blow_up_entropies_sum_to_the_multiscale_check(self, mu, theta, m):
+        m = min(m, mu.level - 1)
+        e = Direction(theta)
+        total = 0.0
+        for k in range(mu.level // m):
+            cubes, weights = mu.coarsen(k * m)
+            for q, w in zip(cubes, weights):
+                total += w * entropy(project_measure(blow_up(mu, tuple(q), k * m), e, m), m).normalized
+        rhs = (m / mu.level) * total
+        assert multiscale_check(mu, e, m).results["rhs_sum"] == pytest.approx(rhs, rel=1e-12, abs=0)
+        assert multiscale_ref(mu, e, m).results["rhs_sum"] == rhs
+
+
+class TestAdregDirections:
+    P_LIST = [2, 3, 4, 6, 8, 12, 16]
+
+    def test_each_direction_is_projected_once(self, monkeypatch):
+        calls = []
+        real = projections.project
+
+        def spy(ps, e):
+            calls.append(e.theta)
+            return real(ps, e)
+
+        monkeypatch.setattr(projections, "project", spy)
+        rec = theorem_main2_experiment(8, [2, 3, 4, 8, 16], 0.75)
+        assert len(calls) == len(set(calls)) == 18
+        assert rec.results["table"][0]["average"] == 256.0
+
+    def test_table_matches_a_projection_per_grid_point(self):
+        rec = theorem_main2_experiment(5, self.P_LIST, 0.75)
+        ps = gen_four_corners(5, Scale(10))
+        for row, p in zip(rec.results["table"], self.P_LIST):
+            total = sum(projections.project(ps, e).covering_number for e in direction_grid(p))
+            assert row["average"] == total / p
+        assert [a.status for a in rec.assertions] == ["pass"]
+
+    @pytest.mark.parametrize("size, L", [("tiny", 3), ("full", 6)])
+    def test_benchmark_tables(self, size, L):
+        expected = json.loads(EXPECTED.read_text())[size]["entropy"]["adreg_table"]
+        rec = theorem_main2_experiment(L, [2, 8, 16], 0.75)
+        assert json.loads(rec.to_json())["results"]["table"] == expected
+        assert [a.status for a in rec.assertions] == ["pass"]

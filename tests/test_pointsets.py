@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import parser_text
 from projlab import (
     InvalidParameterError,
     LatticePointSet,
@@ -227,6 +230,25 @@ class TestPsetFormat:
     def test_negative_count_is_a_parse_error(self):
         with pytest.raises(ParseError, match="line 1"):
             read_pset(io.StringIO("PSET v1 n=2 count=-1\n"))
+
+    @pytest.mark.parametrize("text, line", [
+        ("PSET v1 n=2 count=1\n9223372036854775808 0\n", 2),
+        ("PSET v1 n=2 count=2\n0 0\n1 -99999999999999999999\n", 3),
+        ("PSET v1 n=2 count=99999999999999999999\n0 0\n", 1),
+        ("PSET v1 n=2 count=4611686018427387904\n0 0\n", 1),
+    ])
+    def test_integers_beyond_64_bits_are_parse_errors(self, text, line):
+        with pytest.raises(ParseError, match=f"line {line}:"):
+            read_pset(io.StringIO(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(parser_text("PSET v1 n={} count={}", second=st.one_of(
+        st.integers(0, 6), st.integers(-(2**80), 2**80))))
+    def test_any_text_parses_or_raises_a_parse_error(self, text):
+        try:
+            read_pset(io.StringIO(text))
+        except ParseError:
+            pass
 
     def test_lines_after_count_are_a_parse_error(self):
         with pytest.raises(ParseError, match="line 4"):
