@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     ad.add_argument("--plist", required=True, help="comma-separated direction counts")
     ad.add_argument("--s", type=float, required=True)
     ad.add_argument("--regularity", action="store_true",
-                    help="force the quadratic regularity sweep")
+                    help="run the regularity sweep above the atom cap")
     ad.add_argument("--regularity-atom-cap", type=int, default=8192)
     add_common(ad)
     ad.set_defaults(func=cmd_adreg)

@@ -35,7 +35,8 @@ from .records import ExperimentRecord
 
 LOG2 = math.log(2.0)
 MASS_TOL = 1e-12
-# Atom centers per block of `ad_regularity_check`'s quadratic distance sweep.
+# Atom centers whose (center, cube) frontier `ad_regularity_check` traverses
+# together; bounds the frontier's memory on dense measures.
 REGULARITY_BLOCK = 512
 # Regularity constant A above which `marstrand_average` flags the measure.
 REGULARITY_ALARM_A = 100.0
@@ -97,7 +98,7 @@ class DyadicMeasure:
             raise InvalidParameterError("duplicate cube index")
         total = mass.sum()
         if abs(total - 1.0) > MASS_TOL:
-            raise InvalidParameterError(f"masses sum to {total!r}, not 1")
+            raise InvalidParameterError(f"masses sum to {float(total)!r}, not 1")
         idx.setflags(write=False)
         mass.setflags(write=False)
         object.__setattr__(self, "idx", idx)
@@ -280,46 +281,88 @@ class ADRegularityReport:
 
 
 def ad_regularity_check(mu: DyadicMeasure) -> ADRegularityReport:
-    """Sweep all (atom center, dyadic radius) pairs for the regularity ratios.
+    """Sweep all (atom center, dyadic radius) pairs for the regularity ratios,
+    summing whole dyadic cubes instead of atom pairs.
 
-    Blocks of REGULARITY_BLOCK centers keep memory bounded.  The atoms are
-    sorted by row, so their center abscissas x are non-decreasing, and for
-    each block and radius r only a window of columns can reach the balls:
-    when the rounded difference x_b - x_c is at least r for every center b
-    of the block, then so is (x_b - x_c)^2 >= r^2 after rounding, since
-    rounding is monotone and r^2 is a power of two, and the tested d^2 < r^2
-    fails.  Those columns form a prefix and a suffix of the sorted atoms, so
-    the window leaves every comparison unchanged at any level; only the
-    matrix-vector product runs over fewer zeros.
+    Tree.  The atoms are put in depth-first order by their quadrant digits,
+    so every level-l cube is a contiguous run of atoms; each run carries its
+    mass, the bounding box of its atom centers and its range of children.
+
+    Annuli.  For a squared distance d^2 let t(d^2) = #{j : d^2 < r_j^2} with
+    r_j = 2^-j, the number of tested open balls around a center that contain
+    an atom at that distance.  Each center keeps a histogram H[t] of masses,
+    and its ball of radius r_j has mass sum_{t > j} H[t].  The (center, cube)
+    pairs are traversed level by level from the root.  From the box come the
+    nearest and farthest squared distances, by the same float expression
+    (x_b - x_c)^2 + (y_b - y_c)^2 that a direct sweep applies to each atom.
+    Rounding is monotone and subtraction is symmetric in it, so each atom's
+    own rounded d^2 lies between the two rounded bounds: when t agrees on
+    both, the whole cube mass goes to H[t] with no margin needed; otherwise
+    the pair splits into the cube's children.  A one-atom cube has equal
+    bounds, equal to that atom's d^2, so every pair is decided by the atom
+    level at the latest.
+
+    Only positive masses are added, so each ball mass is within (number of
+    terms) x machine epsilon of a direct sum, and exact for dyadic masses.
+    Blocks of REGULARITY_BLOCK centers keep the frontier bounded.
     """
     if mu.dim != 2:
         raise InvalidParameterError("ad_regularity_check needs a planar measure")
-    pts = mu.centers()
-    x = pts[:, 0]
-    mass = mu.mass
     n = mu.level
+    # Row s holds the quadrant digit at bit s; row n is all zeros and only
+    # keeps the key list non-empty at level 0.
+    shifts = np.arange(n + 1)[:, None]
+    order = np.lexsort(((mu.idx[:, 0] >> shifts) & 1) * 2 + ((mu.idx[:, 1] >> shifts) & 1))
+    idx = mu.idx[order]
+    x, y = mu.centers()[order].T
+    mass = mu.mass[order]
+    size = len(mass)
+    starts = [np.flatnonzero(np.r_[True, (np.diff(idx >> (n - l), axis=0) != 0).any(axis=1)])
+              for l in range(n + 1)]
+    tree = []
+    for l, s in enumerate(starts):
+        # at the atom level every pair is decided, so no children are read
+        child = np.searchsorted(starts[min(l + 1, n)], np.append(s, size))
+        tree.append((np.add.reduceat(mass, s),
+                     np.minimum.reduceat(x, s), np.maximum.reduceat(x, s),
+                     np.minimum.reduceat(y, s), np.maximum.reduceat(y, s),
+                     child[:-1], np.diff(child)))
     radii = 2.0 ** (-np.arange(n + 1))
+    ascending = (radii * radii)[::-1]
     worst_lower = 0.0
     worst_upper = 0.0
-    for lo in range(0, len(pts), REGULARITY_BLOCK):
-        block = pts[lo : lo + REGULARITY_BLOCK]
-        from_first = x - block[0, 0]  # ascending, like x
-        from_last = x - block[-1, 0]
-        d2 = (
-            (block[:, None, 0] - pts[None, :, 0]) ** 2
-            + (block[:, None, 1] - pts[None, :, 1]) ** 2
-        )
-        for r in radii:
-            a = np.searchsorted(from_first, -r, side="right")
-            b = np.searchsorted(from_last, r, side="left")
-            inside = d2[:, a:b] < r * r  # open balls
-            ball_mass = inside @ mass[a:b]
-            worst_lower = max(worst_lower, float((r / ball_mass).max()))
-            worst_upper = max(worst_upper, float((ball_mass / r).max()))
-    counts = {}
-    for j in range(n + 1):
-        uniq, _ = mu.coarsen(j)
-        counts[j] = len(uniq)
+    for lo in range(0, size, REGULARITY_BLOCK):
+        b = np.arange(lo, min(lo + REGULARITY_BLOCK, size))
+        rows = len(b)
+        c = np.zeros(rows, dtype=np.int64)
+        cells = []
+        weights = []
+        for cube_mass, x0, x1, y0, y1, first, count in tree:
+            # the signed gaps from the center to the box's sides: their
+            # larger part, floored at 0, is the near gap, and the smaller,
+            # negated exactly, the far one
+            xb, yb = x[b], y[b]
+            dx0, dx1 = x0[c] - xb, xb - x1[c]
+            dy0, dy1 = y0[c] - yb, yb - y1[c]
+            near = (np.maximum(np.maximum(dx0, dx1), 0.0) ** 2
+                    + np.maximum(np.maximum(dy0, dy1), 0.0) ** 2)
+            far = np.minimum(dx0, dx1) ** 2 + np.minimum(dy0, dy1) ** 2
+            t = n + 1 - np.searchsorted(ascending, far, side="right")
+            done = t == n + 1 - np.searchsorted(ascending, near, side="right")
+            cells.append((b[done] - lo) * (n + 2) + t[done])
+            weights.append(cube_mass[c[done]])
+            b, c = b[~done], c[~done]
+            if not len(b):
+                break
+            k = count[c]
+            b = np.repeat(b, k)
+            c = np.repeat(first[c] - (np.cumsum(k) - k), k) + np.arange(len(b))
+        hist = np.bincount(np.concatenate(cells), np.concatenate(weights),
+                           minlength=rows * (n + 2))
+        ball_mass = np.cumsum(hist.reshape(rows, n + 2)[:, :0:-1], axis=1)[:, ::-1]
+        worst_lower = max(worst_lower, float((radii / ball_mass).max()))
+        worst_upper = max(worst_upper, float((ball_mass / radii).max()))
+    counts = {l: len(s) for l, s in enumerate(starts)}
     return ADRegularityReport(worst_lower, worst_upper, counts)
 
 
@@ -506,14 +549,43 @@ def read_dmeas(stream) -> DyadicMeasure:
         if not math.isfinite(mass[-1]):
             raise ParseError(f"mass is not finite in {line!r}", lineno)
     try:
-        return DyadicMeasure(dim, level, np.array(idx, dtype=np.int64), np.array(mass))
-    except InvalidParameterError as e:
-        raise ParseError(str(e), 2) from None
+        idx_arr = np.array(idx, dtype=np.int64)
     except OverflowError:
         entry = next(k for k, i in enumerate(idx)
                      if not all(-(2**63) <= v < 2**63 for v in (i if dim == 2 else (i,))))
-        line = entry + 2
-        for b in blank:
-            if b <= line:
-                line += 1
-        raise ParseError(f"cube index {idx[entry]} beyond 64 bits", line) from None
+        raise ParseError(f"cube index {idx[entry]} beyond 64 bits",
+                         _entry_line(entry, blank)) from None
+    mass_arr = np.array(mass)
+    try:
+        return DyadicMeasure(dim, level, idx_arr, mass_arr)
+    except InvalidParameterError as e:
+        entry = _rejected_entry(idx_arr.reshape(len(mass_arr), dim), mass_arr, level)
+        raise ParseError(str(e), 1 if entry is None else _entry_line(entry, blank)) from None
+
+
+def _entry_line(entry: int, blank: list[int]) -> int:
+    """Line number of the DMEAS body's entry-th cube line, past the header
+    and the blank lines listed in `blank`."""
+    line = entry + 2
+    for b in blank:
+        if b <= line:
+            line += 1
+    return line
+
+
+def _rejected_entry(idx: np.ndarray, mass: np.ndarray, level: int) -> int | None:
+    """First cube line that `DyadicMeasure` rejects, checked in its order: a
+    negative mass, an index outside the grid, then the second occurrence of
+    an index.  Cubes of zero mass are dropped before the last two checks.
+    None when the error concerns the whole file (the level, or the masses'
+    total)."""
+    if not (0 <= level <= 62):
+        return None
+    bad = mass < 0
+    kept = np.flatnonzero(mass > 0)
+    if not bad.any():
+        bad[kept] = ((idx[kept] < 0) | (idx[kept] >= 1 << level)).any(axis=1)
+    if not bad.any():
+        order = kept[np.lexsort(idx[kept].T)]  # stable: repeats keep file order
+        bad[order[1:][(np.diff(idx[order], axis=0) == 0).all(axis=1)]] = True
+    return int(np.argmax(bad)) if bad.any() else None

@@ -263,6 +263,10 @@ def read_pset(stream) -> LatticePointSet:
     if count < 0:
         raise ParseError(f"negative point count in {header!r}", 1)
     try:
+        scale = Scale(n)
+    except InvalidParameterError as e:
+        raise ParseError(str(e), 1) from None
+    try:
         pts = np.empty((count, 2), dtype=np.int64)
     except (ValueError, MemoryError):
         raise ParseError(f"point count too large in {header!r}", 1) from None
@@ -280,6 +284,8 @@ def read_pset(stream) -> LatticePointSet:
         if line.strip():
             raise ParseError(f"line after the {count} declared points: {line!r}", lineno)
     try:
-        return LatticePointSet(Scale(n), pts)
+        return LatticePointSet(scale, pts)
     except InvalidParameterError as e:
-        raise ParseError(str(e), 2) from None
+        # the only per-point error: point i, on line i + 2, is off the lattice
+        i = int(np.argmax(((pts < 0) | (pts >= scale.side)).any(axis=1)))
+        raise ParseError(str(e), i + 2) from None

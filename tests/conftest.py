@@ -25,7 +25,7 @@ from projlab import (
     entropy,
     project_measure,
 )
-from projlab.entropy import REGULARITY_ALARM_A, REGULARITY_BLOCK
+from projlab.entropy import REGULARITY_ALARM_A
 
 
 def brute_min_cover(values, width: float) -> int:
@@ -199,6 +199,7 @@ def measure_mix(t: float, mu: DyadicMeasure, nu: DyadicMeasure) -> DyadicMeasure
 
 def regularity_ref(mu: DyadicMeasure) -> ADRegularityReport:
     """`ad_regularity_check` with every block compared against every atom."""
+    rows_per_block = 512
     if mu.dim != 2:
         raise InvalidParameterError("ad_regularity_check needs a planar measure")
     pts = mu.centers()
@@ -207,8 +208,8 @@ def regularity_ref(mu: DyadicMeasure) -> ADRegularityReport:
     radii = 2.0 ** (-np.arange(n + 1))
     worst_lower = 0.0
     worst_upper = 0.0
-    for lo in range(0, len(pts), REGULARITY_BLOCK):
-        block = pts[lo : lo + REGULARITY_BLOCK]
+    for lo in range(0, len(pts), rows_per_block):
+        block = pts[lo : lo + rows_per_block]
         d2 = (
             (block[:, None, 0] - pts[None, :, 0]) ** 2
             + (block[:, None, 1] - pts[None, :, 1]) ** 2

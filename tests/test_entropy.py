@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     clustered_measure,
     marstrand_ref,
+    measure_mix,
     multiscale_ref,
     parser_text,
     random_measure,
@@ -36,6 +37,7 @@ from projlab import (
     projections,
     read_dmeas,
     theorem_main2_experiment,
+    write_dmeas,
 )
 from projlab.entropy import MASS_TOL, shannon
 
@@ -78,6 +80,33 @@ class TestDmeasFormat:
         with pytest.raises(ParseError, match="line 1"):
             read_dmeas(io.StringIO("DMEAS v1 d=0 n=2\n5\n"))
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("DMEAS v1 d=1 n=2\n0 0.125\n1 0.125\n2 0.25\n7 0.5\n", 5, "outside"),
+        ("DMEAS v1 d=2 n=2\n0 0 0.5\n\n1 -1 0.5\n", 4, "outside"),
+        ("DMEAS v1 d=1 n=2\n0 0.5\n1 0.75\n", 1, "sum to 1.25,"),
+        ("DMEAS v1 d=2 n=2\n1 1 0.25\n\n0 0 0.25\n1 1 0.25\n0 0 0.25\n", 5, "duplicate"),
+        # the zero-mass cube is dropped before the duplicate check
+        ("DMEAS v1 d=1 n=2\n0 0.5\n0 0\n3 0\n0 0.5\n", 5, "duplicate"),
+        ("DMEAS v1 d=1 n=2\n0 1.5\n\n1 -0.5\n", 4, "negative mass"),
+        ("DMEAS v1 d=1 n=63\n0 1\n", 1, "level"),
+        ("DMEAS v1 d=2 n=2\n0 0 0\n", 1, "no mass"),
+    ])
+    def test_measure_errors_name_their_line(self, text, line, message):
+        with pytest.raises(ParseError, match=f"line {line}: .*{message}"):
+            read_dmeas(io.StringIO(text))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.integers(0, 12))
+    def test_write_then_read_is_bit_identical(self, seed, dim, level):
+        mu = random_measure(np.random.default_rng(seed), dim, level, 200)
+        text = io.StringIO()
+        write_dmeas(mu, text)
+        text.seek(0)
+        back = read_dmeas(text)
+        assert (back.dim, back.level) == (dim, level)
+        assert back.idx.dtype == mu.idx.dtype and np.array_equal(back.idx, mu.idx)
+        assert np.array_equal(back.mass.view(np.uint64), mu.mass.view(np.uint64))
+
     @settings(max_examples=300, deadline=None)
     @given(parser_text("DMEAS v1 d={} n={}", st.one_of(st.sampled_from([1, 2]), st.integers())))
     def test_any_text_parses_or_raises_a_parse_error(self, text):
@@ -102,6 +131,15 @@ class TestEntropyAgainstReference:
         want = shannon_ref(_aggregate_ref(mu, m))
         assert ev.raw == pytest.approx(want, rel=1e-12, abs=1e-12)
         assert ev.normalized == (ev.raw / (m * math.log(2)) if m else 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]),
+           st.integers(0, LEVEL), st.floats(0.0, 1.0))
+    def test_entropy_is_concave(self, seed, dim, m, t):
+        rng = np.random.default_rng(seed)
+        mu, nu = (random_measure(rng, dim, LEVEL, 40) for _ in range(2))
+        mixed = entropy(measure_mix(t, mu, nu), m).raw
+        assert mixed >= t * entropy(mu, m).raw + (1.0 - t) * entropy(nu, m).raw - 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]),
@@ -169,7 +207,8 @@ class TestAgainstPerCubeReferences:
     @settings(max_examples=60, deadline=None)
     @given(_measures())
     def test_regularity(self, mu):
-        # a shorter BLAS matrix-vector product may round the ball masses differently
+        # the tree adds cube masses in another order than the reference's
+        # BLAS matrix-vector product, so the ball masses may round differently
         _same_report(ad_regularity_check(mu), regularity_ref(mu), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -196,6 +235,65 @@ class TestAgainstPerCubeReferences:
         # tested d^2 < r^2 is false.
         mu = clustered_measure(np.random.default_rng(seed), level, 48)
         _same_report(ad_regularity_check(mu), regularity_ref(mu), rel=1e-12)
+
+
+class TestRegularityTree:
+    """Cases of the dyadic-tree sweep in `ad_regularity_check` that the
+    random measures rarely reach."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_measures())
+    def test_counts_are_the_occupied_cubes(self, mu):
+        counts = ad_regularity_check(mu).per_level_counts
+        assert counts == {j: len(mu.coarsen(j)[0]) for j in range(mu.level + 1)}
+
+    @pytest.mark.parametrize("level, j", [(1, 1), (5, 2), (12, 7), (26, 1), (26, 13), (26, 26)])
+    def test_an_atom_at_exactly_the_radius_is_outside_the_ball(self, level, j):
+        # Two atoms 2^-j apart; the light one's open ball of radius 2^-j
+        # holds only itself, so r / mu(B) = 2^-j / 2^-(j+2) = 4.  Counting
+        # the heavy atom there would give at most 2.
+        light = 2.0 ** -(j + 2)
+        mu = DyadicMeasure(2, level, [(0, 0), (0, 1 << (level - j))], [light, 1.0 - light])
+        report = ad_regularity_check(mu)
+        assert report.A_lower == 4.0
+        assert report == regularity_ref(mu)
+
+    @pytest.mark.parametrize("level", [1, 3, 5, 8])
+    def test_a_full_row_ties_at_every_radius(self, level):
+        # The row's centers are k 2^-level apart.  From an end the open ball
+        # of radius 2^-j holds 2^(level-j) atoms, mass exactly 2^-j; from the
+        # middle it holds 2^(level-j+1) - 1.  Closed balls would reach 3 r.
+        side = 1 << level
+        mu = DyadicMeasure(2, level, [(i, 0) for i in range(side)], np.full(side, 1.0 / side))
+        report = ad_regularity_check(mu)
+        assert (report.A_lower, report.A_upper) == (1.0, 2.0 - 2.0 ** (1 - level))
+        assert report == regularity_ref(mu)
+
+    @pytest.mark.parametrize("level", [0, 5, 62])
+    def test_a_single_atom(self, level):
+        mu = DyadicMeasure(2, level, [((1 << level) - 1, 0)], [1.0])
+        report = ad_regularity_check(mu)
+        assert (report.A_lower, report.A_upper) == (1.0, 2.0**level)
+        assert report.per_level_counts == {j: 1 for j in range(level + 1)}
+        assert report == regularity_ref(mu)
+
+    def test_a_full_grid(self):
+        # every cube of every level occupied: the deepest frontiers
+        rng = np.random.default_rng(5)
+        side = 1 << 5
+        mass = rng.random(side * side) + 1e-3
+        mu = DyadicMeasure(2, 5, [(i, j) for i in range(side) for j in range(side)],
+                           mass / mass.sum())
+        _same_report(ad_regularity_check(mu), regularity_ref(mu), rel=1e-12)
+
+    def test_four_corners_level_6(self):
+        mu = _four_corners(6)
+        assert ad_regularity_check(mu) == regularity_ref(mu)
+
+    def test_four_corners_level_7(self):
+        report = ad_regularity_check(_four_corners(7))
+        assert (report.A_lower, report.A_upper) == (2.0, 1.0)
+        assert report.per_level_counts == {j: 4 ** ((j + 1) // 2) for j in range(15)}
 
 
 class TestBlowUp:

@@ -250,6 +250,15 @@ class TestPsetFormat:
         except ParseError:
             pass
 
+    @pytest.mark.parametrize("text, line", [
+        ("PSET v1 n=2 count=3\n0 0\n1 1\n9 9\n", 4),
+        ("PSET v1 n=2 count=3\n0 0\n1 -1\n4 0\n", 3),
+        ("PSET v1 n=63 count=1\n0 0\n", 1),
+    ])
+    def test_off_lattice_points_are_reported_on_their_line(self, text, line):
+        with pytest.raises(ParseError, match=f"line {line}:"):
+            read_pset(io.StringIO(text))
+
     def test_lines_after_count_are_a_parse_error(self):
         with pytest.raises(ParseError, match="line 4"):
             read_pset(io.StringIO("PSET v1 n=2 count=1\n0 0\n\n1 1\n"))
