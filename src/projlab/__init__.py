@@ -13,7 +13,6 @@ from .core import (
     InvalidParameterError,
     ParamTriple,
     Scale,
-    arc_distance,
     direction_grid,
     perpendicular_direction,
 )
@@ -36,15 +35,12 @@ from .entropy import (
 )
 from .incidence import (
     IncidenceCount,
-    Tube,
     TubeFamily,
     build_tubes,
     count_incidences,
-    pair_direction_arc,
     upper_bound_report,
 )
 from .pointsets import (
-    FrostmanReport,
     LatticePointSet,
     ParseError,
     extract_delta_one_set,
@@ -84,7 +80,6 @@ __all__ = [
     "EntropyValue",
     "ExactSlope",
     "ExperimentRecord",
-    "FrostmanReport",
     "IncidenceCount",
     "InvalidParameterError",
     "LatticePointSet",
@@ -94,10 +89,8 @@ __all__ = [
     "Scale",
     "SharpnessReport",
     "SlopeSet",
-    "Tube",
     "TubeFamily",
     "ad_regularity_check",
-    "arc_distance",
     "blow_up",
     "build_slope_set",
     "build_tubes",
@@ -118,7 +111,6 @@ __all__ = [
     "grid_parameters",
     "marstrand_average",
     "multiscale_check",
-    "pair_direction_arc",
     "perpendicular_direction",
     "project",
     "project_measure",

@@ -40,7 +40,7 @@ from .projections import (
     covering_number_1d,
     covering_number_directions,
     esets_csv,
-    project,
+    projection_values,
 )
 from .records import ExperimentRecord, record_from_dict, records_to_csv
 from .sharpness import per_slope_csv, run_sharpness
@@ -56,6 +56,20 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+
+
+def _number_list(convert, kind: str):
+    """argparse type for a comma-separated list of `kind` values."""
+
+    def parse(text: str) -> list:
+        try:
+            return [convert(x) for x in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated list of {kind}s: {text!r}"
+            ) from None
+
+    return parse
 
 
 def _emit(payload, out_path: str | None) -> None:
@@ -115,15 +129,16 @@ def cmd_gen(args) -> int:
 
 def cmd_project(args) -> int:
     ps = _load_pset(args.infile)
-    prof = project(ps, Direction(args.theta))
+    e = Direction(args.theta)
+    vals = projection_values(ps, e)
     width = args.width if args.width is not None else ps.scale.delta
     payload = {
-        "theta": prof.direction.theta,
+        "theta": e.theta,
         "width": width,
-        "covering_number": covering_number_1d(prof.values, width),
-        "n_values": int(len(prof.values)),
-        "value_min": float(prof.values[0]) if len(prof.values) else None,
-        "value_max": float(prof.values[-1]) if len(prof.values) else None,
+        "covering_number": covering_number_1d(vals, width),
+        "n_values": int(len(vals)),
+        "value_min": float(vals[0]) if len(vals) else None,
+        "value_max": float(vals[-1]) if len(vals) else None,
     }
     _emit(payload, args.out)
     return EXIT_OK
@@ -210,8 +225,7 @@ def cmd_entropy(args) -> int:
     elif args.entropy_cmd == "multiscale":
         rec = multiscale_check(mu, Direction(args.theta), args.m)
     elif args.entropy_cmd == "marstrand":
-        s_values = tuple(float(x) for x in args.s_list.split(","))
-        rec = marstrand_average(mu, args.m, A=args.A, s_values=s_values)
+        rec = marstrand_average(mu, args.m, A=args.A, s_values=tuple(args.s_list))
     elif args.entropy_cmd == "cover":
         rec = covering_from_entropy(mu, args.s)
     else:  # blowup
@@ -235,8 +249,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_adreg(args) -> int:
-    p_list = [int(x) for x in args.plist.split(",")]
-    rec = theorem_main2_experiment(args.level, p_list, args.s)
+    rec = theorem_main2_experiment(args.level, args.plist, args.s)
     atoms = 4**args.level
     if args.regularity or atoms <= args.regularity_atom_cap:
         mu = from_pointset(gen_four_corners(args.level, Scale(2 * args.level)))
@@ -253,7 +266,7 @@ def cmd_adreg(args) -> int:
         )
     for row in rec.results["table"]:
         print(f"p={row['p']:>6}  average={row['average']:>14.4f}  "
-              f"ratio_to_target={row['ratio_to_target']:.4f}")
+              f"ratio_to_target={row['ratio_to_target']:.4f}", file=sys.stderr)
     _emit(rec.to_json(), args.out)
     return _record_exit(rec)
 
@@ -345,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     ema = esub.add_parser("marstrand")
     ema.add_argument("--m", type=int, required=True)
     ema.add_argument("--A", type=float)
-    ema.add_argument("--s-list", default="0.5,0.75,0.9")
+    ema.add_argument("--s-list", type=_number_list(float, "number"),
+                     default="0.5,0.75,0.9")
     ecov = esub.add_parser("cover")
     ecov.add_argument("--s", type=float, required=True)
     eb = esub.add_parser("blowup")
@@ -360,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ad = sub.add_parser("adreg", help="four-corners direction-averaged covering numbers")
     ad.add_argument("--level", type=int, required=True)
-    ad.add_argument("--plist", required=True, help="comma-separated direction counts")
+    ad.add_argument("--plist", type=_number_list(int, "integer"), required=True,
+                    help="comma-separated direction counts")
     ad.add_argument("--s", type=float, required=True)
     ad.add_argument("--regularity", action="store_true",
                     help="run the regularity sweep above the atom cap")

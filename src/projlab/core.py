@@ -65,10 +65,6 @@ class Direction:
     def unit(self) -> tuple[float, float]:
         return (math.cos(self.theta), math.sin(self.theta))
 
-    def project(self, x: float, y: float) -> float:
-        c, s = self.unit
-        return x * c + y * s
-
 
 @dataclass(frozen=True)
 class ParamTriple:
@@ -146,15 +142,6 @@ def floor_pow2(expo: Fraction) -> int:
     if e < 0:
         raise InvalidParameterError(f"floor_pow2 needs a nonnegative exponent, got {e}")
     return integer_root(1 << e.numerator, e.denominator)
-
-
-def arc_distance(d1: Direction, d2: Direction) -> float:
-    """Metric on the quotient circle: min angular distance over antipodal lifts.
-
-    Values lie in [0, pi/2].
-    """
-    diff = abs(d1.theta - d2.theta)
-    return min(diff, PI - diff)
 
 
 def direction_grid(p: int) -> list[Direction]:

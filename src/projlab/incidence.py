@@ -37,21 +37,6 @@ from .records import ExperimentRecord
 
 
 @dataclass(frozen=True)
-class Tube:
-    """Preimage of the closed interval [interval_start, interval_start+width]
-    under projection along `direction`."""
-
-    direction: Direction
-    interval_start: float
-    width: float
-
-    def contains(self, x: float, y: float) -> bool:
-        t = self.direction.project(x, y)
-        slack = self.width * COVER_RTOL
-        return self.interval_start - slack <= t <= self.interval_start + self.width + slack
-
-
-@dataclass(frozen=True)
 class TubeFamily:
     scale_delta: float
     directions: list[Direction]
@@ -61,14 +46,10 @@ class TubeFamily:
     def total(self) -> int:
         return sum(len(s) for s in self.starts.values())
 
-    def tubes_for(self, d: Direction) -> list[Tube]:
-        return [Tube(d, float(s), self.scale_delta) for s in self.starts[d.theta]]
-
 
 @dataclass(frozen=True)
 class IncidenceCount:
     count: int
-    per_tube_histogram: dict[int, int]  # occupancy -> number of tubes
 
 
 def build_tubes(ps: LatticePointSet, E: DirectionSetES | list[Direction]) -> TubeFamily:
@@ -89,7 +70,6 @@ def count_incidences(ps: LatticePointSet, tubes: TubeFamily) -> IncidenceCount:
     delta = tubes.scale_delta
     reach = delta * (1.0 + COVER_RTOL)
     total = 0
-    freq = np.zeros(len(ps) + 1, dtype=np.int64)  # occupancy -> number of tubes
     for d in tubes.directions:
         starts = tubes.starts[d.theta]
         vals = _raw_projection(ps, d)
@@ -97,26 +77,7 @@ def count_incidences(ps: LatticePointSet, tubes: TubeFamily) -> IncidenceCount:
         idx = np.clip(idx, 0, len(starts) - 1)
         inside = (vals >= starts[idx]) & (vals <= starts[idx] + reach)
         total += int(np.count_nonzero(inside))
-        occupancy = np.bincount(idx[inside], minlength=len(starts))
-        freq += np.bincount(occupancy, minlength=len(freq))
-    hist = {o: f for o, f in enumerate(freq.tolist()) if f}
-    return IncidenceCount(total, hist)
-
-
-def pair_direction_arc(
-    p: tuple[int, int], q: tuple[int, int], scale, tau: float
-) -> float:
-    """Pair weight min(1, delta^(1-tau) / |p-q|) used in pair counting.
-
-    |p-q| is the Euclidean distance in unit coordinates.  The cap at 1
-    matters: very close pairs can share a tube in every direction of an
-    r-separated family.
-    """
-    if tuple(p) == tuple(q):
-        raise InvalidParameterError("pair weight undefined on the diagonal p = q")
-    delta = scale.delta
-    dist = math.hypot(p[0] - q[0], p[1] - q[1]) * delta
-    return min(1.0, delta ** (1.0 - tau) / dist)
+    return IncidenceCount(total)
 
 
 def upper_bound_report(

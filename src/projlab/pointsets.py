@@ -59,10 +59,6 @@ class LatticePointSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def unit_coords(self) -> np.ndarray:
-        """Float coordinates in [0,1)^2."""
-        return self.points * self.scale.delta
-
 
 def gen_segment(scale: Scale) -> LatticePointSet:
     """The horizontal unit segment sampled at spacing delta: {(u, 0)}."""
@@ -176,41 +172,26 @@ def gen_grid_example(params: ParamTriple) -> LatticePointSet:
     )
 
 
-@dataclass(frozen=True)
-class FrostmanReport:
+def _dyadic_ratio(pts: np.ndarray, n: int) -> float:
     """Achieved dyadic Frostman ratio max |P cap Q| * delta / side(Q)."""
-
-    max_ratio: float
-    witness_center: tuple[float, float]
-    witness_side: float
-
-
-def _dyadic_ratio_report(pts: np.ndarray, n: int) -> FrostmanReport:
     best = 0.0
-    witness = ((0.5, 0.5), 1.0)
     for j in range(n + 1):
-        shift = n - j
-        squares, counts = np.unique(pts >> shift, axis=0, return_counts=True)
-        top = int(np.argmax(counts))
-        ratio = counts[top] * 2.0 ** (j - n)
-        if ratio > best:
-            best = float(ratio)
-            side = 2.0 ** (-j)
-            qi, qj = (int(x) for x in squares[top])
-            witness = (((qi + 0.5) * side, (qj + 0.5) * side), side)
-    return FrostmanReport(best, witness[0], witness[1])
+        _, counts = np.unique(pts >> (n - j), axis=0, return_counts=True)
+        best = max(best, float(counts.max()) * 2.0 ** (j - n))
+    return best
 
 
 def extract_delta_one_set(
     input_set: LatticePointSet, capacity_constant: float
-) -> tuple[LatticePointSet, FrostmanReport]:
+) -> tuple[LatticePointSet, float]:
     """Greedy dyadic Frostman thinning.
 
     Scans points in lexicographic (u, v) order and admits a point iff every
     dyadic square containing it stays within its budget
     floor(C0 * side/delta).  The output therefore satisfies
     |P cap Q| <= C0 * side(Q)/delta for every dyadic square Q with
-    side >= delta; the report records the ratio actually achieved.
+    side >= delta.  The ratio max |P cap Q| * delta / side(Q) actually
+    achieved is returned with it.
     """
     if len(input_set) == 0:
         raise InvalidParameterError("cannot extract from an empty point set")
@@ -235,7 +216,7 @@ def extract_delta_one_set(
         np.array(kept, dtype=np.int64).reshape(-1, 2),
         meta=dict(input_set.meta, frostman_C0=capacity_constant),
     )
-    return out, _dyadic_ratio_report(out.points, n)
+    return out, _dyadic_ratio(out.points, n)
 
 
 # ---------------------------------------------------------------------------

@@ -222,9 +222,6 @@ class DirectionSetES:
     sweep_counts: np.ndarray = field(repr=False)
     sweep_is_member: np.ndarray = field(repr=False)
 
-    def member_thetas(self) -> np.ndarray:
-        return np.array([d.theta for d in self.members])
-
     def member_arcs(self) -> list[tuple[float, float]]:
         """Membership as maximal runs [theta_lo, theta_hi] of consecutive
         sweep gridpoints, merged across the 0 ~ pi wrap."""
@@ -288,10 +285,8 @@ def compute_E_s(
 def covering_number_directions(E: DirectionSetES | list[Direction], r: float) -> int:
     """Minimal number of closed arcs of length r covering the member angles
     on the quotient circle [0, pi), wrap-around included."""
-    if isinstance(E, DirectionSetES):
-        thetas = E.member_thetas()
-    else:
-        thetas = np.array([d.theta for d in E])
+    dirs = E.members if isinstance(E, DirectionSetES) else E
+    thetas = np.array([d.theta for d in dirs])
     return covering_number_circle(thetas, r, circumference=np.pi)
 
 

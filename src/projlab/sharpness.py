@@ -138,12 +138,7 @@ def projected_cardinality(G_params: ParamTriple, slope: ExactSlope) -> int:
 class SharpnessReport:
     params: ParamTriple
     slope_count: int
-    target: float  # delta^-s (delta/r)^(1/2)
-    separation_ok: bool
     max_proj_cardinality: int
-    proj_target: float  # delta^-s
-    line_hit_min: int
-    segment_proj_max: Fraction  # max over S of slope * h, exact
     covering_max_K: int | None  # max over S of N(proj of K, delta), if computed
     per_slope: list[tuple[int, int, int, int]]  # (num, den, line_hits, proj_card)
     record: ExperimentRecord = field(repr=False, default=None)
@@ -245,12 +240,7 @@ def run_sharpness(
     return SharpnessReport(
         params=params,
         slope_count=len(S),
-        target=target,
-        separation_ok=sep_ok,
         max_proj_cardinality=max_pc,
-        proj_target=proj_target,
-        line_hit_min=min_hits,
-        segment_proj_max=seg_proj_max,
         covering_max_K=covering_max,
         per_slope=per_slope,
         record=rec,

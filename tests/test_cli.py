@@ -20,6 +20,7 @@ from projlab import (
     write_dmeas,
 )
 from projlab.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
+from projlab.records import record_from_dict
 
 TRIPLE = ["--log2delta", "8", "--s", "3/4", "--log2r", "6"]
 
@@ -166,6 +167,28 @@ def test_adreg_averages_need_not_grow_with_p(tmp_path):
     assert [a["status"] for a in rec["assertions"]] == ["pass"]
 
 
+def test_adreg_prints_only_json_on_stdout(capsys):
+    argv = ["adreg", "--level", "3", "--plist", "2,8", "--s", "0.75", "--out", "-"]
+    assert main(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert json.loads(out)["name"] == "four_corners_direction_average"
+    assert "p=     2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["adreg", "--level", "3", "--plist", "2,x", "--s", "0.75"],
+    ["adreg", "--level", "3", "--plist", "", "--s", "0.75"],
+    ["entropy", "marstrand", "--in", "unused.dmeas", "--m", "4", "--s-list", "0.5,zz"],
+])
+def test_bad_number_list_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not a comma-separated list" in err
+    assert "Traceback" not in err
+
+
 def test_report(grid3, tmp_path):
     rec_path = tmp_path / "e.json"
     _run(["esets", "--in", str(grid3), *TRIPLE, "--sweep", "16"], rec_path)
@@ -173,3 +196,25 @@ def test_report(grid3, tmp_path):
     assert main(["report", str(rec_path), "--out", str(csv_path)]) == EXIT_OK
     with open(csv_path) as f:
         assert [row["name"] for row in csv.DictReader(f)] == ["esets"]
+
+
+def test_report_cells_equal_each_records_flat_values(grid3, tmp_path):
+    paths = [tmp_path / "e.json", tmp_path / "s.json"]
+    _run(["esets", "--in", str(grid3), *TRIPLE, "--sweep", "16"], paths[0])
+    _run(["sharpness", *TRIPLE, "--skip-full-set"], paths[1])
+    csv_path = tmp_path / "r.csv"
+    assert main(["report", *map(str, paths), "--out", str(csv_path)]) == EXIT_OK
+    with open(csv_path) as f:
+        rows = list(csv.DictReader(f))
+    flats = [record_from_dict(json.loads(p.read_text())).flat() for p in paths]
+    assert len(rows) == 2
+    assert set(rows[0]) == set(flats[0]) | set(flats[1])
+    assert set(flats[0]) != set(flats[1])
+    for row, flat in zip(rows, flats):
+        for key, cell in row.items():
+            if key not in flat or flat[key] is None:
+                assert cell == "", key
+            elif isinstance(flat[key], float):
+                assert float(cell) == flat[key], key
+            else:
+                assert cell == str(flat[key]), key

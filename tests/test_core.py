@@ -10,7 +10,7 @@ from projlab import (
     InvalidParameterError,
     ParamTriple,
     Scale,
-    arc_distance,
+    covering_number_directions,
     direction_grid,
     perpendicular_direction,
 )
@@ -37,31 +37,34 @@ class TestScale:
             Scale(63)
 
 
+def fits_one_arc(t1, t2, r):
+    return covering_number_directions([Direction(t1), Direction(t2)], r) == 1
+
+
 class TestArcDistance:
+    # The quotient-circle distance as the library applies it: two directions
+    # share one arc of length r exactly when their distance is at most r.
     def test_identity(self):
-        assert arc_distance(Direction(0.0), Direction(0.0)) == 0.0
+        assert fits_one_arc(0.0, 0.0, 1e-12)
 
     def test_quarter(self):
-        assert arc_distance(Direction(0.0), Direction(PI / 4)) == pytest.approx(PI / 4)
+        assert fits_one_arc(0.0, PI / 4, PI / 4)
+        assert not fits_one_arc(0.0, PI / 4, PI / 4 - 1e-9)
 
     def test_antipodal_identification(self):
         # nearly-horizontal directions on both sides of theta = 0
-        got = arc_distance(Direction(0.01), Direction(PI - 0.01))
-        assert got == pytest.approx(brute_arc_distance(0.01, PI - 0.01))
-        assert got == pytest.approx(0.02)
+        assert brute_arc_distance(0.01, PI - 0.01) == pytest.approx(0.02)
+        assert fits_one_arc(0.01, PI - 0.01, 0.02 + 1e-9)
+        assert not fits_one_arc(0.01, PI - 0.01, 0.02 - 1e-9)
 
     def test_metric_properties(self):
         rng = np.random.default_rng(7)
-        thetas = rng.uniform(0.0, PI, size=(10_000, 3))
-        for t1, t2, t3 in thetas:
-            d1, d2, d3 = Direction(t1), Direction(t2), Direction(t3)
-            a, b, c = arc_distance(d1, d2), arc_distance(d1, d3), arc_distance(d3, d2)
-            assert 0.0 <= a <= PI / 2 + 1e-12
-            assert a == arc_distance(d2, d1)
-            assert a <= b + c + 1e-12  # triangle
-            assert a == pytest.approx(brute_arc_distance(t1, t2), abs=1e-12)
-        # identity of indiscernibles within 1e-12
-        assert arc_distance(Direction(0.3), Direction(0.3)) <= 1e-12
+        for t1, t2 in rng.uniform(0.0, PI, size=(2_000, 2)):
+            a = brute_arc_distance(t1, t2)
+            assert 0.0 <= a <= PI / 2
+            assert fits_one_arc(t1, t2, a + 1e-9) and fits_one_arc(t2, t1, a + 1e-9)
+            if a > 2e-9:
+                assert not fits_one_arc(t1, t2, a - 1e-9)
 
 
 class TestDirectionGrid:
@@ -83,7 +86,8 @@ class TestDirectionGrid:
             # pairwise separation at least pi/p
             for i in range(p):
                 for j in range(i + 1, min(i + 4, p)):
-                    assert arc_distance(grid[i], grid[j]) >= PI / p - 1e-12
+                    diff = grid[j].theta - grid[i].theta
+                    assert min(diff, PI - diff) >= PI / p - 1e-12
 
     def test_dyadic_spacing(self):
         grid = direction_grid(2**5)
@@ -111,7 +115,8 @@ class TestPerpendicular:
         e = perpendicular_direction(sigma)
         x, y = 0.2, 0.9
         expected = (y - float(sigma) * x) / math.hypot(1.0, float(sigma))
-        assert e.project(x, y) == pytest.approx(expected)
+        c, s = e.unit
+        assert x * c + y * s == pytest.approx(expected)
 
 
 class TestExactSlope:

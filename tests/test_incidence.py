@@ -17,12 +17,23 @@ from projlab import (
     direction_grid,
     gen_four_corners,
     gen_segment,
-    pair_direction_arc,
     project,
     upper_bound_report,
 )
+from projlab.projections import COVER_RTOL
 
 PI = math.pi
+
+
+def tube_members(ps, d, start):
+    """Points of the closed tube over [start, start + delta] along d, with
+    the covering slack."""
+    c, s = d.unit
+    xy = ps.points * ps.scale.delta
+    t = xy[:, 0] * c + xy[:, 1] * s
+    delta = ps.scale.delta
+    slack = delta * COVER_RTOL
+    return (start - slack <= t) & (t <= start + delta + slack)
 
 
 def random_set(rng, n, count):
@@ -38,14 +49,15 @@ class TestBuildTubes:
         fam = build_tubes(ps, direction_grid(3))
         assert fam.total == 3
         for d in fam.directions:
-            assert len(fam.tubes_for(d)) == 1
+            assert len(fam.starts[d.theta]) == 1
 
     def test_segment_vertical_single_tube(self):
         ps = gen_segment(Scale(4))
         fam = build_tubes(ps, [Direction(PI / 2)])
         assert fam.total == 1
-        tube = fam.tubes_for(Direction(PI / 2))[0]
-        assert all(tube.contains(x, y) for x, y in ps.unit_coords())
+        (d,) = fam.directions
+        (start,) = fam.starts[d.theta]
+        assert tube_members(ps, d, start).all()
 
     def test_four_corners_axis_tubes(self):
         ps = gen_four_corners(2, Scale(4))
@@ -87,7 +99,6 @@ class TestCountIncidences:
         fam = build_tubes(ps, [Direction(PI / 2)])
         counts = count_incidences(ps, fam)
         assert counts.count == 16
-        assert counts.per_tube_histogram == {16: 1}
 
     def test_four_corners_two_directions(self):
         ps = gen_four_corners(2, Scale(4))
@@ -95,11 +106,11 @@ class TestCountIncidences:
         counts = count_incidences(ps, fam)
         assert counts.count == 32
         # brute-force membership scan
-        brute = 0
-        for d in fam.directions:
-            for tube in fam.tubes_for(d):
-                for x, y in ps.unit_coords():
-                    brute += tube.contains(x, y)
+        brute = sum(
+            int(np.count_nonzero(tube_members(ps, d, start)))
+            for d in fam.directions
+            for start in fam.starts[d.theta]
+        )
         assert brute == 32
 
     def test_exact_equality_random(self):
@@ -112,32 +123,6 @@ class TestCountIncidences:
             fam = build_tubes(ps, dirs)
             counts = count_incidences(ps, fam)
             assert counts.count == len(ps) * len(dirs)
-            assert sum(o * f for o, f in counts.per_tube_histogram.items()) == counts.count
-
-
-class TestPairDirectionArc:
-    def test_crossover(self):
-        # |p-q| = delta^(1-tau) exactly: weight 1
-        scale = Scale(8)
-        tau = 0.5
-        d = scale.delta ** (1 - tau)
-        du = int(round(d / scale.delta))
-        w = pair_direction_arc((0, 0), (du, 0), scale, tau)
-        assert w == pytest.approx(1.0)
-
-    def test_half_distance(self):
-        scale = Scale(10)
-        q = (512, 0)  # distance 1/2 in unit coordinates
-        w = pair_direction_arc((0, 0), q, scale, 0.0)
-        assert w == pytest.approx(2 * scale.delta)
-
-    def test_cap_at_one(self):
-        scale = Scale(10)
-        assert pair_direction_arc((0, 0), (1, 0), scale, 0.0) == 1.0
-
-    def test_diagonal_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            pair_direction_arc((3, 3), (3, 3), Scale(4), 0.5)
 
 
 class TestPairCountingConsistency:
@@ -154,31 +139,26 @@ class TestPairCountingConsistency:
         M = 2**m_exp  # grid spacing pi/M; delta^tau = 2^-m_exp
         tau = m_exp / n
         dirs = direction_grid(M)
+        units = np.array([d.unit for d in dirs])  # (M, 2)
         for trial in range(10):
             ps = random_set(rng, n, int(rng.integers(8, 65)))
             fam = build_tubes(ps, dirs)
             delta = scale.delta
-            pts = ps.points
-            total_shared = 0
-            total_bound = 0.0
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    p, q = pts[i], pts[j]
-                    shared = 0
-                    for d in dirs:
-                        starts = fam.starts[d.theta]
-                        tp = d.project(*(p * delta))
-                        tq = d.project(*(q * delta))
-                        ip = np.searchsorted(starts, tp * (1 + 1e-15), side="right") - 1
-                        iq = np.searchsorted(starts, tq * (1 + 1e-15), side="right") - 1
-                        shared += ip == iq
-                    dist = math.dist(p * delta, q * delta)
-                    geometric = M * min(1.0, 2 * delta / dist) + 2
-                    assert shared <= geometric
-                    weight = pair_direction_arc(tuple(p), tuple(q), scale, tau)
-                    total_shared += shared
-                    total_bound += weight * 2.0 ** (m_exp) + 2
-            assert total_shared <= 4 * total_bound
+            xy = ps.points * delta
+            t = (xy[:, 0, None] * units[:, 0] + xy[:, 1, None] * units[:, 1]) * (1 + 1e-15)
+            # tube index of every point in every direction, (points, M)
+            tube = np.column_stack([
+                np.searchsorted(fam.starts[d.theta], t[:, k], side="right") - 1
+                for k, d in enumerate(dirs)
+            ])
+            i, j = np.triu_indices(len(xy), k=1)
+            shared = np.count_nonzero(tube[i] == tube[j], axis=1)
+            dist = np.hypot(*(xy[i] - xy[j]).T)
+            geometric = M * np.minimum(1.0, 2 * delta / dist) + 2
+            assert (shared <= geometric).all()
+            weight = np.minimum(1.0, delta ** (1.0 - tau) / dist)  # pair weight
+            total_bound = np.sum(weight * 2.0**m_exp + 2)
+            assert shared.sum() <= 4 * total_bound
 
 
 class TestUpperBoundReport:

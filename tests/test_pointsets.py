@@ -48,7 +48,7 @@ class TestFourCorners:
     def test_min_gap_level2(self):
         ps = gen_four_corners(2, Scale(4))
         assert len(ps) == 16
-        xy = ps.unit_coords()
+        xy = ps.points * ps.scale.delta
         gaps = [
             math.dist(xy[i], xy[j])
             for i in range(len(xy))
@@ -140,16 +140,16 @@ def brute_max_ratio(pts: np.ndarray, n: int) -> float:
 class TestExtractDeltaOne:
     def test_single_point(self):
         ps = LatticePointSet(Scale(4), np.array([[5, 9]]))
-        out, report = extract_delta_one_set(ps, 1.0)
+        out, ratio = extract_delta_one_set(ps, 1.0)
         assert len(out) == 1
-        assert report.max_ratio == pytest.approx(1.0)
+        assert ratio == pytest.approx(1.0)
 
     def test_segment_kept_whole(self):
         ps = gen_segment(Scale(10))
-        out, report = extract_delta_one_set(ps, 4.0)
+        out, ratio = extract_delta_one_set(ps, 4.0)
         assert len(out) == 1024  # already Frostman with constant 1
         assert len(out) >= 512
-        assert report.max_ratio <= 1.0 + 1e-12
+        assert ratio <= 1.0 + 1e-12
 
     def test_cluster_capped(self):
         # dense 4x4 cluster plus the bottom-row segment at n = 4, C0 = 1.
@@ -160,11 +160,11 @@ class TestExtractDeltaOne:
         cluster = [(u, v) for u in range(4, 8) for v in range(8, 12)]
         segment = [(u, 0) for u in range(16)]
         ps = LatticePointSet(Scale(n), np.array(cluster + segment))
-        out, report = extract_delta_one_set(ps, 1.0)
+        out, ratio = extract_delta_one_set(ps, 1.0)
         kept = set(map(tuple, out.points))
         assert kept == {(4, v) for v in range(8, 12)} | {(u, 0) for u in range(12)}
         assert brute_frostman_ok(out.points, n, 1.0)
-        assert report.max_ratio == pytest.approx(brute_max_ratio(out.points, n))
+        assert ratio == pytest.approx(brute_max_ratio(out.points, n))
 
     def test_random_sets_exhaustive_condition(self):
         rng = np.random.default_rng(5)
@@ -174,10 +174,10 @@ class TestExtractDeltaOne:
             flat = rng.choice(4**n, size=count, replace=False)
             pts = np.column_stack([flat >> n, flat & ((1 << n) - 1)])
             C0 = float(rng.choice([1.0, 2.0, 4.0]))
-            out, report = extract_delta_one_set(LatticePointSet(Scale(n), pts), C0)
+            out, ratio = extract_delta_one_set(LatticePointSet(Scale(n), pts), C0)
             assert brute_frostman_ok(out.points, n, C0)
-            assert report.max_ratio == pytest.approx(brute_max_ratio(out.points, n))
-            assert report.max_ratio <= C0 + 1e-12
+            assert ratio == pytest.approx(brute_max_ratio(out.points, n))
+            assert ratio <= C0 + 1e-12
 
     def test_greedy_is_lexicographic_deterministic(self):
         pts = np.array([[3, 3], [0, 0], [1, 1], [2, 2]])

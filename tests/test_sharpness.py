@@ -216,9 +216,10 @@ class TestRunSharpness:
         params = ParamTriple(Scale(16), Fraction(3, 4), 12)
         rep = run_sharpness(params)
         assert rep.slope_count == 1025
-        assert rep.separation_ok
-        assert rep.line_hit_min >= 2
-        assert rep.segment_proj_max == Fraction(1, 2**16)  # exactly delta
+        S = build_slope_set(params)
+        assert verify_separation(S)
+        assert rep.record.results["line_hit_min"] >= 2
+        assert S.slopes[-1] * grid_parameters(params).h == Fraction(1, 2**16)  # exactly delta
         assert rep.max_proj_cardinality <= 64 * 2**12
         assert rep.covering_max_K <= 64 * 2**12
         assert not rep.record.failed
@@ -227,7 +228,7 @@ class TestRunSharpness:
         # r = delta, s = 1/2: target collapses to delta^-s, set to the segment
         params = ParamTriple(Scale(8), Fraction(1, 2), 8)
         rep = run_sharpness(params)
-        assert rep.target == pytest.approx(2.0**4)
+        assert rep.record.results["target"] == pytest.approx(2.0**4)
         assert not rep.record.failed
 
     def test_boundary_r_equals_delta_s(self):
@@ -241,7 +242,7 @@ class TestRunSharpness:
         rep = run_sharpness(params)
         assert not rep.record.failed
         # end-to-end: every perpendicular projection of the full set is small
-        assert rep.covering_max_K <= 64 * rep.proj_target
+        assert rep.covering_max_K <= 64 * params.delta_pow(-s)
 
     def test_range_violation(self):
         params = ParamTriple(Scale(16), Fraction(3, 4), 10)
