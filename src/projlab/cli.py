@@ -58,13 +58,24 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for a float option: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _number_list(convert, kind: str):
     """argparse type for a comma-separated list of `kind` values."""
 
     def parse(text: str) -> list:
         try:
             return [convert(x) for x in text.split(",")]
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             raise argparse.ArgumentTypeError(
                 f"not a comma-separated list of {kind}s: {text!r}"
             ) from None
@@ -315,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("project", help="project a point set along a direction")
     pr.add_argument("--in", dest="infile", required=True)
-    pr.add_argument("--theta", type=float, required=True, help="angle in [0,pi), radians")
-    pr.add_argument("--width", type=float, help="covering width (default delta)")
+    pr.add_argument("--theta", type=_finite_float, required=True, help="angle in [0,pi), radians")
+    pr.add_argument("--width", type=_finite_float, help="covering width (default delta)")
     add_common(pr)
     pr.set_defaults(func=cmd_project)
 
@@ -341,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sh.add_argument("--exploratory", action="store_true",
                     help="allow r > delta^s; nothing is asserted there")
     sh.add_argument("--skip-full-set", action="store_true",
-                    help="skip the covering sweep of the full segment set")
+                    help="skip the full-set covering maximum covering_max_K")
     add_common(sh)
     sh.set_defaults(func=cmd_sharpness)
 
@@ -354,14 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     ec.add_argument("--coarse", type=int, required=True)
     em = esub.add_parser("multiscale")
     em.add_argument("--m", type=int, required=True)
-    em.add_argument("--theta", type=float, required=True)
+    em.add_argument("--theta", type=_finite_float, required=True)
     ema = esub.add_parser("marstrand")
     ema.add_argument("--m", type=int, required=True)
-    ema.add_argument("--A", type=float)
-    ema.add_argument("--s-list", type=_number_list(float, "number"),
+    ema.add_argument("--A", type=_finite_float)
+    ema.add_argument("--s-list", type=_number_list(_finite_float, "finite number"),
                      default="0.5,0.75,0.9")
     ecov = esub.add_parser("cover")
-    ecov.add_argument("--s", type=float, required=True)
+    ecov.add_argument("--s", type=_finite_float, required=True)
     eb = esub.add_parser("blowup")
     eb.add_argument("--k", type=int, required=True)
     eb.add_argument("--i", type=int, required=True)
@@ -376,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     ad.add_argument("--level", type=int, required=True)
     ad.add_argument("--plist", type=_number_list(int, "integer"), required=True,
                     help="comma-separated direction counts")
-    ad.add_argument("--s", type=float, required=True)
+    ad.add_argument("--s", type=_finite_float, required=True)
     ad.add_argument("--regularity", action="store_true",
                     help="run the regularity sweep above the atom cap")
     ad.add_argument("--regularity-atom-cap", type=int, default=8192)

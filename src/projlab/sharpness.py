@@ -20,6 +20,17 @@ values are counted without listing them.  Over a shared denominator each
 grid column projects to a run of n_g consecutive integers inside one residue
 class mod den, so the count is the size of a union of m equal-length runs:
 O(m log m) per slope instead of O(m n_g), with no int64 limit on the keys.
+
+The one float step is the full-set check: the covering number N(pi_e K, delta)
+of the segment set K at every slope of S, counted by `project`'s greedy.  That
+count needs no sweep over S.  Every slope has sigma * h <= delta (the exact
+`segment_projection_at_most_delta` check), so each segment of K projects into
+one delta-interval below its node's value, and N(pi_e K, delta) <= |pi_e G| =
+`projected_cardinality(sigma)`, which the per-slope pass already holds
+(`_cover_within_cardinality` carries the proof through float rounding).
+`run_sharpness` projects K at the slopes in order of falling cardinality and
+stops once the largest count so far reaches the next cardinality: no later
+slope can raise the maximum, so the reported maximum is exact.
 """
 
 from __future__ import annotations
@@ -134,6 +145,39 @@ def projected_cardinality(G_params: ParamTriple, slope: ExactSlope) -> int:
     return count
 
 
+def _cover_within_cardinality(a: int, e_m: int) -> bool:
+    """Whether float rounding keeps the greedy count of K at or below
+    `projected_cardinality` at every slope 0 <= sigma <= 1/m of S, for
+    delta = 2^-a and m = 2^e_m.  An exact integer test.
+
+    Along e = `perpendicular_direction(sigma)`, the m + 1 samples of the
+    segment at a node of G project exactly into [p - w, p], with p the node's
+    value and w = m delta sigma / sqrt(1 + sigma^2) <= delta / sqrt(1 + 1/m^2)
+    <= delta - delta / (4 m^2), as (1 + x)^(-1/2) <= 1 - x/4 on [0, 1].  The
+    segments whose nodes share one value form a cluster; there are
+    `projected_cardinality(sigma)` clusters.
+
+    Float error of one value of `_raw_projection`, in unit coordinates
+    (|x|, |y| < 1), taking `atan2`, `cos` and `sin` within 1 ulp:
+    - `float(sigma)` is off by at most 2^-54, and |d theta / d sigma| <= 1;
+      `atan2` adds 1 ulp of theta < 4, so theta is off by at most 9 * 2^-54;
+    - `cos` and `sin` are 1-Lipschitz and add 1 ulp of a value below 1, so
+      each component of e is off by at most 11 * 2^-54, which moves a value
+      by less than 11 * 2^-53;
+    - the two products and the sum round values below 1 in magnitude, at
+      most 3 * 2^-54 in all; scaling by delta is exact.
+    So each value is within eps = 12.5 * 2^-53 of the exact one.  The
+    greedy's right end fl(v + reach) >= v + delta - 2^-53, since reach >=
+    delta and |v + reach| < 2.  A start v inside a cluster therefore covers
+    the rest of it once w + 2 eps <= delta - 2^-53, which holds when
+    delta / (4 m^2) = 2^-(a + 2 e_m + 2) >= 2^-48 > 26 * 2^-53.  Each cluster
+    then holds at most one greedy start, and the count is at most the number
+    of clusters.  As e_m <= a/2 the test holds for every a <= 23, and at
+    a = 24 fails only at r = delta, s = 1/2, where K has 2^24 points.
+    """
+    return a + 2 * e_m <= 46
+
+
 @dataclass
 class SharpnessReport:
     params: ParamTriple
@@ -155,6 +199,12 @@ def run_sharpness(
     projection bound per slope, and max slope * h <= delta.  Soft reports:
     the slope-count constant against delta^-s (delta/r)^(1/2) and the
     covering constant of the full set K against delta^-s.
+
+    The full-set maximum `covering_max_K` rests on N(pi_e K, delta) <=
+    `projected_cardinality(sigma)` (see `_cover_within_cardinality`): K is
+    projected at the slopes in order of falling cardinality, only while the
+    maximum so far is below the slope's cardinality.  Where max slope * h
+    exceeds delta or the float test fails, every slope is projected.
 
     Outside delta <= r <= delta^s the slope family is not defined; with
     `exploratory` the run proceeds for r > delta^s without any assertions,
@@ -186,10 +236,16 @@ def run_sharpness(
     covering_max = None
     if project_full_set:
         K = gen_grid_example(params)
-        covering_max = max(
-            project(K, perpendicular_direction(sigma)).covering_number
-            for sigma in S.slopes
+        bounded = seg_proj_max <= delta_exact and _cover_within_cardinality(
+            a, spec.e_m
         )
+        cards = (pc for _, _, _, pc in per_slope)
+        covering_max = 0
+        for pc, sigma in sorted(zip(cards, S.slopes), reverse=True):
+            if bounded and covering_max >= pc:
+                break  # no slope left can raise the maximum
+            e = perpendicular_direction(sigma)
+            covering_max = max(covering_max, project(K, e).covering_number)
 
     rec = ExperimentRecord(
         "sharpness",

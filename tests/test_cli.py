@@ -2,6 +2,7 @@
 
 import csv
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 from conftest import parser_text
 from projlab import (
     DyadicMeasure,
+    ParamTriple,
     ParseError,
     Scale,
+    compute_E_s,
     from_pointset,
     gen_four_corners,
     read_dmeas,
@@ -66,18 +69,65 @@ def test_project(grid3, tmp_path):
     assert payload["covering_number"] >= 1
 
 
-@pytest.mark.parametrize("width", ["nan", "inf"])
+@pytest.mark.parametrize("width", ["nan", "inf", "-inf"])
 def test_project_rejects_a_non_finite_width(grid3, capsys, width):
-    argv = ["project", "--in", str(grid3), "--theta", "0", "--width", width]
-    assert main(argv) == EXIT_INVALID
+    # "=": argparse reads a separate "-inf" as an option
+    argv = ["project", "--in", str(grid3), "--theta", "0", f"--width={width}"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "invalid parameters" in err
+    assert "not a finite number" in err
+
+
+# every float option but --width (above), each with a finite value it accepts
+FLOAT_OPTIONS = [
+    (["adreg", "--level", "3", "--plist", "2,4"], "--s", "0.75"),
+    (["project", "--in", "unused.pset"], "--theta", "0"),
+    (["entropy", "multiscale", "--in", "unused.dmeas", "--m", "2"], "--theta", "0.7"),
+    (["entropy", "marstrand", "--in", "unused.dmeas", "--m", "4"], "--A", "2"),
+    (["entropy", "marstrand", "--in", "unused.dmeas", "--m", "4"], "--s-list", "0.5,{}"),
+    (["entropy", "cover", "--in", "unused.dmeas"], "--s", "0.5"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+@pytest.mark.parametrize("argv, option, finite", FLOAT_OPTIONS,
+                         ids=[f"{a[0]}-{a[1]}-{o}" for a, o, _ in FLOAT_OPTIONS])
+def test_non_finite_float_option_is_a_usage_error(capsys, argv, option, finite, value):
+    bad = finite.format(value) if "{}" in finite else value
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"{option}={bad}"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {option}: not a" in err and "finite number" in err
+    assert "Traceback" not in err
 
 
 def test_esets(grid3, tmp_path):
     rec = _run(["esets", "--in", str(grid3), *TRIPLE, "--sweep", "64"], tmp_path / "e.json")
     assert rec["params"]["sweep"] == 64
+
+
+def test_esets_csv_rows_equal_the_sweep_table(grid3, tmp_path):
+    csv_path = tmp_path / "e.csv"
+    _run(["esets", "--in", str(grid3), *TRIPLE, "--sweep", "64", "--csv", str(csv_path)],
+         tmp_path / "e.json")
+    params = ParamTriple(Scale(8), Fraction(3, 4), 6)
+    with open(grid3) as f:
+        es = compute_E_s(read_pset(f), params, sweep=64)
+    with open(csv_path) as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == len(es.sweep_thetas) == 64
+    for row, th, cnt, ok in zip(rows, es.sweep_thetas, es.sweep_counts,
+                                es.sweep_is_member):
+        assert float(row["theta"]) == th  # .17g round-trips a float64
+        assert int(row["covering_number"]) == cnt
+        assert int(row["is_member"]) == ok
+    assert any(int(r["is_member"]) for r in rows)
+    assert not all(int(r["is_member"]) for r in rows)
 
 
 def test_incidence(grid3, tmp_path):

@@ -14,10 +14,13 @@ from projlab import (
     count_line_hits,
     gen_grid_example,
     grid_parameters,
+    perpendicular_direction,
     projected_cardinality,
     run_sharpness,
     verify_separation,
 )
+from projlab import sharpness
+from projlab.projections import covering_number_1d, projection_values
 from projlab.sharpness import SlopeSet
 
 
@@ -52,6 +55,7 @@ PIPELINE_TRIPLES = [
 ]
 
 FLAGSHIP = (16, Fraction(3, 4), 12)
+K_MAX_2 = (20, Fraction(3, 4), 16)  # k_max = 2, |K| = 1,179,648
 
 # every valid triple with a <= 12; each grid has m * n_g <= 1024 points
 SMALL_TRIPLES = valid_triples(max_a=12)
@@ -199,8 +203,7 @@ class TestProjectedCardinality:
         want = distinct_keys_ref(spec.m, spec.n_g, slope.numerator, slope.denominator)
         assert projected_cardinality(params, slope) == want
 
-    # (20, 3/4, 16) has k_max = 2; its full set K is too large for the pipeline
-    @pytest.mark.parametrize("a,s,b", PIPELINE_TRIPLES + [(20, Fraction(3, 4), 16)])
+    @pytest.mark.parametrize("a,s,b", PIPELINE_TRIPLES + [K_MAX_2])
     def test_lemma_every_slope(self, a, s, b):
         params = ParamTriple(Scale(a), s, b)
         spec = grid_parameters(params)
@@ -236,7 +239,7 @@ class TestRunSharpness:
         rep = run_sharpness(params, project_full_set=False)
         assert not rep.record.failed
 
-    @pytest.mark.parametrize("a,s,b", PIPELINE_TRIPLES)
+    @pytest.mark.parametrize("a,s,b", PIPELINE_TRIPLES + [K_MAX_2])
     def test_pipeline_triples(self, a, s, b):
         params = ParamTriple(Scale(a), s, b)
         rep = run_sharpness(params)
@@ -263,3 +266,62 @@ class TestRunSharpness:
         ps = gen_grid_example(params)
         spec = grid_parameters(params)
         assert ps.meta["m"] == spec.m and ps.meta["n_g"] == spec.n_g
+
+
+def _all_slopes_max(params):
+    K = gen_grid_example(params)
+    return max(
+        covering_number_1d(
+            projection_values(K, perpendicular_direction(sigma)), params.delta
+        )
+        for sigma in build_slope_set(params).slopes
+    )
+
+
+def _spy_on_project(monkeypatch) -> list:
+    """Directions `run_sharpness` projects K along, in call order."""
+    calls = []
+    real = sharpness.project
+
+    def spy(ps, e):
+        calls.append(e)
+        return real(ps, e)
+
+    monkeypatch.setattr(sharpness, "project", spy)
+    return calls
+
+
+class TestFullSetCoverBound:
+    """`run_sharpness` projects K only while the maximum can still rise:
+    N(pi_e K, delta) <= projected_cardinality(sigma) at every slope of S."""
+
+    def test_cover_at_most_cardinality_every_slope(self):
+        for params in SMALL_TRIPLES:
+            K = gen_grid_example(params)
+            for sigma in build_slope_set(params).slopes:
+                vals = projection_values(K, perpendicular_direction(sigma))
+                n = covering_number_1d(vals, params.delta)
+                pc = projected_cardinality(params, sigma)
+                assert n <= pc, (params.a, str(params.s), params.b, sigma)
+
+    @pytest.mark.parametrize(
+        "params", SMALL_TRIPLES + [ParamTriple(Scale(14), Fraction(3, 4), 13)],
+        ids=lambda p: f"{p.a}-{p.s}-{p.b}",
+    )
+    def test_max_equals_all_slopes_max(self, monkeypatch, params):
+        calls = _spy_on_project(monkeypatch)
+        rep = run_sharpness(params)
+        assert rep.covering_max_K == _all_slopes_max(params)
+        # every slope left out has a cardinality the maximum already reaches
+        for num, den, _, pc in rep.per_slope:
+            if perpendicular_direction(Fraction(num, den)) not in calls:
+                assert pc <= rep.covering_max_K
+
+    @pytest.mark.parametrize(
+        "a,s,b", [(14, Fraction(3, 4), 13), (16, Fraction(5, 8), 16)]
+    )
+    def test_few_projections(self, monkeypatch, a, s, b):
+        calls = _spy_on_project(monkeypatch)
+        rep = run_sharpness(ParamTriple(Scale(a), s, b))
+        assert not rep.record.failed
+        assert 1 <= len(calls) < 10
