@@ -105,12 +105,12 @@ def _record_exit(rec: ExperimentRecord) -> int:
 
 
 def _load_pset(path: str):
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         return read_pset(f)
 
 
 def _load_dmeas(path: str):
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         return read_dmeas(f)
 
 
@@ -285,12 +285,15 @@ def cmd_adreg(args) -> int:
 def cmd_report(args) -> int:
     records = []
     for path in args.inputs:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             try:
                 payload = json.load(f)
             except json.JSONDecodeError as e:
                 raise ParseError(f"{path}: {e.msg}", e.lineno) from None
-        records.append(record_from_dict(payload))
+        try:
+            records.append(record_from_dict(payload))
+        except ValueError as e:
+            raise ParseError(f"{path}: {e}", 1) from None
     if args.out and args.out != "-":
         with open(args.out, "w") as f:
             records_to_csv(records, f)
@@ -410,7 +413,7 @@ def main(argv=None) -> int:
     except InvalidParameterError as e:
         print(f"invalid parameters: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except ParseError as e:
+    except (ParseError, UnicodeDecodeError) as e:  # inputs are read as UTF-8
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_IO
     except OSError as e:

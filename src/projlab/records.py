@@ -84,12 +84,25 @@ def _jsonify(v):
     return str(v)
 
 
-def record_from_dict(d: dict) -> ExperimentRecord:
-    rec = ExperimentRecord(d["name"], dict(d.get("params", {})), dict(d.get("results", {})))
-    for a in d.get("assertions", []):
-        rec.assertions.append(
-            Assertion(a["name"], a["status"], a["measured"], a["threshold"])
-        )
+_ASSERTION_FIELDS = ("name", "status", "measured", "threshold")
+
+
+def record_from_dict(d) -> ExperimentRecord:
+    """The record whose `as_dict` is `d`.  Raises ValueError unless `d` is a
+    dict with a string name, dicts of params and results, and a list of
+    dicts that each hold every `Assertion` field."""
+    if not isinstance(d, dict) or not isinstance(d.get("name"), str):
+        raise ValueError("not an experiment record: no string 'name'")
+    params, results = d.get("params", {}), d.get("results", {})
+    if not isinstance(params, dict) or not isinstance(results, dict):
+        raise ValueError("not an experiment record: 'params' or 'results' is not an object")
+    assertions = d.get("assertions", [])
+    if not isinstance(assertions, list) or not all(
+        isinstance(a, dict) and set(_ASSERTION_FIELDS) <= a.keys() for a in assertions
+    ):
+        raise ValueError("not an experiment record: an assertion lacks a field")
+    rec = ExperimentRecord(d["name"], dict(params), dict(results))
+    rec.assertions = [Assertion(*(a[k] for k in _ASSERTION_FIELDS)) for a in assertions]
     return rec
 
 

@@ -21,16 +21,18 @@ grid column projects to a run of n_g consecutive integers inside one residue
 class mod den, so the count is the size of a union of m equal-length runs:
 O(m log m) per slope instead of O(m n_g), with no int64 limit on the keys.
 
-The one float step is the full-set check: the covering number N(pi_e K, delta)
-of the segment set K at every slope of S, counted by `project`'s greedy.  That
-count needs no sweep over S.  Every slope has sigma * h <= delta (the exact
-`segment_projection_at_most_delta` check), so each segment of K projects into
-one delta-interval below its node's value, and N(pi_e K, delta) <= |pi_e G| =
-`projected_cardinality(sigma)`, which the per-slope pass already holds
-(`_cover_within_cardinality` carries the proof through float rounding).
-`run_sharpness` projects K at the slopes in order of falling cardinality and
-stops once the largest count so far reaches the next cardinality: no later
-slope can raise the maximum, so the reported maximum is exact.
+The full-set check, the covering number N(pi_e K, delta) of the segment set K
+at the slopes of S, is exact too: `covering_number_at_slope` counts it on K's
+integer keys.  Every slope num/den has sigma * h <= delta (the exact
+`segment_projection_at_most_delta` check), that is num m <= den, so a
+segment's m + 1 keys lie within num m <= den <= isqrt(num^2 + den^2), one
+interval width, below its node's key.  Each cluster of segments whose nodes
+share a key then holds at most one greedy start, so N(pi_e K, delta) <=
+|pi_e G| = `projected_cardinality(sigma)`, which the per-slope pass already
+holds.  `run_sharpness` counts K at the slopes in order of falling
+cardinality and stops once the largest count so far reaches the next
+cardinality: no later slope can raise the maximum, so the reported maximum
+is exact.
 """
 
 from __future__ import annotations
@@ -39,15 +41,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import (
-    ExactSlope,
-    InvalidParameterError,
-    ParamTriple,
-    floor_pow2,
-    perpendicular_direction,
-)
-from .pointsets import GridSpec, gen_grid_example, grid_parameters
-from .projections import project
+from .core import ExactSlope, InvalidParameterError, ParamTriple, floor_pow2
+from .pointsets import GridSpec, LatticePointSet, gen_grid_example, grid_parameters
+# `project` is unused here, but the benchmark's own test
+# `test_tracer_restores_the_library` reads `sharpness.project`.
+from .projections import covering_number_1d, project  # noqa: F401
 from .records import ExperimentRecord
 
 
@@ -56,7 +54,6 @@ class SlopeSet:
     params: ParamTriple
     slopes: list[ExactSlope]  # sorted, deduplicated, exact
     k_max: int  # floor(delta^s / r)
-    l_bound_factor: Fraction  # delta^(-3s+1/2) r^(3/2), exact power of two
 
     def __len__(self) -> int:
         return len(self.slopes)
@@ -93,7 +90,7 @@ def build_slope_set(params: ParamTriple, exploratory: bool = False) -> SlopeSet:
         kn = k * n_g
         for l in range(l_max + 1):
             slopes.add(Fraction(l, kn))
-    return SlopeSet(params, sorted(slopes), k_max, l_bound_factor)
+    return SlopeSet(params, sorted(slopes), k_max)
 
 
 def verify_separation(S: SlopeSet) -> bool:
@@ -145,37 +142,27 @@ def projected_cardinality(G_params: ParamTriple, slope: ExactSlope) -> int:
     return count
 
 
-def _cover_within_cardinality(a: int, e_m: int) -> bool:
-    """Whether float rounding keeps the greedy count of K at or below
-    `projected_cardinality` at every slope 0 <= sigma <= 1/m of S, for
-    delta = 2^-a and m = 2^e_m.  An exact integer test.
+def covering_number_at_slope(ps: LatticePointSet, slope: ExactSlope) -> int:
+    """N(pi_e P, delta) along e = `perpendicular_direction(slope)`, on P's
+    integer keys.
 
-    Along e = `perpendicular_direction(sigma)`, the m + 1 samples of the
-    segment at a node of G project exactly into [p - w, p], with p the node's
-    value and w = m delta sigma / sqrt(1 + sigma^2) <= delta / sqrt(1 + 1/m^2)
-    <= delta - delta / (4 m^2), as (1 + x)^(-1/2) <= 1 - x/4 on [0, 1].  The
-    segments whose nodes share one value form a cluster; there are
-    `projected_cardinality(sigma)` clusters.
+    At slope num/den a point (u, v) projects to
+    (den v - num u) delta / sqrt(num^2 + den^2), so a closed delta-interval
+    holds exactly the integer keys den v - num u within
+    w = isqrt(num^2 + den^2) of its left end: `covering_number_1d` counts
+    the keys at width w.
 
-    Float error of one value of `_raw_projection`, in unit coordinates
-    (|x|, |y| < 1), taking `atan2`, `cos` and `sin` within 1 ulp:
-    - `float(sigma)` is off by at most 2^-54, and |d theta / d sigma| <= 1;
-      `atan2` adds 1 ulp of theta < 4, so theta is off by at most 9 * 2^-54;
-    - `cos` and `sin` are 1-Lipschitz and add 1 ulp of a value below 1, so
-      each component of e is off by at most 11 * 2^-54, which moves a value
-      by less than 11 * 2^-53;
-    - the two products and the sum round values below 1 in magnitude, at
-      most 3 * 2^-54 in all; scaling by delta is exact.
-    So each value is within eps = 12.5 * 2^-53 of the exact one.  The
-    greedy's right end fl(v + reach) >= v + delta - 2^-53, since reach >=
-    delta and |v + reach| < 2.  A start v inside a cluster therefore covers
-    the rest of it once w + 2 eps <= delta - 2^-53, which holds when
-    delta / (4 m^2) = 2^-(a + 2 e_m + 2) >= 2^-48 > 26 * 2^-53.  Each cluster
-    then holds at most one greedy start, and the count is at most the number
-    of clusters.  As e_m <= a/2 the test holds for every a <= 23, and at
-    a = 24 fails only at r = delta, s = 1/2, where K has 2^24 points.
+    Its float64 steps are exact for the grid example K at delta = 2^-a and
+    every slope of S.  There 0 <= num <= den <= 2^a (den divides
+    k n_g <= 2^(a s), or n_g <= 2^a when exploratory) and coordinates are
+    below 2^a, so |key| < den 2^a <= 2^52 for a <= 26; K at a >= 27 holds
+    over 2^27 points.  The keys are then exact floats, and the reach slack
+    w * COVER_RTOL is below 1/2, so each comparison with a right end is the
+    integer comparison key <= start + w.
     """
-    return a + 2 * e_m <= 46
+    num, den = slope.numerator, slope.denominator
+    keys = den * ps.points[:, 1] - num * ps.points[:, 0]
+    return covering_number_1d(keys, math.isqrt(num * num + den * den))
 
 
 @dataclass
@@ -201,10 +188,10 @@ def run_sharpness(
     covering constant of the full set K against delta^-s.
 
     The full-set maximum `covering_max_K` rests on N(pi_e K, delta) <=
-    `projected_cardinality(sigma)` (see `_cover_within_cardinality`): K is
-    projected at the slopes in order of falling cardinality, only while the
-    maximum so far is below the slope's cardinality.  Where max slope * h
-    exceeds delta or the float test fails, every slope is projected.
+    `projected_cardinality(sigma)` (see the module docstring): K is counted
+    at the slopes in order of falling cardinality, only while the maximum so
+    far is below the slope's cardinality.  Were max slope * h above delta,
+    every slope would be counted; it is not, as every slope is at most 1/m.
 
     Outside delta <= r <= delta^s the slope family is not defined; with
     `exploratory` the run proceeds for r > delta^s without any assertions,
@@ -230,22 +217,19 @@ def run_sharpness(
     min_hits = min(h for _, _, h, _ in per_slope)
     seg_proj_max = S.slopes[-1] * spec.h
     delta_exact = Fraction(1, 1 << a)
+    seg_ok = seg_proj_max <= delta_exact  # sigma * h <= delta at every slope
     # floor((r/delta)^(1/2) / 2) = floor(2^((a-b-2)/2)), exact
     hit_floor = floor_pow2(Fraction(a - b - 2, 2)) if a - b >= 2 else 0
 
     covering_max = None
     if project_full_set:
         K = gen_grid_example(params)
-        bounded = seg_proj_max <= delta_exact and _cover_within_cardinality(
-            a, spec.e_m
-        )
         cards = (pc for _, _, _, pc in per_slope)
         covering_max = 0
         for pc, sigma in sorted(zip(cards, S.slopes), reverse=True):
-            if bounded and covering_max >= pc:
+            if seg_ok and covering_max >= pc:
                 break  # no slope left can raise the maximum
-            e = perpendicular_direction(sigma)
-            covering_max = max(covering_max, project(K, e).covering_number)
+            covering_max = max(covering_max, covering_number_at_slope(K, sigma))
 
     rec = ExperimentRecord(
         "sharpness",
@@ -278,7 +262,7 @@ def run_sharpness(
         rec.check("grid_projection_bound", lemma_ok, max_pc, 4.0 * G_size)
         rec.check(
             "segment_projection_at_most_delta",
-            seg_proj_max <= delta_exact,
+            seg_ok,
             float(seg_proj_max),
             float(delta_exact),
         )

@@ -268,3 +268,34 @@ def test_report_cells_equal_each_records_flat_values(grid3, tmp_path):
                 assert float(cell) == flat[key], key
             else:
                 assert cell == str(flat[key]), key
+
+
+@pytest.mark.parametrize("payload", [
+    [1, 2],
+    {},
+    "str",
+    {"name": "x", "assertions": [{"name": "a", "measured": 1.0, "threshold": 1.0}]},
+    {"name": "x", "params": [1, 2]},
+], ids=["list", "empty-object", "string", "assertion-without-status", "params-list"])
+def test_report_on_json_that_is_not_a_record_is_a_parse_error(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["report", str(path), "--out", str(tmp_path / "r.csv")]) == EXIT_IO
+    assert f"parse error: line 1: {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,data", [
+    ("pset", b"PSET v1 n=2 count=1\n0 \xff\n"),
+    ("dmeas", b"DMEAS v1 d=1 n=2\n\xff 1\n"),
+    ("json", b'{"name": "\xff"}\n'),
+], ids=["pset", "dmeas", "report"])
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, kind, data):
+    path = tmp_path / f"input.{kind}"
+    path.write_bytes(data)
+    argv = {
+        "pset": ["project", "--in", str(path), "--theta", "0"],
+        "dmeas": ["entropy", "H", "--in", str(path)],
+        "json": ["report", str(path)],
+    }[kind]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_IO
+    assert "parse error: 'utf-8' codec can't decode" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import distinct_keys_ref, line_hits_ref
 from projlab import (
     InvalidParameterError,
+    LatticePointSet,
     ParamTriple,
     Scale,
     build_slope_set,
@@ -75,7 +77,7 @@ class TestBuildSlopeSet:
         params = ParamTriple(Scale(16), Fraction(3, 4), 12)
         S = build_slope_set(params)
         assert S.k_max == 1
-        assert S.l_bound_factor == 1024
+        assert sharpness._slope_grid_data(params)[2] == 1024  # l bound factor
         assert len(S) == 1025
         assert S.slopes[0] == 0 and S.slopes[-1] == Fraction(1, 4)
         r = Fraction(1, 2**12)
@@ -98,8 +100,9 @@ class TestBuildSlopeSet:
         # holds a nonzero slope besides 0
         for params in valid_triples(max_count=12):
             S = build_slope_set(params)
+            _, k_max, l_bound_factor = sharpness._slope_grid_data(params)
             assert S.slopes[0] == 0
-            assert S.k_max * S.l_bound_factor >= 1
+            assert k_max * l_bound_factor >= 1
             assert len(S) >= 2
 
     def test_out_of_range_rejected(self):
@@ -111,7 +114,7 @@ class TestBuildSlopeSet:
 class TestSeparation:
     def test_single_slope(self):
         params = ParamTriple(Scale(8), Fraction(1, 2), 8)
-        S = SlopeSet(params, [Fraction(0)], 1, Fraction(1))
+        S = SlopeSet(params, [Fraction(0)], 1)
         assert verify_separation(S)
 
     def test_flagship_exact_gaps(self):
@@ -121,7 +124,7 @@ class TestSeparation:
     def test_adversarial_violation(self):
         params = ParamTriple(Scale(8), Fraction(1, 2), 4)
         r_half = Fraction(1, 2**5)
-        S = SlopeSet(params, [Fraction(0), r_half], 1, Fraction(1))
+        S = SlopeSet(params, [Fraction(0), r_half], 1)
         assert not verify_separation(S)
 
     def test_twenty_plus_valid_triples(self):
@@ -278,21 +281,21 @@ def _all_slopes_max(params):
     )
 
 
-def _spy_on_project(monkeypatch) -> list:
-    """Directions `run_sharpness` projects K along, in call order."""
+def _spy_on_full_set_count(monkeypatch) -> list:
+    """Slopes at which `run_sharpness` counts K, in call order."""
     calls = []
-    real = sharpness.project
+    real = sharpness.covering_number_at_slope
 
-    def spy(ps, e):
-        calls.append(e)
-        return real(ps, e)
+    def spy(ps, slope):
+        calls.append(slope)
+        return real(ps, slope)
 
-    monkeypatch.setattr(sharpness, "project", spy)
+    monkeypatch.setattr(sharpness, "covering_number_at_slope", spy)
     return calls
 
 
 class TestFullSetCoverBound:
-    """`run_sharpness` projects K only while the maximum can still rise:
+    """`run_sharpness` counts K only while the maximum can still rise:
     N(pi_e K, delta) <= projected_cardinality(sigma) at every slope of S."""
 
     def test_cover_at_most_cardinality_every_slope(self):
@@ -302,26 +305,39 @@ class TestFullSetCoverBound:
                 vals = projection_values(K, perpendicular_direction(sigma))
                 n = covering_number_1d(vals, params.delta)
                 pc = projected_cardinality(params, sigma)
-                assert n <= pc, (params.a, str(params.s), params.b, sigma)
+                where = (params.a, str(params.s), params.b, sigma)
+                assert n <= pc, where
+                assert sharpness.covering_number_at_slope(K, sigma) == n, where
+
+    def test_key_width_ties_at_a_pythagorean_slope(self):
+        # at slope 3/4 the key width isqrt(3^2 + 4^2) = 5 is exact, so keys
+        # 4v - 3u five apart project exactly delta apart
+        def count(*points):
+            K = LatticePointSet(Scale(4), np.array(points))
+            return sharpness.covering_number_at_slope(K, Fraction(3, 4))
+
+        assert count((0, 0), (1, 2)) == 1  # keys 0 and 5 share an interval
+        assert count((0, 0), (2, 3)) == 2  # keys 0 and 6 do not
+        assert count((0, 0), (1, 2), (2, 4)) == 2  # keys 0, 5, 10
 
     @pytest.mark.parametrize(
         "params", SMALL_TRIPLES + [ParamTriple(Scale(14), Fraction(3, 4), 13)],
         ids=lambda p: f"{p.a}-{p.s}-{p.b}",
     )
     def test_max_equals_all_slopes_max(self, monkeypatch, params):
-        calls = _spy_on_project(monkeypatch)
+        calls = _spy_on_full_set_count(monkeypatch)
         rep = run_sharpness(params)
         assert rep.covering_max_K == _all_slopes_max(params)
         # every slope left out has a cardinality the maximum already reaches
         for num, den, _, pc in rep.per_slope:
-            if perpendicular_direction(Fraction(num, den)) not in calls:
+            if Fraction(num, den) not in calls:
                 assert pc <= rep.covering_max_K
 
     @pytest.mark.parametrize(
         "a,s,b", [(14, Fraction(3, 4), 13), (16, Fraction(5, 8), 16)]
     )
     def test_few_projections(self, monkeypatch, a, s, b):
-        calls = _spy_on_project(monkeypatch)
+        calls = _spy_on_full_set_count(monkeypatch)
         rep = run_sharpness(ParamTriple(Scale(a), s, b))
         assert not rep.record.failed
         assert 1 <= len(calls) < 10
