@@ -467,6 +467,8 @@ def theorem_main2_experiment(
     from .projections import project
     from .core import Scale
 
+    if not 0 <= L <= 31:  # the lattice level 2L must lie in [0, 62]
+        raise InvalidParameterError(f"four-corners level L={L} outside [0, 31]")
     ps = gen_four_corners(L, Scale(2 * L))
     delta = ps.scale.delta
     counts: dict[Fraction, int] = {}

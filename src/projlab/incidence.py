@@ -29,9 +29,10 @@ from .pointsets import LatticePointSet
 from .projections import (
     COVER_RTOL,
     DirectionSetES,
-    _raw_projection,
+    _project_coords,
+    _sorted_values,
+    _unit_coords,
     greedy_cover_starts,
-    projection_values,
 )
 from .records import ExperimentRecord
 
@@ -58,21 +59,29 @@ def build_tubes(ps: LatticePointSet, E: DirectionSetES | list[Direction]) -> Tub
     if not dirs:
         raise InvalidParameterError("direction family is empty")
     delta = ps.scale.delta
+    xy = _unit_coords(ps)
     starts: dict[float, np.ndarray] = {}
     for d in dirs:
-        starts[d.theta] = greedy_cover_starts(projection_values(ps, d), delta)
+        starts[d.theta] = greedy_cover_starts(_sorted_values(_project_coords(xy, d)), delta)
     return TubeFamily(delta, list(dirs), starts)
 
 
 def count_incidences(ps: LatticePointSet, tubes: TubeFamily) -> IncidenceCount:
     """Exact incidence count by binary search of each projection value, in
-    point order, into the sorted disjoint intervals of its direction."""
+    point order, into the sorted disjoint intervals of its direction.
+
+    It projects the set again rather than reuse the order `build_tubes`
+    sorted, so that the `exact_lower_bound_equality` check in
+    `upper_bound_report` stays an independent count: a point the tube build
+    missed, or placed in two tubes, shows up here.  The unit coordinates
+    are computed once, above the direction loop."""
     delta = tubes.scale_delta
     reach = delta * (1.0 + COVER_RTOL)
+    xy = _unit_coords(ps)
     total = 0
     for d in tubes.directions:
         starts = tubes.starts[d.theta]
-        vals = _raw_projection(ps, d)
+        vals = _project_coords(xy, d)
         idx = np.searchsorted(starts, vals, side="right") - 1
         idx = np.clip(idx, 0, len(starts) - 1)
         inside = (vals >= starts[idx]) & (vals <= starts[idx] + reach)

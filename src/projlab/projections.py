@@ -25,7 +25,9 @@ A count runs in up to three passes:
 
 on a finite sweep grid of the half-circle.  The threshold comparison is done
 in exact integer arithmetic (count^q <= 2^(a p) for s = p/q), so membership
-at the threshold never depends on float rounding.
+at the threshold never depends on float rounding.  Direction loops, here and
+in `incidence`, convert the set to float unit coordinates once, above the
+loop, and project those per direction with the same values as `project`.
 """
 
 from __future__ import annotations
@@ -186,11 +188,35 @@ class ProjectionProfile:
     covering_number: int  # at the set's own delta
 
 
+def _unit_coords(ps: LatticePointSet) -> tuple[np.ndarray, np.ndarray]:
+    """The set's unit coordinates, lattice points times its own delta, as two
+    contiguous float64 columns.  A direction loop computes them once and
+    hands them to `_project_coords` per direction.
+
+    Projecting them gives the values of (u c + v s) delta bit for bit.
+    delta = 2^-n is a power of two, and scaling by a power of two commutes
+    with round-to-nearest unless something underflows.  Nothing does:
+    |cos| and |sin| of a direction are 0 or at least about 6e-17, and
+    delta >= 2^-62.  Each coordinate still goes through one int64 to float64
+    conversion, here instead of inside the product."""
+    delta = ps.scale.delta
+    return ps.points[:, 0] * delta, ps.points[:, 1] * delta
+
+
+def _project_coords(xy: tuple[np.ndarray, np.ndarray], e: Direction) -> np.ndarray:
+    """Projection values x c + y s along e, in point order.  Plain elementwise
+    multiply and add, which no product routine may fuse or reorder."""
+    c, s = e.unit
+    x, y = xy
+    v = x * c
+    v += y * s
+    return v
+
+
 def _raw_projection(ps: LatticePointSet, e: Direction) -> np.ndarray:
     """Orthogonal projection values of the set along e in point order, in the
     set's unit coordinates (lattice points times its own delta)."""
-    c, s = e.unit
-    return (ps.points[:, 0] * c + ps.points[:, 1] * s) * ps.scale.delta
+    return _project_coords(_unit_coords(ps), e)
 
 
 def projection_values(ps: LatticePointSet, e: Direction) -> np.ndarray:
@@ -265,8 +291,9 @@ def compute_E_s(
         raise InvalidParameterError(f"sweep={sweep} must be >= 1")
     t_int = params.floor_delta_pow(params.s)  # floor(delta^-s), exact
     grid = direction_grid(sweep)
+    xy = _unit_coords(ps)
     counts = np.array(
-        [covering_number_1d(_raw_projection(ps, d), params.delta, stop_after=t_int + 1)
+        [covering_number_1d(_project_coords(xy, d), params.delta, stop_after=t_int + 1)
          for d in grid],
         dtype=np.int64,
     )

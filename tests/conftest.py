@@ -68,6 +68,15 @@ def searchsorted_cover_starts(sorted_values, width: float) -> np.ndarray:
     return np.array(starts, dtype=np.float64)
 
 
+def raw_projection_ref(ps, e) -> np.ndarray:
+    """Projection values of a lattice point set along e, in point order, as
+    (u cos + v sin) delta straight from the int64 lattice columns: the sum
+    is formed before the scaling, unlike the library's float unit
+    coordinates, which must still agree with it bit for bit."""
+    c, s = e.unit
+    return (ps.points[:, 0] * c + ps.points[:, 1] * s) * ps.scale.delta
+
+
 def distinct_keys_ref(m: int, n_g: int, num: int, den: int) -> int:
     """Distinct values of y - (num/den)*x over the m x n_g slope grid, as the
     set of integer keys l*den - k*num*n_g over the shared denominator."""

@@ -225,6 +225,15 @@ def test_adreg_prints_only_json_on_stdout(capsys):
     assert "p=     2" in err
 
 
+@pytest.mark.parametrize("level", ["-1", "32"])
+def test_adreg_level_out_of_range_names_the_typed_level(capsys, level):
+    argv = ["adreg", "--level", level, "--plist", "2", "--s", "0.75", "--out", "-"]
+    assert main(argv) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"L={level} outside [0, 31]" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["adreg", "--level", "3", "--plist", "2,x", "--s", "0.75"],
     ["adreg", "--level", "3", "--plist", "", "--s", "0.75"],

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_min_arc_cover, brute_min_cover, searchsorted_cover_starts
+from conftest import (
+    brute_min_arc_cover,
+    brute_min_cover,
+    raw_projection_ref,
+    searchsorted_cover_starts,
+)
 from projlab import (
     Direction,
     InvalidParameterError,
@@ -16,6 +21,7 @@ from projlab import (
     Scale,
     build_tubes,
     compute_E_s,
+    count_incidences,
     covering_number_1d,
     covering_number_directions,
     direction_grid,
@@ -25,6 +31,7 @@ from projlab import (
     project,
 )
 from projlab import projections
+from projlab.incidence import TubeFamily
 from projlab.projections import (
     COVER_RTOL,
     _raw_projection,
@@ -497,6 +504,82 @@ class TestAgainstPerIntervalSearch:
             assert np.array_equal(projections.greedy_cover_starts(vals, width), want)
             got = projections.greedy_cover_starts(vals, width, stop_after=len(want) // 2)
             assert np.array_equal(got, want[:len(want) // 2])
+
+
+class TestUnitCoordinates:
+    """The loops project precomputed float unit coordinates; every value
+    must equal `raw_projection_ref` bit for bit."""
+
+    @staticmethod
+    def _large_sets():
+        grid = gen_grid_example(ParamTriple(Scale(12), Fraction(3, 4), 10))
+        cells = np.random.default_rng(12).choice(1 << 24, size=5120, replace=False)
+        rand = LatticePointSet(Scale(12), np.column_stack([cells >> 12, cells & 4095]))
+        return [grid, rand]
+
+    def test_every_sweep_direction(self):
+        for ps in self._large_sets():
+            for d in direction_grid(4096):
+                assert np.array_equal(_raw_projection(ps, d), raw_projection_ref(ps, d))
+
+    def test_direction_next_to_vertical(self):
+        d = Direction(np.nextafter(PI / 2, 0))
+        assert 0 < d.unit[0] < 1e-15
+        for ps in self._large_sets():
+            assert np.array_equal(_raw_projection(ps, d), raw_projection_ref(ps, d))
+
+    def test_finest_scale_and_inexact_coordinates(self):
+        # 2^62 - 1 and 2^53 + 1 both round on conversion to float64
+        big, odd = (1 << 62) - 1, (1 << 53) + 1
+        ps = LatticePointSet(Scale(62), np.array([[big, odd], [odd, big], [big, big],
+                                                  [odd, 0], [1, odd]]))
+        dirs = [*direction_grid(256), Direction(np.nextafter(PI / 2, 0))]
+        for d in dirs:
+            assert np.array_equal(_raw_projection(ps, d), raw_projection_ref(ps, d))
+
+    def test_sweep_counts(self):
+        params, sets = TestAgainstPerIntervalSearch._sets()
+        stop = params.floor_delta_pow(params.s) + 1
+        for ps in sets:
+            want = [
+                min(len(searchsorted_cover_starts(np.sort(raw_projection_ref(ps, d)),
+                                                  params.delta)), stop)
+                for d in direction_grid(256)
+            ]
+            got = compute_E_s(ps, params, sweep=256).sweep_counts
+            assert np.array_equal(got, want)
+
+    def test_tube_starts(self):
+        params, sets = TestAgainstPerIntervalSearch._sets()
+        dirs = direction_grid(256)
+        for ps in sets:
+            fam = build_tubes(ps, dirs)
+            for d in dirs:
+                want = searchsorted_cover_starts(np.sort(raw_projection_ref(ps, d)),
+                                                 ps.scale.delta)
+                assert np.array_equal(fam.starts[d.theta], want)
+
+    def test_incidence_count(self):
+        # tubes placed over half the points from the reference values, so
+        # the count depends on where each other point's value falls
+        params, sets = TestAgainstPerIntervalSearch._sets()
+        dirs = direction_grid(256)
+        reach = params.delta * (1.0 + COVER_RTOL)
+        for ps in sets:
+            half = LatticePointSet(ps.scale, ps.points[::2])
+            starts = {
+                d.theta: searchsorted_cover_starts(np.sort(raw_projection_ref(half, d)),
+                                                   params.delta)
+                for d in dirs
+            }
+            want = 0
+            for d in dirs:
+                vals = raw_projection_ref(ps, d)[:, None]
+                lo = starts[d.theta][None, :]
+                want += int(((lo <= vals) & (vals <= lo + reach)).any(axis=1).sum())
+            got = count_incidences(ps, TubeFamily(params.delta, dirs, starts)).count
+            assert len(half) * len(dirs) < want < len(ps) * len(dirs)
+            assert got == want
 
 
 class TestCappedSweep:
