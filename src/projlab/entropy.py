@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Direction, InvalidParameterError, direction_grid
+from .core import Direction, InvalidParameterError, _group_rows, direction_grid
 from .pointsets import LatticePointSet, ParseError
 from .records import ExperimentRecord
 
@@ -48,7 +48,8 @@ def shannon(masses) -> float:
     p = p[p > 0.0]
     if p.size == 0:
         return 0.0
-    return float(-(p * np.log(p)).sum())
+    # + 0.0 turns the -0.0 of a point mass into 0.0 and changes nothing else
+    return float(-(p * np.log(p)).sum()) + 0.0
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,8 @@ class DyadicMeasure:
         if self.dim == 1:
             uniq, inv = np.unique(keys, return_inverse=True)
         else:
-            uniq, inv = np.unique(keys, axis=0, return_inverse=True)
-        agg = np.bincount(inv.ravel(), weights=self.mass)
+            uniq, inv = _group_rows(keys)
+        agg = np.bincount(inv, weights=self.mass)
         return uniq, agg
 
     def centers(self) -> np.ndarray:
@@ -154,17 +155,21 @@ def conditional_entropy(mu: DyadicMeasure, fine: int, coarse: int) -> float:
         )
     fine_idx, fine_mass = mu.coarsen(fine)
     group = fine_idx >> (fine - coarse)
-    _, inv = np.unique(group, axis=None if mu.dim == 1 else 0, return_inverse=True)
-    return _grouped_entropy(inv.ravel(), fine_mass)
+    if mu.dim == 1:
+        _, inv = np.unique(group, return_inverse=True)
+    else:
+        _, inv = _group_rows(group)
+    return _grouped_entropy(inv, fine_mass)
 
 
 def _grouped_entropy(group: np.ndarray, mass: np.ndarray) -> float:
     """Mass-weighted entropy of the renormalized groups, in nats:
     sum_g mass(g) * shannon(masses of g / mass(g)), which equals
     -sum_a mass_a log(mass_a / mass(g_a)).  `group` holds dense ids in
-    [0, number of groups); the masses are positive."""
+    [0, number of groups); the masses are positive.  A group of one atom
+    adds +0.0, not -0.0."""
     total = np.bincount(group, weights=mass)
-    return float(-(mass * np.log(mass / total[group])).sum())
+    return float(-(mass * np.log(mass / total[group])).sum()) + 0.0
 
 
 def blow_up(mu: DyadicMeasure, q, k: int) -> DyadicMeasure:
@@ -251,10 +256,10 @@ def multiscale_check(mu: DyadicMeasure, e: Direction, m: int) -> ExperimentRecor
         shift = n - k * m
         local = ((mu.idx & ((1 << shift) - 1)) + 0.5) * 2.0 ** (-shift)
         keys = np.column_stack([mu.idx >> shift, _projected_bins(local, e, m)])
-        pieces, piece = np.unique(keys, axis=0, return_inverse=True)
-        _, cube = np.unique(pieces[:, :2], axis=0, return_inverse=True)
-        piece_mass = np.bincount(piece.ravel(), weights=mu.mass)
-        block_sum += _grouped_entropy(cube.ravel(), piece_mass) / (m * LOG2)
+        pieces, piece = _group_rows(keys)
+        _, cube = _group_rows(pieces[:, :2])
+        piece_mass = np.bincount(piece, weights=mu.mass)
+        block_sum += _grouped_entropy(cube, piece_mass) / (m * LOG2)
     rhs = (m / n) * block_sum
     slack = lhs - (rhs - 10.0 / m)
     rec = ExperimentRecord(

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import InvalidParameterError, ParamTriple, Scale
+from .core import InvalidParameterError, ParamTriple, Scale, _group_rows
 
 
 class ParseError(ValueError):
@@ -176,8 +176,8 @@ def _dyadic_ratio(pts: np.ndarray, n: int) -> float:
     """Achieved dyadic Frostman ratio max |P cap Q| * delta / side(Q)."""
     best = 0.0
     for j in range(n + 1):
-        _, counts = np.unique(pts >> (n - j), axis=0, return_counts=True)
-        best = max(best, float(counts.max()) * 2.0 ** (j - n))
+        _, inv = _group_rows(pts >> (n - j))
+        best = max(best, float(np.bincount(inv).max()) * 2.0 ** (j - n))
     return best
 
 

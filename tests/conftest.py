@@ -235,6 +235,14 @@ def regularity_ref(mu: DyadicMeasure) -> ADRegularityReport:
     return ADRegularityReport(worst_lower, worst_upper, counts)
 
 
+def coarsen_ref(mu: DyadicMeasure, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """`DyadicMeasure.coarsen` through numpy's `unique` of the level-m
+    ancestor rows, the grouping it used before its column lexsort."""
+    keys = mu.idx >> (mu.level - m)
+    uniq, inv = np.unique(keys, axis=0 if mu.dim == 2 else None, return_inverse=True)
+    return uniq, np.bincount(inv.ravel(), weights=mu.mass)
+
+
 def l2_energy_1d_ref(nu: DyadicMeasure, m: int) -> float:
     """2^m * sum of squared level-m interval masses."""
     if nu.dim != 1:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -154,6 +155,18 @@ def test_sharpness(tmp_path):
 def test_entropy_plane(plane_measure, tmp_path, sub, args, key):
     rec = _run(["entropy", sub, "--in", str(plane_measure), *args], tmp_path / "h.json")
     assert key in rec["results"]
+
+
+@pytest.mark.parametrize("sub, args, key", [
+    ("H", ["--m", "0"], "raw_nats"),
+    ("cef", ["--fine", "3", "--coarse", "3"], "direct"),
+])
+def test_zero_entropy_prints_positive_zero(plane_measure, tmp_path, sub, args, key):
+    out = tmp_path / "zero.json"
+    rec = _run(["entropy", sub, "--in", str(plane_measure), *args], out)
+    assert rec["results"][key] == 0.0
+    assert math.copysign(1.0, rec["results"][key]) == 1.0
+    assert "-0.0" not in out.read_text()
 
 
 def test_nan_mass_exits_with_a_parse_error(tmp_path, capsys):

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from projlab import (
     Direction,
@@ -14,7 +17,7 @@ from projlab import (
     direction_grid,
     perpendicular_direction,
 )
-from projlab.core import floor_pow2, integer_root
+from projlab.core import _group_rows, floor_pow2, integer_root
 
 PI = math.pi
 
@@ -184,3 +187,25 @@ class TestExactPowers:
             for q in (1, 2, 3, 5):
                 v = floor_pow2(Fraction(p, q))
                 assert v**q <= 2**p < (v + 1) ** q
+
+
+@st.composite
+def _int_rows(draw):
+    """int64 matrices of 1-3 columns and 1-300 rows whose entries come from
+    a pool of at most six values in [0, 2^62 - 1], so rows repeat often."""
+    pool = draw(st.lists(st.integers(0, 2**62 - 1), min_size=1, max_size=6, unique=True))
+    shape = (draw(st.integers(1, 300)), draw(st.integers(1, 3)))
+    return draw(hnp.arrays(np.int64, shape, elements=st.sampled_from(pool)))
+
+
+class TestGroupRows:
+    @settings(max_examples=300, deadline=None)
+    @given(_int_rows())
+    @example(np.array([[2**62 - 1, 0, 7]], dtype=np.int64))
+    @example(np.full((57, 2), 3, dtype=np.int64))
+    def test_equals_numpy_row_unique(self, keys):
+        want, want_inverse = np.unique(keys, axis=0, return_inverse=True)
+        got, inverse = _group_rows(keys)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(inverse, want_inverse.ravel())

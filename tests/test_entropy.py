@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     clustered_measure,
+    coarsen_ref,
     marstrand_ref,
     measure_mix,
     multiscale_ref,
@@ -149,6 +150,29 @@ class TestEntropyAgainstReference:
         mu = _measure(seed, dim)
         want = entropy(mu, fine).raw - entropy(mu, coarse).raw
         assert abs(conditional_entropy(mu, fine, coarse) - want) <= 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.integers(1, 62))
+    def test_coarsen_is_bit_identical_to_the_row_unique_reference(self, seed, dim, level):
+        rng = np.random.default_rng(seed)
+        for mu in (random_measure(rng, dim, min(level, 8), 300),
+                   clustered_measure(rng, level, 200)):
+            for m in range(mu.level + 1):
+                idx, mass = mu.coarsen(m)
+                want_idx, want_mass = coarsen_ref(mu, m)
+                assert idx.dtype == want_idx.dtype and np.array_equal(idx, want_idx)
+                assert np.array_equal(mass.view(np.uint64), want_mass.view(np.uint64))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_zero_entropies_are_positive_zero(self, dim):
+        # a point mass, and pieces of one atom each (the four-corners cubes
+        # conditioned on themselves)
+        mu = random_measure(np.random.default_rng(0), dim, LEVEL, 1)
+        corners = _four_corners(3)
+        for v in (shannon([1.0]), entropy(mu, 0).raw, entropy(mu, LEVEL).raw,
+                  entropy(mu, LEVEL).normalized, conditional_entropy(mu, LEVEL, 2),
+                  *(conditional_entropy(corners, k, k) for k in range(corners.level + 1))):
+            assert v == 0.0 and math.copysign(1.0, v) == 1.0
 
 
 def _four_corners(L: int):

@@ -142,7 +142,7 @@ class TestExtractDeltaOne:
         ps = LatticePointSet(Scale(4), np.array([[5, 9]]))
         out, ratio = extract_delta_one_set(ps, 1.0)
         assert len(out) == 1
-        assert ratio == pytest.approx(1.0)
+        assert ratio == 1.0 == brute_max_ratio(out.points, 4)
 
     def test_segment_kept_whole(self):
         ps = gen_segment(Scale(10))
@@ -150,6 +150,7 @@ class TestExtractDeltaOne:
         assert len(out) == 1024  # already Frostman with constant 1
         assert len(out) >= 512
         assert ratio <= 1.0 + 1e-12
+        assert ratio == brute_max_ratio(out.points, 10)
 
     def test_cluster_capped(self):
         # dense 4x4 cluster plus the bottom-row segment at n = 4, C0 = 1.
@@ -164,7 +165,7 @@ class TestExtractDeltaOne:
         kept = set(map(tuple, out.points))
         assert kept == {(4, v) for v in range(8, 12)} | {(u, 0) for u in range(12)}
         assert brute_frostman_ok(out.points, n, 1.0)
-        assert ratio == pytest.approx(brute_max_ratio(out.points, n))
+        assert ratio == brute_max_ratio(out.points, n)
 
     def test_random_sets_exhaustive_condition(self):
         rng = np.random.default_rng(5)
@@ -176,7 +177,7 @@ class TestExtractDeltaOne:
             C0 = float(rng.choice([1.0, 2.0, 4.0]))
             out, ratio = extract_delta_one_set(LatticePointSet(Scale(n), pts), C0)
             assert brute_frostman_ok(out.points, n, C0)
-            assert ratio == pytest.approx(brute_max_ratio(out.points, n))
+            assert ratio == brute_max_ratio(out.points, n)
             assert ratio <= C0 + 1e-12
 
     def test_greedy_is_lexicographic_deterministic(self):
