@@ -11,7 +11,8 @@ are `fractions.Fraction` values (alias `ExactSlope`), compared by
 cross-multiplication, never through floats.
 
 `_group_rows` groups integer rows, such as the level-k cube indices of the
-dyadic coarsenings, by one lexsort of their columns.
+dyadic coarsenings, by one lexsort of their columns; `_row_starts` marks
+where the runs of equal rows of an already sorted array start.
 """
 
 from __future__ import annotations
@@ -169,6 +170,16 @@ def perpendicular_direction(slope: ExactSlope | int) -> Direction:
     return Direction(math.atan2(1.0, -sigma))
 
 
+def _row_starts(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a sorted 2-D array that start a run of equal
+    rows: the first row, and each row that differs from its predecessor."""
+    starts = np.zeros(len(rows), dtype=bool)
+    starts[:1] = True
+    for col in rows.T:
+        starts[1:] |= col[1:] != col[:-1]
+    return starts
+
+
 def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a 2-D integer array in lexicographic order, and the
     index of each input row among them: the same arrays as numpy's row-wise
@@ -177,10 +188,7 @@ def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A group starts at each sorted row that differs from its predecessor."""
     order = np.lexsort(keys.T[::-1])
     rows = keys[order]
-    starts = np.zeros(len(rows), dtype=bool)
-    starts[:1] = True
-    for col in rows.T:
-        starts[1:] |= col[1:] != col[:-1]
+    starts = _row_starts(rows)
     inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
     return rows[starts], inverse

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Direction, InvalidParameterError, _group_rows, direction_grid
+from .core import Direction, InvalidParameterError, _group_rows, _row_starts, direction_grid
 from .pointsets import LatticePointSet, ParseError
 from .records import ExperimentRecord
 
@@ -257,7 +257,8 @@ def multiscale_check(mu: DyadicMeasure, e: Direction, m: int) -> ExperimentRecor
         local = ((mu.idx & ((1 << shift) - 1)) + 0.5) * 2.0 ** (-shift)
         keys = np.column_stack([mu.idx >> shift, _projected_bins(local, e, m)])
         pieces, piece = _group_rows(keys)
-        _, cube = _group_rows(pieces[:, :2])
+        # the pieces are sorted, so each cube's pieces form one run
+        cube = np.cumsum(_row_starts(pieces[:, :2])) - 1
         piece_mass = np.bincount(piece, weights=mu.mass)
         block_sum += _grouped_entropy(cube, piece_mass) / (m * LOG2)
     rhs = (m / n) * block_sum

@@ -8,16 +8,23 @@ suite re-verifies against exhaustive enumeration on small instances.
 A count runs in up to three passes:
 - a capped count first tries a sort-free lower bound, a parity packing of
   bins just wider than one interval's reach;
-- after the sort, one numpy pass splits the values at every gap wider than
-  the reach w(1 + COVER_RTOL).  The greedy restarts at each such gap, since
-  it compares with the same float expression and rounding is monotone.  A
-  component whose span is within reach costs exactly one interval, so those
-  are counted without a walk;
+- after the sort, `_count_sorted` splits the values in one numpy pass at
+  every gap wider than the reach w(1 + COVER_RTOL).  The greedy restarts at
+  each such gap, since it compares with the same float expression and
+  rounding is monotone.  A component whose span is within reach costs
+  exactly one interval, so those are counted without a walk;
 - the values of the wider components, concatenated, are walked in one
   call.  The walk bisects from each start to the first value past its
   interval, trying the previous stride first, so it reads only the values
   near the starts.  A gap between two components restarts the walk, as a
   separate call per component would.
+
+The sweep in `compute_E_s` runs the first pass on the set rather than on a
+projection: `_BoxBins` shifts the unit coordinates to the corners of their
+bounding box once per set and bins each direction straight from those
+columns.  A direction that bound decides is never projected; an open one
+is projected, sorted and handed to `_count_sorted`, so no count runs a
+bound twice.  Both bounds share one parity packing, `_parity_count`.
 
 `compute_E_s` evaluates the direction set
 
@@ -112,17 +119,7 @@ def covering_number_1d(values, width: float, stop_after: int | None = None) -> i
     already reaches it decides before any sort, otherwise counting stops
     there.  The lower bound of non-empty input is at least 1, so a
     `stop_after` of 1 or less returns `stop_after` after that one pass.
-
-    After the sort the values split into gap components, broken wherever
-    v[i+1] > v[i] + reach with the walk's own reach = w(1 + COVER_RTOL).
-    Rounding is monotone, so no interval started left of such a gap reaches
-    past it, and the greedy restarts at each component.  A component with
-    v[last] <= v[first] + reach costs exactly one interval; only the wider
-    ones are walked, in one `greedy_cover_starts` call over their
-    concatenation that bisects from start to start, and whose gaps still
-    restart the walk.  With `stop_after`, the component count, and then that
-    count plus one per wide component, are lower bounds that may decide
-    before the walk.
+    The sorted values are counted by `_count_sorted`.
     """
     if not 0 < width < np.inf:
         raise InvalidParameterError(f"width={width} must be positive and finite")
@@ -134,6 +131,25 @@ def covering_number_1d(values, width: float, stop_after: int | None = None) -> i
     arr = _sorted_values(arr)
     if np.isnan(arr[-1]):  # the sort puts any NaN last
         raise InvalidParameterError("values must not be NaN")
+    return _count_sorted(arr, width, stop_after)
+
+
+def _count_sorted(arr: np.ndarray, width: float, stop_after: int | None) -> int:
+    """The greedy count of sorted values without NaN, capped at `stop_after`.
+
+    The values split into gap components, broken wherever
+    v[i+1] > v[i] + reach with the walk's own reach = w(1 + COVER_RTOL).
+    Rounding is monotone, so no interval started left of such a gap reaches
+    past it, and the greedy restarts at each component.  A component with
+    v[last] <= v[first] + reach costs exactly one interval; only the wider
+    ones are walked, in one `greedy_cover_starts` call over their
+    concatenation that bisects from start to start, and whose gaps still
+    restart the walk.  With `stop_after`, the component count, and then that
+    count plus one per wide component, are lower bounds that may decide
+    before the walk.
+    """
+    if arr.size == 0:
+        return 0
     reach = width * (1.0 + COVER_RTOL)
     heads = np.flatnonzero(arr[1:] > arr[:-1] + reach) + 1
     comps = heads.size + 1
@@ -157,9 +173,8 @@ def covering_lower_bound(values, width: float) -> int:
     are binned up from their minimum at width w(1 + COVER_RTOL) + 2^-48 max|v|,
     past one interval's reach by a margin for the rounding of the bins and of
     the greedy's right ends, so occupied bins of one parity are pairwise out
-    of reach.  Bins are marked in a table of 2n slots, folded modulo its even
-    size, which keeps parity; a collision only lowers the count.  A NaN
-    value raises `InvalidParameterError`, as in `covering_number_1d`."""
+    of reach; `_parity_count` counts them.  A NaN value raises
+    `InvalidParameterError`, as in `covering_number_1d`."""
     arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size == 0:
         return 0
@@ -171,14 +186,86 @@ def covering_lower_bound(values, width: float) -> int:
     bw = width * (1.0 + COVER_RTOL) + 2.0**-48 * max(-lo, hi)
     bins = arr - lo
     bins /= bw  # at most 2^49, as bw >= 2^-48 max|v|
-    bins = bins.astype(np.intp)  # truncation is floor: v - lo >= 0
-    table = np.zeros(2 * arr.size, dtype=bool)
-    if (hi - lo) / bw >= table.size:
+    # truncation is floor: v - lo >= 0
+    return _parity_count(bins.astype(np.intp), (hi - lo) / bw)
+
+
+def _parity_count(bins: np.ndarray, span: float) -> int:
+    """max(odd, occupied - odd) over the occupied bins: a lower bound on the
+    greedy count when no interval reaches from one bin to the next-but-one,
+    so each interval meets at most one occupied bin of each parity.
+
+    `bins` holds non-negative bin indices, none above `span`.  They are
+    marked in a table of 2n slots, folded modulo its even size once the span
+    reaches it, which keeps parity; a collision only lowers the count.  The
+    bins array may be overwritten."""
+    table = np.zeros(2 * bins.size, dtype=bool)
+    if span >= table.size:
         bins %= table.size
     table[bins] = True
     occupied = int(np.count_nonzero(table))
-    odd = int(np.count_nonzero(table[1::2]))
+    # each little-endian slot pair is one uint16, its odd slot the high byte
+    odd = int(np.count_nonzero(table.view("<u2") > 0xFF))
     return max(odd, occupied - odd)
+
+
+# Bin width margin of `_BoxBins`, relative to the largest |unit coordinate|.
+BOX_MARGIN = 2.0**-46
+
+
+class _BoxBins:
+    """The sort-free parity bound of `compute_E_s`, on columns prepared once
+    per set: the unit coordinates shifted to the corners of their bounding
+    box, X0 = x - x_min, X1 = x - x_max and Y0 = y - y_min.
+
+    Along e = (c, s), s >= 0 on [0, pi), the bin of a point is t truncated,
+    with t = X (c/bw) + Y0 (s/bw) and X = X0 if c >= 0, else X1.  Both terms
+    are non-negative, so t >= 0 needs no min or offset pass, and t is at
+    most the box span T = Xspan |c/bw| + Yspan (s/bw), computed with the
+    same rounded operations, as rounding is monotone and symmetric.
+    `_parity_count` then counts the bins, the same packing as
+    `covering_lower_bound`.
+
+    The bin width is bw = reach + BOX_MARGIN M, with reach = w(1 + COVER_RTOL)
+    the greedy's own and M the largest |unit coordinate|.  Soundness, with
+    u = 2^-53 and every operation rounded to nearest (a subnormal result
+    adds at most 2^-1075, far inside the uM of slack left below, as a
+    nonzero M is at least 2^-62):
+    - the greedy counts v = fl(fl(x c) + fl(y s)), within 3uM of the exact
+      p = x c + y s, since |c| + |s| <= 1.42;
+    - X carries one rounding (the shifted columns are not always exact, for
+      example at `Scale(62)` above 2^53), c/bw one, the product one and the
+      sum one.  Both summands are non-negative, so these relative errors
+      bound |t - tau| <= 4.01u tau <= 11.7uM/bw, where tau = (p - p0)/bw for
+      the box corner's exact p0, and tau <= 2M 1.42/bw;
+    - two values v_a <= v_b of one greedy interval started at v_0 satisfy
+      v_b - v_a <= fl(v_0 + reach) - v_0 <= reach(1 + u) + 1.5uM;
+    - so bw |t_b - t_a| <= reach(1 + u) + (6 + 23.4 + 1.5)uM, which is at
+      most (reach + 128uM)(1 - u) <= bw when reach <= 48M.  Otherwise
+      bw |t_b - t_a| <= |p_b - p_a| + 23.4uM <= 3M < bw anyway.
+    Hence |t_b - t_a| <= 1, their bins differ by at most one, and each
+    interval meets at most one occupied bin of each parity.  t stays below
+    2^48, as bw >= 2^-46 M.
+    """
+
+    def __init__(self, xy: tuple[np.ndarray, np.ndarray], width: float):
+        x, y = xy
+        if x.size:
+            x_lo, x_hi = float(x.min()), float(x.max())
+            y_lo, y_hi = float(y.min()), float(y.max())
+        else:
+            x_lo = x_hi = y_lo = y_hi = 0.0
+        self.x0, self.x1, self.y0 = x - x_lo, x - x_hi, y - y_lo
+        self.x_span, self.y_span = x_hi - x_lo, y_hi - y_lo
+        big = max(-x_lo, x_hi, -y_lo, y_hi)
+        self.bw = width * (1.0 + COVER_RTOL) + BOX_MARGIN * big
+
+    def lower_bound(self, e: Direction) -> int:
+        c, s = e.unit
+        cb, sb = c / self.bw, s / self.bw
+        t = (self.x0 if c >= 0 else self.x1) * cb
+        t += self.y0 * sb
+        return _parity_count(t.astype(np.intp), self.x_span * abs(cb) + self.y_span * sb)
 
 
 @dataclass(frozen=True)
@@ -280,20 +367,24 @@ def compute_E_s(
     """Evaluate E_s membership on direction_grid(sweep).
 
     The sweep defaults to 4 * 2^n gridpoints so the angular resolution is
-    finer than delta.  Each direction is the unsorted projection handed to
-    `covering_number_1d` at width params.delta.  The count stops at
-    floor(delta^-s) + 1, where membership is decided, and the projection is
-    sorted only when the lower bound leaves it open.
+    finer than delta.  Each direction's count stops at floor(delta^-s) + 1,
+    where membership is decided.  The parity bound of `_BoxBins`, on box
+    columns prepared once per set, decides most directions without their
+    projection; only a direction it leaves open is projected, sorted and
+    counted by `_count_sorted`.  Either way the count is min(count, cap).
     """
     if sweep is None:
         sweep = 4 * ps.scale.side
     if sweep < 1:
         raise InvalidParameterError(f"sweep={sweep} must be >= 1")
     t_int = params.floor_delta_pow(params.s)  # floor(delta^-s), exact
+    stop = t_int + 1
     grid = direction_grid(sweep)
     xy = _unit_coords(ps)
+    box = _BoxBins(xy, params.delta)
     counts = np.array(
-        [covering_number_1d(_project_coords(xy, d), params.delta, stop_after=t_int + 1)
+        [stop if box.lower_bound(d) >= stop
+         else _count_sorted(np.sort(_project_coords(xy, d)), params.delta, stop)
          for d in grid],
         dtype=np.int64,
     )

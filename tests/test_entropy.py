@@ -228,6 +228,18 @@ class TestAgainstPerCubeReferences:
             assert rec.results["rhs_sum"] == pytest.approx(want.results["rhs_sum"], rel=1e-12)
             assert [a.status for a in rec.assertions] == ["pass"]
 
+    @pytest.mark.parametrize("m, rhs", [
+        (1, "0x1.22092711daf75p-1"), (2, "0x1.820e4e8d4214cp-1"),
+        (3, "0x1.5a33a14aa6345p-1"), (5, "0x1.3be4f4094ad63p-1"),
+    ])
+    def test_multiscale_four_corners_level_6_bit_for_bit(self, m, rhs):
+        # the blow-up sums at theta = 0.7, pinned to the last bit: the cube
+        # ids read off the sorted pieces must group them as a regrouping of
+        # the cube columns would
+        rec = multiscale_check(_four_corners(6), Direction(0.7), m)
+        assert rec.results["rhs_sum"] == float.fromhex(rhs)
+        assert rec.results["lhs"] == float.fromhex("0x1.b81d6b1278c79p-1")
+
     @settings(max_examples=60, deadline=None)
     @given(_measures())
     def test_regularity(self, mu):

@@ -34,7 +34,9 @@ from projlab import projections
 from projlab.incidence import TubeFamily
 from projlab.projections import (
     COVER_RTOL,
+    _BoxBins,
     _raw_projection,
+    _unit_coords,
     covering_lower_bound,
     covering_number_circle,
     esets_csv,
@@ -594,12 +596,127 @@ class TestCappedSweep:
             ])
             assert np.array_equal(capped.sweep_counts, np.minimum(full, stop))
             assert np.array_equal(capped.sweep_is_member, full < stop)
-        # the random set's directions are all decided by the bound alone
+        # the random set's directions are all decided by either bound alone
         rand = sets[1]
         assert all(
             covering_lower_bound(_raw_projection(rand, d), params.delta) >= stop
             for d in direction_grid(256)
         )
+        box = _BoxBins(_unit_coords(rand), params.delta)
+        assert all(box.lower_bound(d) >= stop for d in direction_grid(256))
+
+    @staticmethod
+    def _projected(monkeypatch):
+        seen = []
+        project = projections._project_coords
+
+        def spy(xy, e):
+            seen.append(e.theta)
+            return project(xy, e)
+
+        monkeypatch.setattr(projections, "_project_coords", spy)
+        return seen
+
+    def test_decided_directions_are_never_projected(self, monkeypatch):
+        params, (grid, rand) = TestAgainstPerIntervalSearch._sets()
+        stop = params.floor_delta_pow(params.s) + 1
+        seen = self._projected(monkeypatch)
+        compute_E_s(rand, params, sweep=256)
+        assert seen == []
+        box = _BoxBins(_unit_coords(grid), params.delta)
+        open_ = [d.theta for d in direction_grid(256) if box.lower_bound(d) < stop]
+        assert 0 < len(open_) < 256
+        compute_E_s(grid, params, sweep=256)
+        assert seen == open_
+
+    def test_empty_set(self):
+        params = ParamTriple(Scale(8), Fraction(3, 4), 6)
+        es = compute_E_s(LatticePointSet(Scale(8), np.zeros((0, 2), dtype=np.int64)),
+                         params, sweep=16)
+        assert es.sweep_counts.tolist() == [0] * 16
+        assert es.sweep_is_member.all() and len(es.members) == 16
+
+
+_BIG, _ODD = (1 << 62) - 1, (1 << 53) + 1
+_NEAR_VERTICAL = [np.nextafter(PI / 2, 0.0), np.nextafter(PI / 2, 4.0)]
+
+
+@st.composite
+def _box_cases(draw):
+    """A lattice set, a sweep width 2^-a and a direction.  The set is spread
+    over its whole square, clustered near the origin or around any point,
+    an equal-step run, or made of the finest scale's inexact coordinates;
+    its scale may be finer or coarser than the width's."""
+    kind = draw(st.sampled_from(["spread", "origin", "cluster", "run", "finest"]))
+    # fine scales with points far from the origin: there the rounding of
+    # the coordinates is comparable to the width
+    n = 62 if kind == "finest" else draw(st.integers(0, 62) | st.integers(50, 62))
+    top = (1 << n) - 1
+    anywhere = st.integers(0, top) | st.integers(0, top).map(lambda v: top - v)
+    if kind == "finest":
+        coord = st.sampled_from([_BIG, _ODD, _ODD - 2, _BIG - 1024, 0, 1, 1 << 52])
+    elif kind == "cluster":  # a few lattice steps around any point
+        x, y = draw(anywhere), draw(anywhere)
+        near = st.integers(-8, 8)
+        pts = draw(st.lists(st.tuples(near, near), min_size=1, max_size=60))
+        pts = np.clip(np.array(pts) + [x, y], 0, top)
+    elif kind == "run":  # equal small steps from any point: projections tie
+        x, y = draw(anywhere), draw(anywhere)
+        step = np.array([draw(st.integers(-4, 4)), draw(st.integers(-4, 4))])
+        k = np.arange(draw(st.integers(1, 60)))[:, None]
+        pts = np.clip(k * step + [x, y], 0, top)
+    else:
+        coord = st.integers(0, top if kind == "spread" else min(top, 7))
+    if kind in ("spread", "origin", "finest"):
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=60))
+    a = draw(st.integers(0, 62) | st.integers(n - 4, n + 4).map(lambda a: min(max(a, 0), 62)))
+    theta = draw(st.sampled_from([0.0, PI / 2, *_NEAR_VERTICAL, 2.5])
+                 | st.floats(0.0, PI, exclude_max=True))
+    return LatticePointSet(Scale(n), np.array(pts, dtype=np.int64)), 2.0**-a, theta
+
+
+class TestBoxBound:
+    """The sweep's lattice parity bound never exceeds the greedy count."""
+
+    @staticmethod
+    def _check(ps, width, theta):
+        d = Direction(theta)
+        bound = _BoxBins(_unit_coords(ps), width).lower_bound(d)
+        assert 1 <= bound <= covering_number_1d(_raw_projection(ps, d), width)
+        return bound
+
+    @settings(max_examples=500, deadline=None)
+    @given(_box_cases())
+    # the finest scale: coordinates that round on conversion and on the shift
+    @example((LatticePointSet(Scale(62), np.array([[_BIG, _ODD], [_ODD, _BIG], [_BIG, _BIG],
+                                                   [_ODD, 0], [1, _ODD]])), 2.0**-62, 0.7))
+    # a width four times finer and four times coarser than the set's spacing
+    @example((gen_segment(Scale(6)), 2.0**-8, 0.0))
+    @example((gen_segment(Scale(6)), 2.0**-4, 0.0))
+    # every value at exactly the reach of the last: cos < 0, and next to vertical
+    @example((gen_segment(Scale(5)), 2.0**-5, PI - 1e-9))
+    @example((LatticePointSet(Scale(5), np.array([[0, k] for k in range(32)])),
+              2.0**-5, _NEAR_VERTICAL[1]))
+    def test_never_exceeds_the_greedy_count(self, case):
+        self._check(*case)
+
+    def test_sparse_set_folds_the_table(self):
+        # 4 points over about 2^20 bins: the 8-slot table folds
+        ps = LatticePointSet(Scale(20), np.array([[0, 0], [1 << 19, 5], [(1 << 20) - 1, 9],
+                                                  [77, (1 << 20) - 1]]))
+        for theta in (0.0, 1.1, _NEAR_VERTICAL[0], _NEAR_VERTICAL[1], 2.9):
+            assert self._check(ps, 2.0**-20, theta) >= 2
+
+    @pytest.mark.parametrize("theta, step", [
+        (0.0, (129, 0)), (_NEAR_VERTICAL[0], (0, 129)), (_NEAR_VERTICAL[1], (0, 129)),
+        (PI / 4, (92, 92)), (3 * PI / 4, (-92, 92)),
+    ])
+    def test_spacing_past_two_widths_is_tight(self, theta, step):
+        # 12 points about 2.02 widths apart along the direction, starting at
+        # the box corner: every point sits alone in an even bin
+        k = np.arange(12)
+        ps = LatticePointSet(Scale(20), np.column_stack([(1 << 19) + step[0] * k, step[1] * k]))
+        assert self._check(ps, 2.0**-14, theta) == 12
 
 
 class TestDirectionCovering:
