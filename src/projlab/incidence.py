@@ -58,6 +58,8 @@ def build_tubes(ps: LatticePointSet, E: DirectionSetES | list[Direction]) -> Tub
     dirs = E.members if isinstance(E, DirectionSetES) else list(E)
     if not dirs:
         raise InvalidParameterError("direction family is empty")
+    if not len(ps):
+        raise InvalidParameterError("point set is empty")
     delta = ps.scale.delta
     xy = _unit_coords(ps)
     starts: dict[float, np.ndarray] = {}

@@ -5,26 +5,25 @@ interval of the requested width at the leftmost uncovered value, repeat.
 For fixed-length intervals this greedy is exactly optimal, which the test
 suite re-verifies against exhaustive enumeration on small instances.
 
-A count runs in up to three passes:
-- a capped count first tries a sort-free lower bound, a parity packing of
-  bins just wider than one interval's reach;
-- after the sort, `_count_sorted` splits the values in one numpy pass at
-  every gap wider than the reach w(1 + COVER_RTOL).  The greedy restarts at
-  each such gap, since it compares with the same float expression and
-  rounding is monotone.  A component whose span is within reach costs
-  exactly one interval, so those are counted without a walk;
+Every count runs on sorted values, in `_count_sorted`:
+- one numpy pass splits the values at every gap wider than the reach
+  w(1 + COVER_RTOL).  The greedy restarts at each such gap, since it
+  compares with the same float expression and rounding is monotone.  A
+  component whose span is within reach costs exactly one interval, so those
+  are counted without a walk;
 - the values of the wider components, concatenated, are walked in one
   call.  The walk bisects from each start to the first value past its
   interval, trying the previous stride first, so it reads only the values
   near the starts.  A gap between two components restarts the walk, as a
   separate call per component would.
 
-The sweep in `compute_E_s` runs the first pass on the set rather than on a
-projection: `_BoxBins` shifts the unit coordinates to the corners of their
-bounding box once per set and bins each direction straight from those
-columns.  A direction that bound decides is never projected; an open one
-is projected, sorted and handed to `_count_sorted`, so no count runs a
-bound twice.  Both bounds share one parity packing, `_parity_count`.
+The sweep in `compute_E_s` needs each count only up to a cap, and tries one
+sort-free lower bound first, on the set rather than on a projection:
+`_BoxBins` shifts the unit coordinates to the corners of their bounding box
+once per set and counts a parity packing of bins just wider than one
+interval's reach, straight from those columns.  A direction that bound
+decides is never projected; an open one is projected, sorted and handed to
+`_count_sorted` with the cap.
 
 `compute_E_s` evaluates the direction set
 
@@ -108,30 +107,21 @@ def greedy_cover_starts(
     return arr[np.frombuffer(started, dtype=bool)]
 
 
-def covering_number_1d(values, width: float, stop_after: int | None = None) -> int:
+def covering_number_1d(values, width: float) -> int:
     """Minimum number of closed length-`width` intervals covering the values.
 
     The values may come in any order.  Empty input gives 0.  Ties (a value
     exactly at an interval end) count as covered, up to a relative 1e-12
     slack.  A NaN value raises `InvalidParameterError`; an infinite value is
-    a point of its own, and equal infinities share one interval.  With
-    `stop_after` the result is min(count, stop_after): a lower bound that
-    already reaches it decides before any sort, otherwise counting stops
-    there.  The lower bound of non-empty input is at least 1, so a
-    `stop_after` of 1 or less returns `stop_after` after that one pass.
-    The sorted values are counted by `_count_sorted`.
+    a point of its own, and equal infinities share one interval.  The sorted
+    values are counted by `_count_sorted`, without a cap.
     """
     if not 0 < width < np.inf:
         raise InvalidParameterError(f"width={width} must be positive and finite")
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        return 0
-    if stop_after is not None and covering_lower_bound(arr, width) >= stop_after:
-        return stop_after
-    arr = _sorted_values(arr)
-    if np.isnan(arr[-1]):  # the sort puts any NaN last
+    arr = _sorted_values(values)
+    if arr.size and np.isnan(arr[-1]):  # the sort puts any NaN last
         raise InvalidParameterError("values must not be NaN")
-    return _count_sorted(arr, width, stop_after)
+    return _count_sorted(arr, width, None)
 
 
 def _count_sorted(arr: np.ndarray, width: float, stop_after: int | None) -> int:
@@ -168,47 +158,6 @@ def _count_sorted(arr: np.ndarray, width: float, stop_after: int | None) -> int:
     return ones + len(greedy_cover_starts(walked, width, stop_after=cap))
 
 
-def covering_lower_bound(values, width: float) -> int:
-    """Cheap certified lower bound, in any order: a parity packing.  Values
-    are binned up from their minimum at width w(1 + COVER_RTOL) + 2^-48 max|v|,
-    past one interval's reach by a margin for the rounding of the bins and of
-    the greedy's right ends, so occupied bins of one parity are pairwise out
-    of reach; `_parity_count` counts them.  A NaN value raises
-    `InvalidParameterError`, as in `covering_number_1d`."""
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        return 0
-    lo, hi = float(arr.min()), float(arr.max())
-    if np.isnan(hi):  # min and max both propagate a NaN
-        raise InvalidParameterError("values must not be NaN")
-    if not hi - lo < np.inf:  # an infinite value
-        return 1
-    bw = width * (1.0 + COVER_RTOL) + 2.0**-48 * max(-lo, hi)
-    bins = arr - lo
-    bins /= bw  # at most 2^49, as bw >= 2^-48 max|v|
-    # truncation is floor: v - lo >= 0
-    return _parity_count(bins.astype(np.intp), (hi - lo) / bw)
-
-
-def _parity_count(bins: np.ndarray, span: float) -> int:
-    """max(odd, occupied - odd) over the occupied bins: a lower bound on the
-    greedy count when no interval reaches from one bin to the next-but-one,
-    so each interval meets at most one occupied bin of each parity.
-
-    `bins` holds non-negative bin indices, none above `span`.  They are
-    marked in a table of 2n slots, folded modulo its even size once the span
-    reaches it, which keeps parity; a collision only lowers the count.  The
-    bins array may be overwritten."""
-    table = np.zeros(2 * bins.size, dtype=bool)
-    if span >= table.size:
-        bins %= table.size
-    table[bins] = True
-    occupied = int(np.count_nonzero(table))
-    # each little-endian slot pair is one uint16, its odd slot the high byte
-    odd = int(np.count_nonzero(table.view("<u2") > 0xFF))
-    return max(odd, occupied - odd)
-
-
 # Bin width margin of `_BoxBins`, relative to the largest |unit coordinate|.
 BOX_MARGIN = 2.0**-46
 
@@ -223,8 +172,13 @@ class _BoxBins:
     are non-negative, so t >= 0 needs no min or offset pass, and t is at
     most the box span T = Xspan |c/bw| + Yspan (s/bw), computed with the
     same rounded operations, as rounding is monotone and symmetric.
-    `_parity_count` then counts the bins, the same packing as
-    `covering_lower_bound`.
+
+    The bound is max(odd, occupied - odd) over the occupied bins.  It holds
+    when no greedy interval reaches from one bin to the next-but-one, since
+    each interval then meets at most one occupied bin of each parity.  The
+    bins are marked in a table of 2n slots for n points, folded modulo its
+    even size once the span T reaches it, which keeps parity; a collision
+    only lowers the count.
 
     The bin width is bw = reach + BOX_MARGIN M, with reach = w(1 + COVER_RTOL)
     the greedy's own and M the largest |unit coordinate|.  Soundness, with
@@ -265,7 +219,15 @@ class _BoxBins:
         cb, sb = c / self.bw, s / self.bw
         t = (self.x0 if c >= 0 else self.x1) * cb
         t += self.y0 * sb
-        return _parity_count(t.astype(np.intp), self.x_span * abs(cb) + self.y_span * sb)
+        bins = t.astype(np.intp)
+        table = np.zeros(2 * bins.size, dtype=bool)
+        if self.x_span * abs(cb) + self.y_span * sb >= table.size:
+            bins %= table.size
+        table[bins] = True
+        occupied = int(np.count_nonzero(table))
+        # each little-endian slot pair is one uint16, its odd slot the high byte
+        odd = int(np.count_nonzero(table.view("<u2") > 0xFF))
+        return max(odd, occupied - odd)
 
 
 @dataclass(frozen=True)
@@ -300,16 +262,10 @@ def _project_coords(xy: tuple[np.ndarray, np.ndarray], e: Direction) -> np.ndarr
     return v
 
 
-def _raw_projection(ps: LatticePointSet, e: Direction) -> np.ndarray:
-    """Orthogonal projection values of the set along e in point order, in the
-    set's unit coordinates (lattice points times its own delta)."""
-    return _project_coords(_unit_coords(ps), e)
-
-
 def projection_values(ps: LatticePointSet, e: Direction) -> np.ndarray:
-    """`_raw_projection` sorted ascending.  Direction sweeps count with
-    `covering_number_1d` at the width they need."""
-    return _sorted_values(_raw_projection(ps, e))
+    """Orthogonal projection values of the set along e, in the set's unit
+    coordinates (lattice points times its own delta), sorted ascending."""
+    return _sorted_values(_project_coords(_unit_coords(ps), e))
 
 
 def project(ps: LatticePointSet, e: Direction) -> ProjectionProfile:

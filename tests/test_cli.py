@@ -70,6 +70,16 @@ def test_project(grid3, tmp_path):
     assert payload["covering_number"] >= 1
 
 
+def test_incidence_on_an_empty_set_is_invalid(tmp_path, capsys):
+    path = tmp_path / "empty.pset"
+    path.write_text("PSET v1 n=8 count=0\n")
+    argv = ["incidence", "--in", str(path), *TRIPLE, "--out", "-"]
+    assert main(argv) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "point set is empty" in err
+
+
 @pytest.mark.parametrize("width", ["nan", "inf", "-inf"])
 def test_project_rejects_a_non_finite_width(grid3, capsys, width):
     # "=": argparse reads a separate "-inf" as an option

@@ -16,6 +16,7 @@ TRIPLE = ["--log2delta", "8", "--s", "3/4", "--log2r", "6"]
 
 # name -> argv; "{pset}" is the generated grid3 set, "{out}" the output dir
 CASES = {
+    "adreg": ["adreg", "--level", "5", "--plist", "2,3,4,8,16", "--s", "0.75"],
     "esets": ["esets", "--in", "{pset}", *TRIPLE, "--sweep", "256",
               "--csv", "{out}/esets.csv"],
     "incidence": ["incidence", "--in", "{pset}", *TRIPLE, "--sweep", "256"],

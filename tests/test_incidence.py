@@ -87,6 +87,12 @@ class TestBuildTubes:
         with pytest.raises(InvalidParameterError):
             build_tubes(gen_segment(Scale(2)), [])
 
+    def test_empty_point_set_rejected(self):
+        # the three-term bound of an empty set is 0, so no ratio exists
+        empty = LatticePointSet(Scale(8), np.empty((0, 2), dtype=np.int64))
+        with pytest.raises(InvalidParameterError, match="point set is empty"):
+            build_tubes(empty, direction_grid(4))
+
 
 class TestCountIncidences:
     def test_single_point_five_directions(self):

@@ -35,9 +35,9 @@ from projlab.incidence import TubeFamily
 from projlab.projections import (
     COVER_RTOL,
     _BoxBins,
-    _raw_projection,
+    _count_sorted,
+    _project_coords,
     _unit_coords,
-    covering_lower_bound,
     covering_number_circle,
     esets_csv,
     projection_values,
@@ -85,14 +85,14 @@ class TestCovering1D:
         st.floats(0.01, 4.0),
         st.integers(1, 16),
     )
-    # values 3 widths apart: the lower bound reaches stop_after and decides
+    # values 3 widths apart: the component count reaches stop_after and decides
     @example([0.0, 3.0, 6.0, 9.0, 12.0, 15.0], 1.0, 2)
     @example([0.0, 3.0, 6.0, 9.0, 12.0, 15.0], 1.0, 3)
-    # lower bound 1 equals the count, one below stop_after: it must not decide
+    # one component, one interval, one below stop_after: it must not decide
     @example([0.0, 0.5], 1.0, 2)
     def test_stop_after_is_min_of_full_count(self, values, width, stop):
         full = covering_number_1d(values, width)
-        assert covering_number_1d(values, width, stop_after=stop) == min(full, stop)
+        assert _count_sorted(np.sort(values), width, stop) == min(full, stop)
         if len(values) <= 12:
             assert full == brute_min_cover(values, width)
 
@@ -100,29 +100,13 @@ class TestCovering1D:
     @given(
         st.lists(st.floats(-20.0, 20.0), max_size=30),
         st.floats(0.01, 4.0),
-        st.none() | st.integers(1, 16),
         st.data(),
     )
-    def test_count_ignores_input_order(self, values, width, stop, data):
-        want = covering_number_1d(sorted(values), width, stop_after=stop)
+    def test_count_ignores_input_order(self, values, width, data):
+        want = covering_number_1d(sorted(values), width)
         shuffled = data.draw(st.permutations(values))
         for order in (shuffled, values[::-1], sorted(values, reverse=True), values):
-            assert covering_number_1d(np.array(order), width, stop_after=stop) == want
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=12),
-        # tiny widths put the values' bins far more than 2n slots apart
-        st.floats(1e-9, 1e-3) | st.floats(0.01, 4.0),
-    )
-    # bins 0, 11 and 23 fold onto slots 0, 5 and 5 of the 6-slot table
-    @example([0.0, 3.0, 6.0], 0.25)
-    @example([0.0, 1e-9, 2e-9, 3e-9], 1e-9)
-    # a subnormal width: the 2^-48 max|v| margin sets the bin width
-    @example([0.0, 1.0], 1e-310)
-    def test_lower_bound_never_exceeds_the_minimum(self, values, width):
-        assert covering_lower_bound(values, width) <= brute_min_cover(values, width)
-        assert covering_lower_bound(values[::-1], width) <= brute_min_cover(values, width)
+            assert covering_number_1d(np.array(order), width) == want
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(2)
@@ -134,15 +118,27 @@ class TestCovering1D:
                 assert covering_number_1d(vals + shift, w) == base
 
 
+def _assert_capped_counts(vals, w, want):
+    """`_count_sorted` at every cap up to want + 1 is min(want, cap)."""
+    arr = np.sort(np.asarray(vals, dtype=float))
+    assert _count_sorted(arr, w, None) == want
+    for cap in range(1, want + 2):
+        assert _count_sorted(arr, w, cap) == min(want, cap)
+
+
 class TestLowerBound:
-    """The parity packing against the exhaustive minimum."""
+    """The capped count's own lower bounds, the gap components and two
+    intervals per wide component, against the exhaustive minimum at every
+    cap: a bound above the minimum would return a cap the greedy never
+    reaches."""
 
     @pytest.mark.parametrize("k", [1, 2, 7, 12])
     @pytest.mark.parametrize("w", [0.1, 0.125, 1e-9])
     def test_spacing_past_two_widths_is_tight(self, k, w):
-        # every value sits alone in an even bin; half the 2w-bins gave ceil(k/2)
+        # every value a component of its own: the components decide every cap
         vals = np.arange(k) * 2.01 * w
-        assert covering_lower_bound(vals, w) == brute_min_cover(vals, w) == k
+        assert brute_min_cover(vals, w) == covering_number_1d(vals[::-1], w) == k
+        _assert_capped_counts(vals, w, k)
 
     @pytest.mark.parametrize("k", [2, 5, 11, 12])
     @pytest.mark.parametrize("w", [0.1, 0.125, 3e-7])
@@ -151,8 +147,7 @@ class TestLowerBound:
             vals = np.arange(k) * step
             want = brute_min_cover(vals, w)
             assert want == covering_number_1d(vals, w)
-            assert covering_lower_bound(vals, w) <= want
-            assert covering_lower_bound(vals[::-1], w) <= want
+            _assert_capped_counts(vals, w, want)
 
     @pytest.mark.parametrize("offset", [1e6, -1e6])
     @pytest.mark.parametrize("spacing", [1.0, 1.0 + COVER_RTOL, 2.01, 3.0])
@@ -160,13 +155,14 @@ class TestLowerBound:
         # at 1e6 one ulp is about 1.2e-10, so w = 1e-9 spans only a few ulps
         w = 1e-9
         vals = offset + np.arange(10) * spacing * w
-        assert covering_lower_bound(vals, w) <= brute_min_cover(vals, w)
+        _assert_capped_counts(vals, w, brute_min_cover(vals, w))
 
     def test_pairs_within_reach_across_two_bins(self):
-        # each pair is 1 + 5e-13 apart, inside the reach 1 + 1e-12, and
-        # would straddle two bins of width 1 + 2^-48 max|v|
+        # each pair is 1 + 5e-13 apart, inside the reach 1 + 1e-12: three
+        # narrow components
         vals = np.array([0.0, 2 - 2e-13, 3 + 3e-13, 6 - 2e-13, 7 + 3e-13])
-        assert covering_lower_bound(vals, 1.0) <= brute_min_cover(vals, 1.0) == 3
+        assert brute_min_cover(vals, 1.0) == 3
+        _assert_capped_counts(vals, 1.0, 3)
 
     def test_right_end_rounded_up_to_a_tie(self):
         # the reach is exactly half an ulp of x, and x + reach rounds to the
@@ -177,25 +173,13 @@ class TestLowerBound:
             w = math.nextafter(w, 0.0 if w * (1.0 + COVER_RTOL) > reach else 1.0)
         x = 2.0**20 + 2.0**-32  # odd last mantissa bit
         vals = np.array([x, x + 2.0**-32])
-        assert covering_lower_bound(vals, w) <= brute_min_cover(vals, w) == 1
+        assert brute_min_cover(vals, w) == 1
+        _assert_capped_counts(vals, w, 1)
 
     @pytest.mark.parametrize("vals", [[0.0, np.inf], [-np.inf, 0.0, 5.0, np.inf]])
     def test_infinite_values(self, vals):
-        assert covering_lower_bound(vals, 1.0) <= brute_min_cover(vals, 1.0)
-        assert covering_number_1d(vals, 1.0, stop_after=2) == 2
-
-    def test_folded_table(self):
-        # 6 values over 49 bins: the 12-slot table folds, and bins 0, 12, 24,
-        # 36 and 48 share slot 0 (the 1e-9 stretch keeps each value in the
-        # bin of its integer part)
-        w, stretch = 1.0, 1.0 + 1e-9
-        vals = np.array([0.0, 12.0, 24.0, 36.0, 48.0, 5.0]) * stretch
-        assert covering_lower_bound(vals, w) == 1
-        assert brute_min_cover(vals, w) == 6
-        # folding keeps parity: odd bins 1, 15 and 29 land on odd slots 1, 3, 5
-        vals = np.array([0.0, 1.0, 15.0, 29.0, 0.5, 0.25]) * stretch
-        assert covering_lower_bound(vals, w) == 3
-        assert brute_min_cover(vals, w) == 4
+        assert covering_number_1d(vals, 1.0) == brute_min_cover(vals, 1.0)
+        assert _count_sorted(np.sort(vals), 1.0, 2) == 2
 
 
 # Values on a lattice of half and whole widths, shifted by an offset: the
@@ -227,7 +211,7 @@ class TestGapComponents:
         want = brute_min_cover(values, width)
         assert want == _walk_count(values, width)
         capped = want if stop is None else min(want, stop)
-        assert covering_number_1d(values, width, stop_after=stop) == capped
+        assert _count_sorted(np.sort(values), width, stop) == capped
 
     @settings(max_examples=200, deadline=None)
     @given(_tied_values(200), st.none() | st.integers(1, 40), st.data())
@@ -235,8 +219,9 @@ class TestGapComponents:
         values, width = case
         values = data.draw(st.permutations(values))
         want = _walk_count(values, width)
+        assert covering_number_1d(values, width) == want
         capped = want if stop is None else min(want, stop)
-        assert covering_number_1d(values, width, stop_after=stop) == capped
+        assert _count_sorted(np.sort(values), width, stop) == capped
 
     @staticmethod
     def _no_walk(monkeypatch):
@@ -254,7 +239,7 @@ class TestGapComponents:
         vals = [3 * w * c + x for c in range(12) for x in shapes[c % 4]]
         assert brute_min_cover(vals[:8], w) == 4
         assert covering_number_1d(vals, w) == 12
-        assert covering_number_1d(vals[::-1], w, stop_after=13) == 12
+        assert _count_sorted(np.sort(vals), w, 13) == 12
 
     def test_one_walk_over_every_wide_component(self, monkeypatch):
         calls = []
@@ -270,24 +255,22 @@ class TestGapComponents:
         vals = [0.0, 1.0, 2.0, 5.0, 10.0, 10.8, 11.6, 20.0, 20.5, 21.0, 21.5, 30.0, 30.9]
         assert covering_number_1d(vals, w) == _walk_count(vals, w) == 8
         assert calls == [10]
-        assert covering_number_1d(vals[::-1], w, stop_after=9) == 8
+        assert _count_sorted(np.sort(vals), w, 9) == 8
         assert calls == [10, 10]
 
     def test_a_capped_count_decided_by_the_components(self, monkeypatch):
         self._no_walk(monkeypatch)
         w = 1.0
-        # 8 singletons 1.5w apart: the parity bound finds 4, the components 8
+        # 8 singletons 1.5w apart: 8 components
         vals = np.arange(8) * 1.5 * w
-        assert covering_lower_bound(vals, w) < 6
-        assert covering_number_1d(vals, w, stop_after=6) == 6
+        assert _count_sorted(vals, w, 6) == 6
 
     def test_a_capped_count_decided_by_two_per_wide_component(self, monkeypatch):
         self._no_walk(monkeypatch)
         w = 1.0
         # 4 components {5k, 5k + 0.6, 5k + 1.2}: each takes two intervals
         vals = np.array([[5.0 * k, 5.0 * k + 0.6, 5.0 * k + 1.2] for k in range(4)]).ravel()
-        assert covering_lower_bound(vals, w) < 7
-        assert covering_number_1d(vals, w, stop_after=7) == 7
+        assert _count_sorted(vals, w, 7) == 7
         assert brute_min_cover(vals, w) == 8
 
     @pytest.mark.parametrize("width", [np.nan, np.inf, -np.inf, 0.0, -1.0])
@@ -349,9 +332,14 @@ class TestNonFiniteValues:
     ])
     def test_nan_is_rejected_in_any_order(self, vals, stop):
         with pytest.raises(InvalidParameterError):
-            covering_number_1d(vals, 1.0, stop_after=stop)
+            covering_number_1d(vals, 1.0)
         with pytest.raises(InvalidParameterError):
-            covering_number_1d(np.array(vals[::-1]), 1.0, stop_after=stop)
+            covering_number_1d(np.array(vals[::-1]), 1.0)
+        # without its NaNs the input counts as usual, at any cap
+        rest = [v for v in vals if not math.isnan(v)]
+        want = brute_min_cover(rest, 1.0)
+        capped = want if stop is None else min(want, stop)
+        assert _count_sorted(np.sort(rest), 1.0, stop) == capped
 
     @pytest.mark.parametrize("stop", [None, 1, 2, 3, 4, 9])
     def test_infinities_count_the_same_in_any_order(self, stop):
@@ -364,14 +352,15 @@ class TestNonFiniteValues:
         orders = [vals, vals[::-1], sorted(vals), sorted(vals, reverse=True)]
         orders += [list(rng.permutation(vals)) for _ in range(6)]
         for order in orders:
-            assert covering_number_1d(order, 1.0, stop_after=stop) == capped
+            assert covering_number_1d(order, 1.0) == want
+        assert _count_sorted(np.sort(vals), 1.0, stop) == capped
         # sorted, with equal infinities side by side
         for order in ([0.0, np.inf, np.inf], [-np.inf, -np.inf, 0.0, 0.5],
                       [-np.inf, -np.inf, np.inf, np.inf]):
             want = brute_min_cover(order, 1.0)
             capped = want if stop is None else min(want, stop)
-            assert covering_number_1d(order, 1.0, stop_after=stop) == capped
-            assert covering_number_1d(order[::-1], 1.0, stop_after=stop) == capped
+            assert covering_number_1d(order, 1.0) == covering_number_1d(order[::-1], 1.0) == want
+            assert _count_sorted(np.array(order), 1.0, stop) == capped
 
 
 class TestProject:
@@ -521,14 +510,15 @@ class TestUnitCoordinates:
 
     def test_every_sweep_direction(self):
         for ps in self._large_sets():
+            xy = _unit_coords(ps)
             for d in direction_grid(4096):
-                assert np.array_equal(_raw_projection(ps, d), raw_projection_ref(ps, d))
+                assert np.array_equal(_project_coords(xy, d), raw_projection_ref(ps, d))
 
     def test_direction_next_to_vertical(self):
         d = Direction(np.nextafter(PI / 2, 0))
         assert 0 < d.unit[0] < 1e-15
         for ps in self._large_sets():
-            assert np.array_equal(_raw_projection(ps, d), raw_projection_ref(ps, d))
+            assert np.array_equal(_project_coords(_unit_coords(ps), d), raw_projection_ref(ps, d))
 
     def test_finest_scale_and_inexact_coordinates(self):
         # 2^62 - 1 and 2^53 + 1 both round on conversion to float64
@@ -536,8 +526,9 @@ class TestUnitCoordinates:
         ps = LatticePointSet(Scale(62), np.array([[big, odd], [odd, big], [big, big],
                                                   [odd, 0], [1, odd]]))
         dirs = [*direction_grid(256), Direction(np.nextafter(PI / 2, 0))]
+        xy = _unit_coords(ps)
         for d in dirs:
-            assert np.array_equal(_raw_projection(ps, d), raw_projection_ref(ps, d))
+            assert np.array_equal(_project_coords(xy, d), raw_projection_ref(ps, d))
 
     def test_sweep_counts(self):
         params, sets = TestAgainstPerIntervalSearch._sets()
@@ -596,13 +587,8 @@ class TestCappedSweep:
             ])
             assert np.array_equal(capped.sweep_counts, np.minimum(full, stop))
             assert np.array_equal(capped.sweep_is_member, full < stop)
-        # the random set's directions are all decided by either bound alone
-        rand = sets[1]
-        assert all(
-            covering_lower_bound(_raw_projection(rand, d), params.delta) >= stop
-            for d in direction_grid(256)
-        )
-        box = _BoxBins(_unit_coords(rand), params.delta)
+        # the random set's directions are all decided by the box bound alone
+        box = _BoxBins(_unit_coords(sets[1]), params.delta)
         assert all(box.lower_bound(d) >= stop for d in direction_grid(256))
 
     @staticmethod
@@ -682,7 +668,7 @@ class TestBoxBound:
     def _check(ps, width, theta):
         d = Direction(theta)
         bound = _BoxBins(_unit_coords(ps), width).lower_bound(d)
-        assert 1 <= bound <= covering_number_1d(_raw_projection(ps, d), width)
+        assert 1 <= bound <= covering_number_1d(projection_values(ps, d), width)
         return bound
 
     @settings(max_examples=500, deadline=None)
@@ -706,6 +692,23 @@ class TestBoxBound:
                                                   [77, (1 << 20) - 1]]))
         for theta in (0.0, 1.1, _NEAR_VERTICAL[0], _NEAR_VERTICAL[1], 2.9):
             assert self._check(ps, 2.0**-20, theta) >= 2
+
+    def test_folded_table(self):
+        # width 2^-6 is 16 lattice steps of Scale(10), and bw sits just above
+        # it.  Positions are in widths from the box corner; all but bin 0's
+        # lie mid-bin, so position p falls in bin floor(p)
+        def bound(positions, theta):
+            steps = [round(16 * p) for p in positions]
+            pts = [[v, 3] for v in steps] if theta == 0.0 else [[3, v] for v in steps]
+            return self._check(LatticePointSet(Scale(10), np.array(pts)), 2.0**-6, theta)
+
+        for theta in (0.0, PI / 2):
+            # 6 points over 49 bins: the 12-slot table folds, and bins 0, 12,
+            # 24, 36 and 48 share slot 0
+            assert bound([0, 12.5, 24.5, 36.5, 48.5, 5.5], theta) == 1
+            # folding keeps parity: odd bins 1, 15 and 29 land on odd slots
+            # 1, 3 and 5 beside bin 0's three points; the count is 4
+            assert bound([0, 0.25, 0.5, 1.5, 15.5, 29.5], theta) == 3
 
     @pytest.mark.parametrize("theta, step", [
         (0.0, (129, 0)), (_NEAR_VERTICAL[0], (0, 129)), (_NEAR_VERTICAL[1], (0, 129)),
