@@ -59,10 +59,11 @@ def _fraction(text: str) -> Fraction:
 
 
 def _finite_float(text: str) -> float:
-    """argparse type for a float option: NaN and infinities are usage errors."""
+    """argparse type for a float option, or a fraction p/q such as 3/4:
+    NaN, infinities, p/0 and values beyond the float range are usage errors."""
     try:
-        value = float(text)
-    except ValueError:
+        value = float(Fraction(text)) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError, OverflowError):
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")

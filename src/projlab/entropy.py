@@ -1,10 +1,12 @@
 """Dyadic measures, entropy, blow-ups, and projected-entropy experiments.
 
 A `DyadicMeasure` is a probability measure given by positive masses on
-level-n dyadic cubes of [0,1)^d, d in {1, 2}.  When a point realization is
-needed (projections, ball counts) the mass of a cube sits at the cube
-center, so every measure manipulated here is a genuine atomic probability
-measure and the exact entropy identities apply to it verbatim.
+level-n dyadic cubes of [0,1)^d, d in {1, 2}.  Its cubes are the rows of an
+(N, d) index array in both dimensions; for d = 1 a flat array is accepted.
+When a point realization is needed (projections, ball counts) the mass of a
+cube sits at the cube center, so every measure manipulated here is a genuine
+atomic probability measure and the exact entropy identities apply to it
+verbatim.
 
 Entropy is computed in natural log; the normalized value divides by
 m*log(2) at aggregation level m and reads as an average local dimension.
@@ -24,13 +26,14 @@ constants, never the exact identities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import Direction, InvalidParameterError, _group_rows, _row_starts, direction_grid
-from .pointsets import LatticePointSet, ParseError
+from .core import Direction, InvalidParameterError, Scale, _group_rows, _row_starts, direction_grid
+from .pointsets import LatticePointSet, ParseError, gen_four_corners
+from .projections import _project_coords, _unit_coords, covering_number_1d
 from .records import ExperimentRecord
 
 LOG2 = math.log(2.0)
@@ -63,17 +66,15 @@ class EntropyValue:
 class DyadicMeasure:
     dim: int
     level: int
-    idx: np.ndarray  # (N,) int64 for dim=1, (N,2) for dim=2; sorted, unique
+    idx: np.ndarray  # (N, dim) int64; rows lexicographically sorted, unique
     mass: np.ndarray  # (N,) float64, strictly positive, sums to 1
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise InvalidParameterError(f"dim={self.dim} must be 1 or 2")
         if not (0 <= self.level <= 62):
             raise InvalidParameterError(f"level={self.level} outside [0, 62]")
-        idx = np.asarray(self.idx, dtype=np.int64)
-        idx = idx.reshape(-1) if self.dim == 1 else idx.reshape(-1, 2)
+        idx = np.asarray(self.idx, dtype=np.int64).reshape(-1, self.dim)
         mass = np.asarray(self.mass, dtype=np.float64).ravel()
         if len(mass) != len(idx):
             raise InvalidParameterError("index and mass arrays disagree in length")
@@ -86,16 +87,9 @@ class DyadicMeasure:
         side = 1 << self.level
         if idx.min() < 0 or idx.max() >= side:
             raise InvalidParameterError(f"cube index outside [0, 2^{self.level})")
-        if self.dim == 1:
-            order = np.argsort(idx, kind="stable")
-        else:
-            order = np.lexsort((idx[:, 1], idx[:, 0]))
+        order = np.lexsort(idx.T[::-1])
         idx, mass = idx[order], mass[order]
-        if self.dim == 1:
-            dup = np.diff(idx) == 0
-        else:
-            dup = np.all(np.diff(idx, axis=0) == 0, axis=1)
-        if dup.any():
+        if not _row_starts(idx).all():
             raise InvalidParameterError("duplicate cube index")
         total = mass.sum()
         if abs(total - 1.0) > MASS_TOL:
@@ -116,11 +110,7 @@ class DyadicMeasure:
 
     def coarsen(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Aggregated (indices, masses) at level m, sorted by index."""
-        keys = self.coarse_keys(m)
-        if self.dim == 1:
-            uniq, inv = np.unique(keys, return_inverse=True)
-        else:
-            uniq, inv = _group_rows(keys)
+        uniq, inv = _group_rows(self.coarse_keys(m))
         agg = np.bincount(inv, weights=self.mass)
         return uniq, agg
 
@@ -154,11 +144,7 @@ def conditional_entropy(mu: DyadicMeasure, fine: int, coarse: int) -> float:
             f"need 0 <= coarse <= fine <= {mu.level}, got ({fine}, {coarse})"
         )
     fine_idx, fine_mass = mu.coarsen(fine)
-    group = fine_idx >> (fine - coarse)
-    if mu.dim == 1:
-        _, inv = np.unique(group, return_inverse=True)
-    else:
-        _, inv = _group_rows(group)
+    _, inv = _group_rows(fine_idx >> (fine - coarse))
     return _grouped_entropy(inv, fine_mass)
 
 
@@ -176,16 +162,17 @@ def blow_up(mu: DyadicMeasure, q, k: int) -> DyadicMeasure:
     """Renormalized, rescaled restriction of mu to the level-k cube q.
 
     q is an integer (dim 1) or an index pair (dim 2); the result lives at
-    level mu.level - k on [0,1)^d.
+    level mu.level - k on [0,1)^d.  Each index is compared as a Python int,
+    so one beyond 64 bits selects nothing.
     """
     if not (0 <= k <= mu.level):
         raise InvalidParameterError(f"cube level k={k} outside [0, {mu.level}]")
-    keys = mu.coarse_keys(k)
-    if mu.dim == 1:
-        sel = keys == int(q)
-    else:
-        qi, qj = (int(q[0]), int(q[1]))
-        sel = (keys[:, 0] == qi) & (keys[:, 1] == qj)
+    cube = [int(v) for v in np.atleast_1d(np.asarray(q, dtype=object))]
+    if len(cube) != mu.dim:
+        raise InvalidParameterError(f"cube {q} needs {mu.dim} indices")
+    sel = np.ones(len(mu), dtype=bool)
+    for col, v in zip(mu.coarse_keys(k).T, cube):
+        sel &= col == v
     if not sel.any():
         raise InvalidParameterError(f"cube {q} at level {k} carries no mass")
     shift = mu.level - k
@@ -193,7 +180,7 @@ def blow_up(mu: DyadicMeasure, q, k: int) -> DyadicMeasure:
     sub_idx = mu.idx[sel] & mask
     sub_mass = mu.mass[sel]
     total = sub_mass.sum()
-    return DyadicMeasure(mu.dim, shift, sub_idx, sub_mass / total, meta=dict(mu.meta))
+    return DyadicMeasure(mu.dim, shift, sub_idx, sub_mass / total)
 
 
 def projection_offset(e: Direction) -> float:
@@ -221,13 +208,7 @@ def project_measure(mu: DyadicMeasure, e: Direction, out_level: int) -> DyadicMe
     bins = _projected_bins(mu.centers(), e, out_level)
     uniq, inv = np.unique(bins, return_inverse=True)
     agg = np.bincount(inv, weights=mu.mass)
-    return DyadicMeasure(
-        1,
-        out_level,
-        uniq,
-        agg / agg.sum(),
-        meta={"theta": e.theta, "offset": projection_offset(e), "ratio": 0.5},
-    )
+    return DyadicMeasure(1, out_level, uniq, agg / agg.sum())
 
 
 def multiscale_check(mu: DyadicMeasure, e: Direction, m: int) -> ExperimentRecord:
@@ -323,8 +304,7 @@ def ad_regularity_check(mu: DyadicMeasure) -> ADRegularityReport:
     x, y = mu.centers()[order].T
     mass = mu.mass[order]
     size = len(mass)
-    starts = [np.flatnonzero(np.r_[True, (np.diff(idx >> (n - l), axis=0) != 0).any(axis=1)])
-              for l in range(n + 1)]
+    starts = [np.flatnonzero(_row_starts(idx >> (n - l))) for l in range(n + 1)]
     tree = []
     for l, s in enumerate(starts):
         # at the atom level every pair is decided, so no children are read
@@ -469,13 +449,10 @@ def theorem_main2_experiment(
     lies inside direction_grid(4)), so each direction k/p is counted once,
     keyed by the reduced fraction.
     """
-    from .pointsets import gen_four_corners
-    from .projections import project
-    from .core import Scale
-
     if not 0 <= L <= 31:  # the lattice level 2L must lie in [0, 62]
         raise InvalidParameterError(f"four-corners level L={L} outside [0, 31]")
     ps = gen_four_corners(L, Scale(2 * L))
+    xy = _unit_coords(ps)
     delta = ps.scale.delta
     counts: dict[Fraction, int] = {}
     averages = {}
@@ -484,7 +461,7 @@ def theorem_main2_experiment(
         for k, e in enumerate(direction_grid(p)):
             key = Fraction(k, p)
             if key not in counts:
-                counts[key] = project(ps, e).covering_number
+                counts[key] = covering_number_1d(_project_coords(xy, e), delta)
             total += counts[key]
         averages[p] = total / p
     target = delta ** (-s)
@@ -516,12 +493,8 @@ def theorem_main2_experiment(
 
 def write_dmeas(mu: DyadicMeasure, stream) -> None:
     stream.write(f"DMEAS v1 d={mu.dim} n={mu.level}\n")
-    if mu.dim == 1:
-        for i, w in zip(mu.idx, mu.mass):
-            stream.write(f"{i} {w:.17g}\n")
-    else:
-        for (i, j), w in zip(mu.idx, mu.mass):
-            stream.write(f"{i} {j} {w:.17g}\n")
+    for row, w in zip(mu.idx.tolist(), mu.mass.tolist()):
+        stream.write(f"{' '.join(map(str, row))} {w:.17g}\n")
 
 
 def read_dmeas(stream) -> DyadicMeasure:
@@ -547,27 +520,24 @@ def read_dmeas(stream) -> DyadicMeasure:
         if len(fields) != dim + 1:
             raise ParseError(f"expected {dim + 1} fields, got {line!r}", lineno)
         try:
-            if dim == 1:
-                idx.append(int(fields[0]))
-            else:
-                idx.append((int(fields[0]), int(fields[1])))
+            idx.append([int(f) for f in fields[:-1]])
             mass.append(float(fields[-1]))
         except ValueError:
             raise ParseError(f"malformed cube line {line!r}", lineno) from None
         if not math.isfinite(mass[-1]):
             raise ParseError(f"mass is not finite in {line!r}", lineno)
     try:
-        idx_arr = np.array(idx, dtype=np.int64)
+        idx_arr = np.array(idx, dtype=np.int64).reshape(-1, dim)
     except OverflowError:
-        entry = next(k for k, i in enumerate(idx)
-                     if not all(-(2**63) <= v < 2**63 for v in (i if dim == 2 else (i,))))
-        raise ParseError(f"cube index {idx[entry]} beyond 64 bits",
+        entry, v = next((k, v) for k, row in enumerate(idx) for v in row
+                        if not -(2**63) <= v < 2**63)
+        raise ParseError(f"cube index {v} beyond 64 bits",
                          _entry_line(entry, blank)) from None
     mass_arr = np.array(mass)
     try:
         return DyadicMeasure(dim, level, idx_arr, mass_arr)
     except InvalidParameterError as e:
-        entry = _rejected_entry(idx_arr.reshape(len(mass_arr), dim), mass_arr, level)
+        entry = _rejected_entry(idx_arr, mass_arr, level)
         raise ParseError(str(e), 1 if entry is None else _entry_line(entry, blank)) from None
 
 
@@ -595,5 +565,5 @@ def _rejected_entry(idx: np.ndarray, mass: np.ndarray, level: int) -> int | None
         bad[kept] = ((idx[kept] < 0) | (idx[kept] >= 1 << level)).any(axis=1)
     if not bad.any():
         order = kept[np.lexsort(idx[kept].T)]  # stable: repeats keep file order
-        bad[order[1:][(np.diff(idx[order], axis=0) == 0).all(axis=1)]] = True
+        bad[order[~_row_starts(idx[order])]] = True
     return int(np.argmax(bad)) if bad.any() else None

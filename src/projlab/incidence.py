@@ -95,13 +95,11 @@ def upper_bound_report(
     ps: LatticePointSet,
     tubes: TubeFamily,
     params: ParamTriple,
-    assumed_frostman: bool = False,
 ) -> ExperimentRecord:
     """Exact incidence count against the three-term bound, as a measured ratio.
 
-    The caller is responsible for having thinned the set to a dyadic
-    Frostman set; `assumed_frostman` is recorded so downstream consumers can
-    tell whether the bound's hypothesis was certified.
+    The bound assumes a dyadic Frostman set, which nothing here certifies,
+    so the record's `frostman_certified` reads false.
     """
     counts = count_incidences(ps, tubes)
     n_points = len(ps)
@@ -120,7 +118,7 @@ def upper_bound_report(
             "delta": params.delta,
             "tau": tau,
             "s": str(params.s),
-            "frostman_certified": assumed_frostman,
+            "frostman_certified": False,
         },
         results={
             "delta": params.delta,

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import InvalidParameterError, ParamTriple, Scale, _group_rows
+from .core import InvalidParameterError, ParamTriple, Scale, _group_rows, _row_starts
 
 
 class ParseError(ValueError):
@@ -47,12 +47,10 @@ class LatticePointSet:
             raise InvalidParameterError(
                 f"lattice coordinates outside [0, 2^{self.scale.n})"
             )
-        order = np.lexsort((pts[:, 1], pts[:, 0]))
-        pts = pts[order]
-        if len(pts) > 1:
-            dup = np.all(pts[1:] == pts[:-1], axis=1)
-            if dup.any():
-                pts = np.concatenate([pts[:1], pts[1:][~dup]])
+        pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+        starts = _row_starts(pts)
+        if not starts.all():  # copy again only to drop duplicates
+            pts = pts[starts]
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

@@ -188,12 +188,12 @@ def measure_mix(t: float, mu: DyadicMeasure, nu: DyadicMeasure) -> DyadicMeasure
     """t*mu + (1-t)*nu for measures at the same level and dimension."""
     assert mu.dim == nu.dim and mu.level == nu.level
     accum: dict = {}
-    for i, w in zip(mu.idx, mu.mass):
-        key = int(i) if mu.dim == 1 else (int(i[0]), int(i[1]))
-        accum[key] = accum.get(key, 0.0) + t * float(w)
-    for i, w in zip(nu.idx, nu.mass):
-        key = int(i) if nu.dim == 1 else (int(i[0]), int(i[1]))
-        accum[key] = accum.get(key, 0.0) + (1.0 - t) * float(w)
+    for i, w in zip(mu.idx.tolist(), mu.mass.tolist()):
+        key = tuple(i)
+        accum[key] = accum.get(key, 0.0) + t * w
+    for i, w in zip(nu.idx.tolist(), nu.mass.tolist()):
+        key = tuple(i)
+        accum[key] = accum.get(key, 0.0) + (1.0 - t) * w
     keys = sorted(accum)
     idx = np.array(keys)
     mass = np.array([accum[k] for k in keys])
@@ -239,7 +239,7 @@ def coarsen_ref(mu: DyadicMeasure, m: int) -> tuple[np.ndarray, np.ndarray]:
     """`DyadicMeasure.coarsen` through numpy's `unique` of the level-m
     ancestor rows, the grouping it used before its column lexsort."""
     keys = mu.idx >> (mu.level - m)
-    uniq, inv = np.unique(keys, axis=0 if mu.dim == 2 else None, return_inverse=True)
+    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
     return uniq, np.bincount(inv.ravel(), weights=mu.mass)
 
 

@@ -103,7 +103,7 @@ FLOAT_OPTIONS = [
 ]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity", "1/0", "1e400"])
 @pytest.mark.parametrize("argv, option, finite", FLOAT_OPTIONS,
                          ids=[f"{a[0]}-{a[1]}-{o}" for a, o, _ in FLOAT_OPTIONS])
 def test_non_finite_float_option_is_a_usage_error(capsys, argv, option, finite, value):
@@ -218,6 +218,33 @@ def test_oversized_index_exits_with_a_parse_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fixture, cube", [
+    ("line_measure", ["--i", "99999999999999999999"]),
+    ("plane_measure", ["--i", "0", "--j", "-99999999999999999999"]),
+])
+def test_blowup_of_a_cube_beyond_64_bits_is_invalid(request, capsys, fixture, cube):
+    path = request.getfixturevalue(fixture)
+    assert main(["entropy", "blowup", "--in", str(path), "--k", "1", *cube]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "carries no mass" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fixture, cube", [
+    ("line_measure", ["--i", "0"]),
+    ("plane_measure", ["--i", "0", "--j", "1"]),
+])
+def test_blowup_writes_the_piece(request, tmp_path, fixture, cube):
+    piece = tmp_path / "piece.dmeas"
+    argv = ["entropy", "blowup", "--in", str(request.getfixturevalue(fixture)), "--k", "1",
+            *cube, "--write", str(piece)]
+    rec = _run(argv, tmp_path / "b.json")
+    with open(piece) as f:
+        mu = read_dmeas(f)
+    assert mu.level == rec["results"]["level"] == 5
+    assert mu.idx.shape == (rec["results"]["atoms"], mu.dim)
+
+
 def test_entropy_cover(line_measure, tmp_path):
     rec = _run(["entropy", "cover", "--in", str(line_measure), "--s", "0.8"],
                tmp_path / "c.json")
@@ -228,6 +255,13 @@ def test_adreg(tmp_path):
     rec = _run(["adreg", "--level", "3", "--plist", "2,8", "--s", "0.75"],
                tmp_path / "a.json")
     assert rec["results"]["table"][0]["average"] == 8.0
+
+
+def test_adreg_takes_s_as_a_fraction(tmp_path):
+    argv = ["adreg", "--level", "3", "--plist", "2,3,8", "--out"]
+    assert main([*argv, str(tmp_path / "fraction.json"), "--s", "3/4"]) == EXIT_OK
+    assert main([*argv, str(tmp_path / "decimal.json"), "--s", "0.75"]) == EXIT_OK
+    assert (tmp_path / "fraction.json").read_bytes() == (tmp_path / "decimal.json").read_bytes()
 
 
 def test_adreg_averages_need_not_grow_with_p(tmp_path):

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import math
@@ -56,7 +57,7 @@ def _aggregate_ref(mu, m: int) -> list[float]:
     shift = mu.level - m
     agg: dict = {}
     for i, w in zip(mu.idx.tolist(), mu.mass.tolist()):
-        key = i >> shift if mu.dim == 1 else (i[0] >> shift, i[1] >> shift)
+        key = tuple(v >> shift for v in i)
         agg[key] = agg.get(key, 0.0) + w
     return list(agg.values())
 
@@ -107,6 +108,9 @@ class TestDmeasFormat:
         assert (back.dim, back.level) == (dim, level)
         assert back.idx.dtype == mu.idx.dtype and np.array_equal(back.idx, mu.idx)
         assert np.array_equal(back.mass.view(np.uint64), mu.mass.view(np.uint64))
+        again = io.StringIO()
+        write_dmeas(back, again)
+        assert again.getvalue() == text.getvalue()
 
     @settings(max_examples=300, deadline=None)
     @given(parser_text("DMEAS v1 d={} n={}", st.one_of(st.sampled_from([1, 2]), st.integers())))
@@ -115,6 +119,24 @@ class TestDmeasFormat:
             read_dmeas(io.StringIO(text))
         except ParseError:
             pass
+
+
+class TestRowLayout:
+    def test_flat_line_indices_are_stored_as_rows(self):
+        mu = DyadicMeasure(1, 4, [9, 1, 5], [0.5, 0.25, 0.25])
+        assert mu.idx.shape == (3, 1) and mu.idx.dtype == np.int64
+        assert mu.idx[:, 0].tolist() == [1, 5, 9]
+        assert mu.mass.tolist() == [0.25, 0.25, 0.5]
+
+    @pytest.mark.parametrize("mu", [
+        _measure(7, 1),
+        _measure(7, 2),
+        project_measure(from_pointset(gen_four_corners(3, Scale(6))), Direction(0.7), 6),
+    ])
+    def test_every_dimension_keeps_one_row_per_atom(self, mu):
+        assert mu.idx.shape == mu.centers().shape == (len(mu), mu.dim)
+        for m in range(mu.level + 1):
+            assert mu.coarsen(m)[0].shape[1] == mu.dim
 
 
 class TestEntropyAgainstReference:
@@ -357,6 +379,14 @@ class TestBlowUp:
         with pytest.raises(InvalidParameterError, match="carries no mass"):
             blow_up(mu, (0, 1), 1)
 
+    @pytest.mark.parametrize("mu, q", [
+        (DyadicMeasure(1, 2, [0, 1], [0.5, 0.5]), (0, 0)),
+        (DyadicMeasure(2, 2, [(0, 0), (3, 0)], [0.5, 0.5]), 0),
+    ])
+    def test_cube_of_the_wrong_dimension_is_rejected(self, mu, q):
+        with pytest.raises(InvalidParameterError, match="needs"):
+            blow_up(mu, q, 1)
+
     @settings(max_examples=30, deadline=None)
     @given(_measures().filter(lambda mu: mu.level >= 2), _THETAS, st.integers(1, 7))
     def test_weighted_blow_up_entropies_sum_to_the_multiscale_check(self, mu, theta, m):
@@ -376,14 +406,16 @@ class TestAdregDirections:
     P_LIST = [2, 3, 4, 6, 8, 12, 16]
 
     def test_each_direction_is_projected_once(self, monkeypatch):
+        # the package's `entropy` attribute is the function, not the module
+        module = importlib.import_module("projlab.entropy")
         calls = []
-        real = projections.project
+        real = module._project_coords
 
-        def spy(ps, e):
+        def spy(xy, e):
             calls.append(e.theta)
-            return real(ps, e)
+            return real(xy, e)
 
-        monkeypatch.setattr(projections, "project", spy)
+        monkeypatch.setattr(module, "_project_coords", spy)
         rec = theorem_main2_experiment(8, [2, 3, 4, 8, 16], 0.75)
         assert len(calls) == len(set(calls)) == 18
         assert rec.results["table"][0]["average"] == 256.0
