@@ -50,6 +50,8 @@ EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_ASSERTION = 3
 
+SWEEP_HELP = "direction grid size (default 4*2^log2delta, whatever the set's own n)"
+
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -338,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     es = sub.add_parser("esets", help="sweep the small-projection direction set")
     es.add_argument("--in", dest="infile", required=True)
     add_triple(es)
-    es.add_argument("--sweep", type=int, help="grid size (default 4*2^n)")
+    es.add_argument("--sweep", type=int, help=SWEEP_HELP)
     es.add_argument("--csv", help="also write the per-direction sweep table")
     add_common(es)
     es.set_defaults(func=cmd_esets)
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     inc = sub.add_parser("incidence", help="tube family and incidence bounds")
     inc.add_argument("--in", dest="infile", required=True)
     add_triple(inc)
-    inc.add_argument("--sweep", type=int)
+    inc.add_argument("--sweep", type=int, help=SWEEP_HELP)
     add_common(inc)
     inc.set_defaults(func=cmd_incidence)
 

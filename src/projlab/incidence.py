@@ -2,7 +2,11 @@
 
 For each direction e in a direction family, the projection of the point set
 is covered greedily by disjoint closed intervals of length delta; the tubes
-are the preimages of those intervals.  Disjointness makes the count exact:
+are the preimages of those intervals.  For the members of an E_s sweep the
+sweep has already walked that cover at the triple's delta and kept its
+starts, so `build_tubes` reads them and projects nothing; a plain list of
+directions is projected, sorted and walked by the same kernel at the set's
+own delta.  Disjointness makes the count exact:
 every point lies in exactly one tube per direction, so
 
     |I(P, T)| = |P| * #directions
@@ -29,10 +33,9 @@ from .pointsets import LatticePointSet
 from .projections import (
     COVER_RTOL,
     DirectionSetES,
+    _cover_sorted,
     _project_coords,
-    _sorted_values,
     _unit_coords,
-    greedy_cover_starts,
 )
 from .records import ExperimentRecord
 
@@ -54,26 +57,33 @@ class IncidenceCount:
 
 
 def build_tubes(ps: LatticePointSet, E: DirectionSetES | list[Direction]) -> TubeFamily:
-    """Greedy disjoint delta-tube family covering the set in every direction."""
+    """Greedy disjoint delta-tube family covering the set in every direction.
+
+    For an E_s sweep of this set, the tubes are the members' greedy starts
+    the sweep kept, at the triple's delta = es.params.delta; nothing is
+    projected again.  For a plain list of directions, each direction is
+    projected, sorted and walked at the set's own delta."""
     dirs = E.members if isinstance(E, DirectionSetES) else list(E)
     if not dirs:
         raise InvalidParameterError("direction family is empty")
     if not len(ps):
         raise InvalidParameterError("point set is empty")
+    if isinstance(E, DirectionSetES):
+        return TubeFamily(E.params.delta, list(dirs),
+                          {d.theta: s for d, s in zip(dirs, E.member_starts)})
     delta = ps.scale.delta
     xy = _unit_coords(ps)
-    starts: dict[float, np.ndarray] = {}
-    for d in dirs:
-        starts[d.theta] = greedy_cover_starts(_sorted_values(_project_coords(xy, d)), delta)
-    return TubeFamily(delta, list(dirs), starts)
+    starts = {d.theta: _cover_sorted(np.sort(_project_coords(xy, d)), delta, None)[1]()
+              for d in dirs}
+    return TubeFamily(delta, dirs, starts)
 
 
 def count_incidences(ps: LatticePointSet, tubes: TubeFamily) -> IncidenceCount:
     """Exact incidence count by binary search of each projection value, in
     point order, into the sorted disjoint intervals of its direction.
 
-    It projects the set again rather than reuse the order `build_tubes`
-    sorted, so that the `exact_lower_bound_equality` check in
+    It projects the set again rather than reuse the values the sweep or
+    `build_tubes` sorted, so that the `exact_lower_bound_equality` check in
     `upper_bound_report` stays an independent count: a point the tube build
     missed, or placed in two tubes, shows up here.  The unit coordinates
     are computed once, above the direction loop."""

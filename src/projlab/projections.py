@@ -5,7 +5,7 @@ interval of the requested width at the leftmost uncovered value, repeat.
 For fixed-length intervals this greedy is exactly optimal, which the test
 suite re-verifies against exhaustive enumeration on small instances.
 
-Every count runs on sorted values, in `_count_sorted`:
+Every count runs on sorted values, in `_cover_sorted`:
 - one numpy pass splits the values at every gap wider than the reach
   w(1 + COVER_RTOL).  The greedy restarts at each such gap, since it
   compares with the same float expression and rounding is monotone.  A
@@ -16,6 +16,9 @@ Every count runs on sorted values, in `_count_sorted`:
   interval, trying the previous stride first, so it reads only the values
   near the starts.  A gap between two components restarts the walk, as a
   separate call per component would.
+The same pass can hand back the greedy starts, merged from the narrow
+components' first values and the walk's starts, but only on request: a
+plain count never assembles them.
 
 The sweep in `compute_E_s` needs each count only up to a cap, and tries one
 sort-free lower bound first, on the set rather than on a projection:
@@ -23,7 +26,10 @@ sort-free lower bound first, on the set rather than on a projection:
 once per set and counts a parity packing of bins just wider than one
 interval's reach, straight from those columns.  A direction that bound
 decides is never projected; an open one is projected, sorted and handed to
-`_count_sorted` with the cap.
+`_cover_sorted` with the cap.  A member's count is below the cap, so it is
+the full greedy cover, and the sweep keeps that cover's starts: they are
+the member's delta-tubes, which `incidence.build_tubes` reads instead of
+projecting, sorting and walking the direction a second time.
 
 `compute_E_s` evaluates the direction set
 
@@ -114,18 +120,19 @@ def covering_number_1d(values, width: float) -> int:
     exactly at an interval end) count as covered, up to a relative 1e-12
     slack.  A NaN value raises `InvalidParameterError`; an infinite value is
     a point of its own, and equal infinities share one interval.  The sorted
-    values are counted by `_count_sorted`, without a cap.
+    values are counted by `_cover_sorted`, without a cap.
     """
     if not 0 < width < np.inf:
         raise InvalidParameterError(f"width={width} must be positive and finite")
     arr = _sorted_values(values)
     if arr.size and np.isnan(arr[-1]):  # the sort puts any NaN last
         raise InvalidParameterError("values must not be NaN")
-    return _count_sorted(arr, width, None)
+    return _cover_sorted(arr, width, None)[0]
 
 
-def _count_sorted(arr: np.ndarray, width: float, stop_after: int | None) -> int:
-    """The greedy count of sorted values without NaN, capped at `stop_after`.
+def _cover_sorted(arr: np.ndarray, width: float, stop_after: int | None):
+    """The greedy count of sorted values without NaN, capped at `stop_after`,
+    and a function that assembles that cover's starts.
 
     The values split into gap components, broken wherever
     v[i+1] > v[i] + reach with the walk's own reach = w(1 + COVER_RTOL).
@@ -137,25 +144,32 @@ def _count_sorted(arr: np.ndarray, width: float, stop_after: int | None) -> int:
     restart the walk.  With `stop_after`, the component count, and then that
     count plus one per wide component, are lower bounds that may decide
     before the walk.
+
+    The second item is None when a lower bound decided the cap.  Otherwise
+    calling it gives the greedy starts in ascending order: the first value
+    of each narrow component merged with the walk's starts.  They are the
+    whole cover only when the count is below the cap.  A caller that wants
+    the count alone never pays to assemble them.
     """
     if arr.size == 0:
-        return 0
+        return 0, lambda: arr
     reach = width * (1.0 + COVER_RTOL)
     heads = np.flatnonzero(arr[1:] > arr[:-1] + reach) + 1
     comps = heads.size + 1
     if stop_after is not None and comps >= stop_after:
-        return stop_after
+        return stop_after, None
     first = np.concatenate(([0], heads))
     last = np.concatenate((heads - 1, [arr.size - 1]))
     wide = ~(arr[last] <= arr[first] + reach)
     ones = comps - int(np.count_nonzero(wide))
     if ones == comps:
-        return ones
+        return ones, lambda: arr[first]
     if stop_after is not None and 2 * comps - ones >= stop_after:
-        return stop_after  # a wide component takes two intervals or more
+        return stop_after, None  # a wide component takes two intervals or more
     cap = None if stop_after is None else stop_after - ones
     walked = arr if ones == 0 else arr[np.repeat(wide, last - first + 1)]
-    return ones + len(greedy_cover_starts(walked, width, stop_after=cap))
+    tail = greedy_cover_starts(walked, width, stop_after=cap)
+    return ones + len(tail), lambda: np.sort(np.concatenate((arr[first[~wide]], tail)))
 
 
 # Bin width margin of `_BoxBins`, relative to the largest |unit coordinate|.
@@ -281,7 +295,9 @@ class DirectionSetES:
 
     `sweep_counts` are exact covering numbers for members; for non-members
     they are min(count, floor(threshold) + 1), since the sweep stops
-    counting once membership is decided.
+    counting once membership is decided.  `member_starts[i]` holds the
+    ascending greedy starts of the delta-cover along `members[i]`, one per
+    counted interval, in the unit coordinates of the swept set.
     """
 
     params: ParamTriple
@@ -290,6 +306,7 @@ class DirectionSetES:
     sweep_thetas: np.ndarray = field(repr=False)
     sweep_counts: np.ndarray = field(repr=False)
     sweep_is_member: np.ndarray = field(repr=False)
+    member_starts: list[np.ndarray] = field(repr=False)
 
     def member_arcs(self) -> list[tuple[float, float]]:
         """Membership as maximal runs [theta_lo, theta_hi] of consecutive
@@ -322,15 +339,17 @@ def compute_E_s(
 ) -> DirectionSetES:
     """Evaluate E_s membership on direction_grid(sweep).
 
-    The sweep defaults to 4 * 2^n gridpoints so the angular resolution is
-    finer than delta.  Each direction's count stops at floor(delta^-s) + 1,
-    where membership is decided.  The parity bound of `_BoxBins`, on box
-    columns prepared once per set, decides most directions without their
-    projection; only a direction it leaves open is projected, sorted and
-    counted by `_count_sorted`.  Either way the count is min(count, cap).
+    The sweep defaults to 4 * 2^a gridpoints, a = params.a, so the angular
+    resolution is finer than delta = 2^-a whatever the set's own scale.
+    Each direction's count stops at floor(delta^-s) + 1, where membership is
+    decided.  The parity bound of `_BoxBins`, on box columns prepared once
+    per set, decides most directions without their projection; only a
+    direction it leaves open is projected, sorted and counted by
+    `_cover_sorted`.  Either way the count is min(count, cap).  A member's
+    greedy starts are kept in `member_starts`.
     """
     if sweep is None:
-        sweep = 4 * ps.scale.side
+        sweep = 4 * params.scale.side
     if sweep < 1:
         raise InvalidParameterError(f"sweep={sweep} must be >= 1")
     t_int = params.floor_delta_pow(params.s)  # floor(delta^-s), exact
@@ -338,12 +357,14 @@ def compute_E_s(
     grid = direction_grid(sweep)
     xy = _unit_coords(ps)
     box = _BoxBins(xy, params.delta)
-    counts = np.array(
-        [stop if box.lower_bound(d) >= stop
-         else _count_sorted(np.sort(_project_coords(xy, d)), params.delta, stop)
-         for d in grid],
-        dtype=np.int64,
-    )
+    counts = np.full(sweep, stop, dtype=np.int64)
+    member_starts = []
+    for i, d in enumerate(grid):
+        if box.lower_bound(d) < stop:
+            count, starts = _cover_sorted(np.sort(_project_coords(xy, d)), params.delta, stop)
+            counts[i] = count
+            if count < stop:
+                member_starts.append(starts())
     is_member = counts <= t_int
     members = [d for d, ok in zip(grid, is_member) if ok]
     return DirectionSetES(
@@ -353,6 +374,7 @@ def compute_E_s(
         sweep_thetas=np.array([d.theta for d in grid]),
         sweep_counts=counts,
         sweep_is_member=is_member,
+        member_starts=member_starts,
     )
 
 

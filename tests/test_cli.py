@@ -4,6 +4,7 @@ import csv
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from projlab import (
     ParamTriple,
     ParseError,
     Scale,
+    build_tubes,
     compute_E_s,
+    covering_number_1d,
     from_pointset,
     gen_four_corners,
     read_dmeas,
@@ -24,9 +27,11 @@ from projlab import (
     write_dmeas,
 )
 from projlab.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
+from projlab.projections import projection_values
 from projlab.records import record_from_dict
 
 TRIPLE = ["--log2delta", "8", "--s", "3/4", "--log2r", "6"]
+GOLDEN_GRID3 = Path(__file__).with_name("golden") / "grid3.pset"
 
 
 def _run(argv, out):
@@ -122,6 +127,14 @@ def test_esets(grid3, tmp_path):
     assert rec["params"]["sweep"] == 64
 
 
+def test_esets_default_sweep_follows_log2delta(tmp_path):
+    # a set at n = 6 swept at delta = 2^-8: the default grid is 4 * 2^8
+    pset = tmp_path / "segment.pset"
+    assert main(["gen", "--shape", "segment", "--n", "6", "--out", str(pset)]) == EXIT_OK
+    rec = _run(["esets", "--in", str(pset), *TRIPLE], tmp_path / "e.json")
+    assert rec["params"]["sweep"] == 1024
+
+
 def test_esets_csv_rows_equal_the_sweep_table(grid3, tmp_path):
     csv_path = tmp_path / "e.csv"
     _run(["esets", "--in", str(grid3), *TRIPLE, "--sweep", "64", "--csv", str(csv_path)],
@@ -145,6 +158,26 @@ def test_incidence(grid3, tmp_path):
     rec = _run(["incidence", "--in", str(grid3), *TRIPLE, "--sweep", "64"],
                tmp_path / "i.json")
     assert rec["results"]["incidences"] > 0
+
+
+def test_incidence_tubes_are_delta_wide(tmp_path):
+    # an n = 8 set at delta = 2^-6: the tubes are the sweep's 2^-6 covers
+    argv = ["--log2delta", "6", "--s", "3/4", "--log2r", "4"]
+    rec = _run(["incidence", "--in", str(GOLDEN_GRID3), *argv, "--sweep", "256"],
+               tmp_path / "i.json")
+    delta = 2.0**-6
+    assert rec["results"]["delta"] == delta
+    with open(GOLDEN_GRID3) as f:
+        ps = read_pset(f)
+    assert ps.scale.n == 8
+    es = compute_E_s(ps, ParamTriple(Scale(6), Fraction(3, 4), 4), sweep=256)
+    assert len(es.members) > 0
+    assert rec["results"]["n_tubes"] == int(es.sweep_counts[es.sweep_is_member].sum())
+    assert rec["results"]["incidences"] == len(ps) * len(es.members)
+    fam = build_tubes(ps, es)
+    assert fam.scale_delta == delta
+    for d in es.members:
+        assert len(fam.starts[d.theta]) == covering_number_1d(projection_values(ps, d), delta)
 
 
 def test_sharpness(tmp_path):

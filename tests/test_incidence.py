@@ -16,6 +16,7 @@ from projlab import (
     covering_number_1d,
     direction_grid,
     gen_four_corners,
+    gen_grid_example,
     gen_segment,
     project,
     upper_bound_report,
@@ -82,6 +83,21 @@ class TestBuildTubes:
         for d in fam.directions:
             starts = fam.starts[d.theta]
             assert (np.diff(starts) > fam.scale_delta).all()
+
+    def test_sweep_tubes_equal_the_direction_list_tubes(self):
+        # n = a: the starts the sweep kept are the ones a fresh walk finds
+        params = ParamTriple(Scale(8), Fraction(3, 4), 6)
+        rng = np.random.default_rng(16)
+        for ps in (gen_grid_example(params), gen_four_corners(4, Scale(8)),
+                   random_set(rng, 8, 60)):
+            es = compute_E_s(ps, params, sweep=256)
+            assert es.members
+            kept, fresh = build_tubes(ps, es), build_tubes(ps, es.members)
+            assert kept.scale_delta == fresh.scale_delta == params.delta
+            assert kept.directions == fresh.directions == es.members
+            assert kept.starts.keys() == fresh.starts.keys()
+            for th, starts in fresh.starts.items():
+                assert np.array_equal(kept.starts[th], starts)
 
     def test_empty_directions_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -190,6 +206,18 @@ class TestUpperBoundReport:
         assert not rec.failed
         assert rec.results["incidences"] == len(ps) * len(es.members)
         assert rec.results["ratio"] <= 100 * math.log(1 / params.delta)
+
+    def test_dropped_start_fails_the_exact_equality(self):
+        params = ParamTriple(Scale(8), Fraction(3, 4), 6)
+        ps = gen_grid_example(params)
+        es = compute_E_s(ps, params, sweep=256)
+        assert not upper_bound_report(ps, build_tubes(ps, es), params).failed
+        i = len(es.members) // 2
+        es.member_starts[i] = np.delete(es.member_starts[i], len(es.member_starts[i]) // 2)
+        rec = upper_bound_report(ps, build_tubes(ps, es), params)
+        assert [a.name for a in rec.assertions if a.status == "fail"] == [
+            "exact_lower_bound_equality"]
+        assert rec.results["incidences"] < len(ps) * len(es.members)
 
     def test_four_corners_direction_grid(self):
         ps = gen_four_corners(4, Scale(8))

@@ -35,7 +35,7 @@ from projlab.incidence import TubeFamily
 from projlab.projections import (
     COVER_RTOL,
     _BoxBins,
-    _count_sorted,
+    _cover_sorted,
     _project_coords,
     _unit_coords,
     covering_number_circle,
@@ -44,6 +44,18 @@ from projlab.projections import (
 )
 
 PI = math.pi
+
+
+def _count_sorted(arr, width, stop_after):
+    return _cover_sorted(arr, width, stop_after)[0]
+
+
+def _assert_starts_below_cap(values, width, stop):
+    """Below the cap, `_cover_sorted`'s starts are the per-interval search's."""
+    arr = np.sort(np.asarray(values, dtype=float))
+    count, starts = _cover_sorted(arr, width, stop)
+    if stop is None or count < stop:
+        assert np.array_equal(starts(), searchsorted_cover_starts(arr, width))
 
 
 class TestCovering1D:
@@ -212,6 +224,7 @@ class TestGapComponents:
         assert want == _walk_count(values, width)
         capped = want if stop is None else min(want, stop)
         assert _count_sorted(np.sort(values), width, stop) == capped
+        _assert_starts_below_cap(values, width, stop)
 
     @settings(max_examples=200, deadline=None)
     @given(_tied_values(200), st.none() | st.integers(1, 40), st.data())
@@ -222,6 +235,7 @@ class TestGapComponents:
         assert covering_number_1d(values, width) == want
         capped = want if stop is None else min(want, stop)
         assert _count_sorted(np.sort(values), width, stop) == capped
+        _assert_starts_below_cap(values, width, stop)
 
     @staticmethod
     def _no_walk(monkeypatch):
@@ -475,6 +489,19 @@ class TestAgainstPerIntervalSearch:
                 assert covering_number_1d(vals, params.delta) == full
                 assert count == min(full, stop)
 
+    def test_member_starts(self):
+        # the starts the sweep keeps for each member, bit for bit
+        params, sets = self._sets()
+        n_members = 0
+        for ps in sets:
+            es = compute_E_s(ps, params, sweep=256)
+            assert len(es.member_starts) == len(es.members)
+            for d, starts in zip(es.members, es.member_starts):
+                want = searchsorted_cover_starts(projection_values(ps, d), params.delta)
+                assert np.array_equal(starts, want)
+            n_members += len(es.members)
+        assert n_members > 0
+
     def test_tube_starts(self):
         params, sets = self._sets()
         dirs = direction_grid(64)
@@ -551,6 +578,19 @@ class TestUnitCoordinates:
                 want = searchsorted_cover_starts(np.sort(raw_projection_ref(ps, d)),
                                                  ps.scale.delta)
                 assert np.array_equal(fam.starts[d.theta], want)
+
+    def test_member_starts(self):
+        params = ParamTriple(Scale(12), Fraction(3, 4), 10)
+        n_members = 0
+        for ps in self._large_sets():
+            es = compute_E_s(ps, params, sweep=1024)
+            assert len(es.member_starts) == len(es.members)
+            for d, starts in zip(es.members, es.member_starts):
+                want = searchsorted_cover_starts(np.sort(raw_projection_ref(ps, d)),
+                                                 params.delta)
+                assert np.array_equal(starts, want)
+            n_members += len(es.members)
+        assert n_members > 0
 
     def test_incidence_count(self):
         # tubes placed over half the points from the reference values, so
