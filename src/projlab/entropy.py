@@ -188,14 +188,29 @@ def projection_offset(e: Direction) -> float:
     return min(0.0, math.cos(e.theta))
 
 
-def _projected_bins(xy: np.ndarray, e: Direction, level: int) -> np.ndarray:
-    """Level-`level` bins of the points xy in [0,1)^2 projected along e and
-    mapped into [0,1) by the similarity w = (t - offset)/2: integers in
-    [0, 2^level)."""
+def _projected_bins(x: np.ndarray, y: np.ndarray, e: Direction, level: int) -> np.ndarray:
+    """Level-`level` bins of the points (x, y) in [0,1]^2 projected along e
+    and mapped into [0,1) by the similarity w = (t - offset)/2: integers in
+    [0, 2^level), equal to floor(w 2^level) bit for bit.
+
+    Scaling.  w 2^level is computed as (t - offset) 2^(level-1), one
+    power-of-two scaling.  It equals the rounded w = (t - offset)/2 times
+    2^level: t - offset is below 2, so nothing overflows for level <= 62,
+    and halving rounds only below 2^-1021, where both products are below 1
+    and give bin 0.
+
+    Truncation.  w >= 0, so truncating to an integer is floor.  For
+    cos theta >= 0 the offset is 0 and both rounded terms x c and y s are
+    non-negative.  For cos theta < 0 the offset is c: every center has
+    x <= 1, so x c >= c, and rounding is monotone with c representable, so
+    fl(x c) >= c; adding fl(y s) >= 0 and subtracting c keeps it >= 0.
+    """
     c, s = e.unit
-    t = xy[:, 0] * c + xy[:, 1] * s
-    w = (t - projection_offset(e)) * 0.5
-    return np.floor(w * 2.0**level).astype(np.int64)
+    t = x * c
+    t += y * s
+    t -= projection_offset(e)
+    t *= 2.0 ** (level - 1)
+    return t.astype(np.int64)
 
 
 def project_measure(mu: DyadicMeasure, e: Direction, out_level: int) -> DyadicMeasure:
@@ -205,7 +220,7 @@ def project_measure(mu: DyadicMeasure, e: Direction, out_level: int) -> DyadicMe
         raise InvalidParameterError("project_measure needs a planar measure")
     if not (0 <= out_level <= 62):
         raise InvalidParameterError(f"out_level={out_level} outside [0, 62]")
-    bins = _projected_bins(mu.centers(), e, out_level)
+    bins = _projected_bins(*mu.centers().T, e, out_level)
     uniq, inv = np.unique(bins, return_inverse=True)
     agg = np.bincount(inv, weights=mu.mass)
     return DyadicMeasure(1, out_level, uniq, agg / agg.sum())
@@ -236,7 +251,7 @@ def multiscale_check(mu: DyadicMeasure, e: Direction, m: int) -> ExperimentRecor
     for k in range(n // m):
         shift = n - k * m
         local = ((mu.idx & ((1 << shift) - 1)) + 0.5) * 2.0 ** (-shift)
-        keys = np.column_stack([mu.idx >> shift, _projected_bins(local, e, m)])
+        keys = np.column_stack([mu.idx >> shift, _projected_bins(*local.T, e, m)])
         pieces, piece = _group_rows(keys)
         # the pieces are sorted, so each cube's pieces form one run
         cube = np.cumsum(_row_starts(pieces[:, :2])) - 1
@@ -267,6 +282,20 @@ class ADRegularityReport:
         return max(self.A_lower, self.A_upper)
 
 
+def _annulus(d2: np.ndarray, n: int) -> np.ndarray:
+    """#{j in 0..n : d2 < 4^-j} for a contiguous float64 array d2 >= 0 and
+    n <= 62, read off the biased exponent E of each value.
+
+    A normal d2 lies in [2^(E-1023), 2^(E-1022)), and 4^-j is a power of
+    two, so d2 < 4^-j exactly when E - 1022 <= -2j, that is for
+    j <= (1022 - E)/2: the count is floor((1024 - E)/2), clipped to
+    [0, n + 1]; the arithmetic shift floors the negative differences of
+    d2 >= 4 too.  Zero and subnormals have E = 0 and are below 4^-62, so
+    they count n + 1 as they should.
+    """
+    return np.clip((1024 - (d2.view(np.int64) >> 52)) >> 1, 0, n + 1)
+
+
 def ad_regularity_check(mu: DyadicMeasure) -> ADRegularityReport:
     """Sweep all (atom center, dyadic radius) pairs for the regularity ratios,
     summing whole dyadic cubes instead of atom pairs.
@@ -277,10 +306,11 @@ def ad_regularity_check(mu: DyadicMeasure) -> ADRegularityReport:
 
     Annuli.  For a squared distance d^2 let t(d^2) = #{j : d^2 < r_j^2} with
     r_j = 2^-j, the number of tested open balls around a center that contain
-    an atom at that distance.  Each center keeps a histogram H[t] of masses,
-    and its ball of radius r_j has mass sum_{t > j} H[t].  The (center, cube)
-    pairs are traversed level by level from the root.  From the box come the
-    nearest and farthest squared distances, by the same float expression
+    an atom at that distance; `_annulus` reads it off the exponent of d^2.
+    Each center keeps a histogram H[t] of masses, and its ball of radius r_j
+    has mass sum_{t > j} H[t].  The (center, cube) pairs are traversed level
+    by level from the root.  From the box come the nearest and farthest
+    squared distances, by the same float expression
     (x_b - x_c)^2 + (y_b - y_c)^2 that a direct sweep applies to each atom.
     Rounding is monotone and subtraction is symmetric in it, so each atom's
     own rounded d^2 lies between the two rounded bounds: when t agrees on
@@ -314,7 +344,6 @@ def ad_regularity_check(mu: DyadicMeasure) -> ADRegularityReport:
                      np.minimum.reduceat(y, s), np.maximum.reduceat(y, s),
                      child[:-1], np.diff(child)))
     radii = 2.0 ** (-np.arange(n + 1))
-    ascending = (radii * radii)[::-1]
     worst_lower = 0.0
     worst_upper = 0.0
     for lo in range(0, size, REGULARITY_BLOCK):
@@ -333,8 +362,8 @@ def ad_regularity_check(mu: DyadicMeasure) -> ADRegularityReport:
             near = (np.maximum(np.maximum(dx0, dx1), 0.0) ** 2
                     + np.maximum(np.maximum(dy0, dy1), 0.0) ** 2)
             far = np.minimum(dx0, dx1) ** 2 + np.minimum(dy0, dy1) ** 2
-            t = n + 1 - np.searchsorted(ascending, far, side="right")
-            done = t == n + 1 - np.searchsorted(ascending, near, side="right")
+            t = _annulus(far, n)
+            done = t == _annulus(near, n)
             cells.append((b[done] - lo) * (n + 2) + t[done])
             weights.append(cube_mass[c[done]])
             b, c = b[~done], c[~done]
@@ -364,7 +393,8 @@ def marstrand_average(
     multiple of A * (m 2^((s-1)m) + 1/m) for every s < 1; the multiple is an
     absolute constant that is not pinned, so per-s deficits are reported, not
     asserted.  The measured regularity constant A is attached (computed here
-    unless supplied) and flagged against REGULARITY_ALARM_A.
+    unless supplied) and flagged against REGULARITY_ALARM_A.  A supplied A
+    must be at least 1, since r/A <= mu(B) <= A r has no solution below 1.
 
     Each direction bins the atom centers as `project_measure` does, into
     [0, 2^m) since w < 1, and reads H_m and the L^2 energy 2^m sum p^2 off
@@ -377,11 +407,13 @@ def marstrand_average(
         raise InvalidParameterError(f"need 0 < m <= {mu.level}, got m = {m}")
     if A is None:
         A = ad_regularity_check(mu).A
-    xy = mu.centers()
+    elif not A >= 1.0:
+        raise InvalidParameterError(f"regularity constant A={A} must be at least 1")
+    x, y = np.ascontiguousarray(mu.centers().T)
     hs = []
     energies = []
     for e in direction_grid(1 << m):
-        agg = np.bincount(_projected_bins(xy, e, m), weights=mu.mass)
+        agg = np.bincount(_projected_bins(x, y, e, m), weights=mu.mass)
         agg = agg[agg > 0.0]
         p = agg / agg.sum()
         hs.append(shannon(p) / (m * LOG2))
@@ -451,6 +483,8 @@ def theorem_main2_experiment(
     """
     if not 0 <= L <= 31:  # the lattice level 2L must lie in [0, 62]
         raise InvalidParameterError(f"four-corners level L={L} outside [0, 31]")
+    if not 0.5 <= s < 1.0:  # Theorem 2's range, as ParamTriple checks it
+        raise InvalidParameterError(f"s={s} outside [1/2, 1)")
     ps = gen_four_corners(L, Scale(2 * L))
     xy = _unit_coords(ps)
     delta = ps.scale.delta

@@ -324,6 +324,25 @@ def test_adreg_level_out_of_range_names_the_typed_level(capsys, level):
     assert f"L={level} outside [0, 31]" in err
 
 
+@pytest.mark.parametrize("s", ["1.5", "1", "0.49", "-3/4"])
+def test_adreg_s_outside_theorem_2s_range_is_invalid(capsys, s):
+    argv = ["adreg", "--level", "3", "--plist", "2", f"--s={s}", "--out", "-"]
+    assert main(argv) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "outside [1/2, 1)" in err
+
+
+@pytest.mark.parametrize("A", ["-5", "0", "0.999"])
+def test_marstrand_regularity_constant_below_1_is_invalid(plane_measure, capsys, A):
+    argv = ["entropy", "marstrand", "--in", str(plane_measure), "--m", "4", f"--A={A}",
+            "--out", "-"]
+    assert main(argv) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be at least 1" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["adreg", "--level", "3", "--plist", "2,x", "--s", "0.75"],
     ["adreg", "--level", "3", "--plist", "", "--s", "0.75"],

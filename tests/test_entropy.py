@@ -41,7 +41,7 @@ from projlab import (
     theorem_main2_experiment,
     write_dmeas,
 )
-from projlab.entropy import MASS_TOL, shannon
+from projlab.entropy import MASS_TOL, _annulus, _projected_bins, projection_offset, shannon
 
 EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected.json"
 
@@ -270,10 +270,17 @@ class TestAgainstPerCubeReferences:
         _same_report(ad_regularity_check(mu), regularity_ref(mu), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(_measures(), st.integers(1, 8), st.floats(0.5, 200.0))
+    @given(_measures(), st.integers(1, 8), st.floats(1.0, 200.0))
     def test_marstrand(self, mu, m, A):
         m = min(m, mu.level)
         assert marstrand_average(mu, m, A=A).to_json() == marstrand_ref(mu, m, A=A).to_json()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.one_of(st.floats(0.5, 1.0, exclude_max=True), st.just(math.nan)))
+    def test_marstrand_rejects_a_regularity_constant_below_1(self, A):
+        # r/A <= mu(B) <= A r has no solution with A < 1
+        with pytest.raises(InvalidParameterError, match="at least 1"):
+            marstrand_average(_four_corners(3), 3, A=A)
 
     @settings(max_examples=60, deadline=None)
     @given(_measures().filter(lambda mu: mu.level >= 2), _THETAS, st.integers(1, 7))
@@ -352,6 +359,51 @@ class TestRegularityTree:
         report = ad_regularity_check(_four_corners(7))
         assert (report.A_lower, report.A_upper) == (2.0, 1.0)
         assert report.per_level_counts == {j: 4 ** ((j + 1) // 2) for j in range(15)}
+
+
+def _bins_ref(x, y, e, level):
+    """`_projected_bins` as floor(w 2^level) with w = (t - offset)/2."""
+    c, s = e.unit
+    t = x * c + y * s
+    w = (t - projection_offset(e)) * 0.5
+    return np.floor(w * 2.0**level).astype(np.int64)
+
+
+_EDGE_THETAS = [0.0, float(np.nextafter(math.pi / 2, -math.inf)),
+                float(np.nextafter(math.pi / 2, math.inf)), math.pi - 1e-12,
+                float(np.nextafter(math.pi, 0.0))]
+
+
+class TestExactShortcuts:
+    """The exponent-read annulus count and the one-scaling projected bins
+    against the searchsorted and floor expressions they stand for."""
+
+    def test_annulus_counts_the_radii_above_the_distance(self):
+        powers = [4.0**-j for j in range(64)]
+        d2 = np.array([0.0, 5e-324, 2.0**-1022, 1.0, 2.0]
+                      + [v for q in powers
+                         for v in (np.nextafter(q, 0.0), q, np.nextafter(q, math.inf))])
+        for n in range(63):
+            ascending = (4.0 ** -np.arange(n + 1))[::-1]
+            want = n + 1 - np.searchsorted(ascending, d2, "right")
+            assert np.array_equal(_annulus(d2, n), want), n
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 62),
+           st.one_of(st.sampled_from(_EDGE_THETAS), st.floats(0.0, math.pi, exclude_max=True)),
+           st.data())
+    def test_projected_bins_are_the_floor_of_the_similarity(self, level, theta, data):
+        top = (1 << level) - 1
+        corners = [(0, 0), (0, top), (top, 0), (top, top)]
+        drawn = data.draw(st.lists(st.tuples(st.integers(0, top), st.integers(0, top)),
+                                   max_size=30))
+        idx = np.unique(np.array(corners + drawn, dtype=np.int64), axis=0)
+        mu = DyadicMeasure(2, level, idx, np.full(len(idx), 1.0 / len(idx)))
+        x, y = mu.centers().T
+        e = Direction(theta)
+        got = _projected_bins(x, y, e, level)
+        assert np.array_equal(got, _bins_ref(x, y, e, level))
+        assert 0 <= got.min() and got.max() < 2**level
 
 
 class TestBlowUp:

@@ -9,14 +9,21 @@ from pathlib import Path
 
 import pytest
 
+from projlab import Scale, from_pointset, gen_four_corners, write_dmeas
 from projlab.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).with_name("golden")
+DMEAS = GOLDEN / "corners5.dmeas"
 TRIPLE = ["--log2delta", "8", "--s", "3/4", "--log2r", "6"]
 
-# name -> argv; "{pset}" is the generated grid3 set, "{out}" the output dir
+# name -> argv; "{pset}" is the generated grid3 set, "{dmeas}" the frozen
+# level-5 four-corners measure, "{out}" the output dir
 CASES = {
     "adreg": ["adreg", "--level", "5", "--plist", "2,3,4,8,16", "--s", "0.75"],
+    # no --A, so the regularity sweep runs and its constant is pinned too
+    "entropy_marstrand": ["entropy", "marstrand", "--in", "{dmeas}", "--m", "5"],
+    "entropy_multiscale": ["entropy", "multiscale", "--in", "{dmeas}", "--m", "2",
+                           "--theta", "0.7"],
     "esets": ["esets", "--in", "{pset}", *TRIPLE, "--sweep", "256",
               "--csv", "{out}/esets.csv"],
     "incidence": ["incidence", "--in", "{pset}", *TRIPLE, "--sweep", "256"],
@@ -38,9 +45,16 @@ def test_gen(pset):
     assert pset.read_bytes() == (GOLDEN / "grid3.pset").read_bytes()
 
 
+def test_four_corners_measure(tmp_path):
+    path = tmp_path / "corners5.dmeas"
+    with open(path, "w") as f:
+        write_dmeas(from_pointset(gen_four_corners(5, Scale(10))), f)
+    assert path.read_bytes() == DMEAS.read_bytes()
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_command(name, pset, tmp_path):
-    argv = [arg.format(pset=pset, out=tmp_path) for arg in CASES[name]]
+    argv = [arg.format(pset=pset, dmeas=DMEAS, out=tmp_path) for arg in CASES[name]]
     assert main(argv + ["--out", str(tmp_path / f"{name}.json")]) == EXIT_OK
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == sorted(p.name for p in GOLDEN.glob(f"{name}.*"))
