@@ -63,7 +63,7 @@ class Direction:
     theta: float
 
     def __post_init__(self):
-        t = math.fmod(self.theta, PI)
+        t = math.fmod(self.theta, PI) + 0.0  # + 0.0 turns -0.0 into 0.0
         if t < 0.0:
             t += PI
         if t >= PI:  # fmod roundoff can land exactly on pi

@@ -15,11 +15,13 @@ in S yields at most about delta^-s distinct values, via the sum-set bound
     |proj(A1 x A2)| * |line cap (A1 x A2)| <= 4 |A1| |A2|.
 
 Everything in this module is exact, in Python ints: slopes are `Fraction`s,
+enumerated and deduplicated as integer keys over one shared denominator,
 separations are compared by cross-multiplication, and distinct projected
 values are counted without listing them.  Over a shared denominator each
 grid column projects to a run of n_g consecutive integers inside one residue
-class mod den, so the count is the size of a union of m equal-length runs:
-O(m log m) per slope instead of O(m n_g), with no int64 limit on the keys.
+class mod den; the columns fall into min(P, m) classes, P = den/gcd(n_g, den),
+and the runs within a class start an equal step apart, so the count is a
+closed form in O(1) per slope, with no int64 limit on the keys.
 
 The full-set check, the covering number N(pi_e K, delta) of the segment set K
 at the slopes of S, is exact too: `covering_number_at_slope` counts it on K's
@@ -40,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .core import ExactSlope, InvalidParameterError, ParamTriple, floor_pow2
 from .pointsets import GridSpec, LatticePointSet, gen_grid_example, grid_parameters
@@ -81,23 +84,32 @@ def _slope_grid_data(
 
 
 def build_slope_set(params: ParamTriple, exploratory: bool = False) -> SlopeSet:
-    """Enumerate all admissible (k, l), reduce, deduplicate, sort."""
+    """Enumerate all admissible (k, l), deduplicate, sort, reduce.
+
+    Over D = n_g lcm(1..k_max) the slope l/(k n_g) is the integer key
+    l lcm(1..k_max)/k, so equal slopes share a key and keys sort as the
+    slopes do; one `Fraction` is built per distinct key.
+    """
     spec, k_max, l_bound_factor = _slope_grid_data(params, exploratory)
-    n_g = spec.n_g
-    slopes = set()
+    lcm = math.lcm(*range(1, k_max + 1))
+    keys = set()
     for k in range(1, k_max + 1):
         l_max = int(k * l_bound_factor)  # floor, exact
-        kn = k * n_g
-        for l in range(l_max + 1):
-            slopes.add(Fraction(l, kn))
-    return SlopeSet(params, sorted(slopes), k_max)
+        step = lcm // k
+        keys.update(range(0, (l_max + 1) * step, step))
+    D = spec.n_g * lcm
+    return SlopeSet(params, [Fraction(key, D) for key in sorted(keys)], k_max)
 
 
 def verify_separation(S: SlopeSet) -> bool:
-    """Consecutive distinct slopes differ by at least r, compared exactly."""
-    r = Fraction(1, 1 << S.params.b)
-    sl = S.slopes
-    return all(sl[i + 1] - sl[i] >= r for i in range(len(sl) - 1))
+    """Consecutive distinct slopes differ by at least r, compared exactly:
+    n2/d2 - n1/d1 >= 2^-b exactly when (n2 d1 - n1 d2) 2^b >= d1 d2."""
+    b = S.params.b
+    pairs = [(x.numerator, x.denominator) for x in S.slopes]
+    return all(
+        (n2 * d1 - n1 * d2) << b >= d1 * d2
+        for (n1, d1), (n2, d2) in zip(pairs, pairs[1:])
+    )
 
 
 def count_line_hits(G_params: ParamTriple, slope: ExactSlope) -> int:
@@ -109,8 +121,7 @@ def count_line_hits(G_params: ParamTriple, slope: ExactSlope) -> int:
     L = min(m, ceil(den / num)) number ceil(L / g).
     """
     spec = grid_parameters(G_params)
-    sigma = Fraction(slope)
-    num, den = sigma.numerator, sigma.denominator
+    num, den = slope.numerator, slope.denominator
     if num < 0:
         return 1
     L = spec.m if num == 0 else min(spec.m, (den - 1) // num + 1)
@@ -120,26 +131,33 @@ def count_line_hits(G_params: ParamTriple, slope: ExactSlope) -> int:
 
 def projected_cardinality(G_params: ParamTriple, slope: ExactSlope) -> int:
     """Number of distinct values of the functional y - slope*x over the grid
-    G, counted exactly as a union of integer runs.
+    G, counted exactly in closed form.
 
     Over the shared denominator the values are the keys l*den - k*num*n_g
-    (0 <= k < m, 0 <= l < n_g).  With k*num*n_g = q*den + r, column k's keys
-    are (j*den - r) for j in the run [-q, n_g - q): runs in different residue
-    classes r are disjoint, and runs in one class, sorted by start, add
-    min(gap, n_g) each after the first.
+    (0 <= k < m, 0 <= l < n_g).  With k*num*n_g = q_k*den + r_k, column k's
+    keys are j*den - r_k for j in the run [-q_k, n_g - q_k) of n_g
+    consecutive integers, all in the residue class of -r_k mod den.
+
+    Let g = gcd(n_g, den), which equals gcd(num*n_g, den) as num/den is
+    reduced, and P = den/g.  Columns k and k' share a class exactly when den
+    divides (k - k')*num*n_g, that is when P divides k - k'.  So the columns
+    in [0, m) fall into c = min(P, m) classes, the class of k holding
+    k, k + P, k + 2P, ...  Runs in different classes are disjoint.  Within a
+    class, (k + P)*num*n_g = k*num*n_g + (num*n_g/g)*den with the same
+    remainder, so consecutive run starts differ by t = |num|*n_g/g (t = 0
+    when num = 0).  Sorted by start, each run after the first adds the
+    min(t, n_g) integers past the previous one's end.  A class of size
+    c_i then covers n_g + (c_i - 1)*min(t, n_g), and summing over the c
+    classes, whose sizes add to m, gives
+
+        c*n_g + (m - c)*min(t, n_g).
     """
     spec = grid_parameters(G_params)
-    sigma = Fraction(slope)
-    num, den = sigma.numerator, sigma.denominator
-    n_g = spec.n_g
-    runs = sorted(
-        (r, -q) for q, r in (divmod(k * num * n_g, den) for k in range(spec.m))
-    )
-    count, prev_r, prev_start = 0, None, None
-    for r, start in runs:
-        count += n_g if r != prev_r else min(start - prev_start, n_g)
-        prev_r, prev_start = r, start
-    return count
+    num, den = slope.numerator, slope.denominator
+    m, n_g = spec.m, spec.n_g
+    g = math.gcd(n_g, den)
+    c = min(den // g, m)
+    return c * n_g + (m - c) * min(abs(num) * n_g // g, n_g)
 
 
 def covering_number_at_slope(ps: LatticePointSet, slope: ExactSlope) -> int:
@@ -226,7 +244,8 @@ def run_sharpness(
         K = gen_grid_example(params)
         cards = (pc for _, _, _, pc in per_slope)
         covering_max = 0
-        for pc, sigma in sorted(zip(cards, S.slopes), reverse=True):
+        by_card = sorted(zip(cards, S.slopes), key=itemgetter(0), reverse=True)
+        for pc, sigma in by_card:
             if seg_ok and covering_max >= pc:
                 break  # no slope left can raise the maximum
             covering_max = max(covering_max, covering_number_at_slope(K, sigma))

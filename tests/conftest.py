@@ -83,6 +83,25 @@ def distinct_keys_ref(m: int, n_g: int, num: int, den: int) -> int:
     return len({l * den - k * num * n_g for k in range(m) for l in range(n_g)})
 
 
+def slope_set_ref(params) -> list[Fraction]:
+    """The slope family S of a triple with delta <= r <= delta^s, as the
+    sorted set of the Fractions l/(k n_g) over every admissible pair:
+    1 <= k <= delta^s/r = 2^(b - a s), tested as k^q <= 2^p for
+    b - a s = p/q, and 0 <= l <= k delta^(-3s+1/2) r^(3/2) = k 2^(a - 3 e_m)
+    with e_m = (a + b)/2 - a s."""
+    a, b, s = params.a, params.b, params.s
+    n_g = 1 << int(2 * a * s - b)
+    l_factor = Fraction(2) ** int(a - 3 * (Fraction(a + b, 2) - a * s))
+    k_expo = b - a * s
+    slopes = set()
+    k = 1
+    while k**k_expo.denominator <= 2**k_expo.numerator:
+        for l in range(int(k * l_factor) + 1):
+            slopes.add(Fraction(l, k * n_g))
+        k += 1
+    return sorted(slopes)
+
+
 def line_hits_ref(m: int, n_g: int, slope) -> int:
     """Columns k' in [0, m) whose point on the line y = slope * x lands on a
     grid row: l' = k' * n_g * slope is an integer in [0, n_g)."""

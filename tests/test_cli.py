@@ -75,6 +75,17 @@ def test_project(grid3, tmp_path):
     assert payload["covering_number"] >= 1
 
 
+def test_project_at_negative_zero_prints_the_bytes_of_zero(grid3, tmp_path):
+    # "=": argparse reads a separate "-0" as an option
+    written = []
+    for theta in ("0", "-0"):
+        out = tmp_path / f"p{theta}.json"
+        assert main(["project", "--in", str(grid3), f"--theta={theta}",
+                     "--out", str(out)]) == EXIT_OK
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_incidence_on_an_empty_set_is_invalid(tmp_path, capsys):
     path = tmp_path / "empty.pset"
     path.write_text("PSET v1 n=8 count=0\n")

@@ -40,6 +40,14 @@ class TestScale:
             Scale(63)
 
 
+class TestDirection:
+    @pytest.mark.parametrize("theta", [0.0, -0.0, PI, -PI, 2 * PI])
+    def test_zero_angle_is_positive_zero(self, theta):
+        # fmod keeps the sign of a zero, and -0.0 would print as "-0.0"
+        t = Direction(theta).theta
+        assert t == 0.0 and math.copysign(1.0, t) == 1.0
+
+
 def fits_one_arc(t1, t2, r):
     return covering_number_directions([Direction(t1), Direction(t2)], r) == 1
 

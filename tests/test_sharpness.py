@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import distinct_keys_ref, line_hits_ref
+from conftest import distinct_keys_ref, line_hits_ref, slope_set_ref
 from projlab import (
     InvalidParameterError,
     LatticePointSet,
@@ -95,6 +95,13 @@ class TestBuildSlopeSet:
         assert set(S.slopes) == k1 | k2
         assert len(S) == 2**12 + 1  # dedup removed the even-l overlap
 
+    def test_matches_fraction_enumeration(self):
+        a, s, b = K_MAX_2
+        for params in valid_triples(max_a=16) + [ParamTriple(Scale(a), s, b)]:
+            slopes = build_slope_set(params).slopes
+            assert slopes == slope_set_ref(params), (params.a, str(params.s), params.b)
+            assert all(type(x) is Fraction for x in slopes)
+
     def test_zero_and_nonzero_always_present(self):
         # k_max * l_bound_factor >= 1 throughout the valid range, so S always
         # holds a nonzero slope besides 0
@@ -126,6 +133,29 @@ class TestSeparation:
         r_half = Fraction(1, 2**5)
         S = SlopeSet(params, [Fraction(0), r_half], 1)
         assert not verify_separation(S)
+
+    # consecutive gaps r + j 2^-60: j = 0 is exactly r, j = -1 just below it,
+    # and |j| <= 2^39 keeps every gap positive for r >= 2^-20
+    @settings(max_examples=300, deadline=None)
+    @given(
+        params=st.sampled_from(SMALL_TRIPLES + [ParamTriple(Scale(20), Fraction(3, 4), 16)]),
+        start=SLOPES,
+        shifts=st.lists(
+            st.one_of(st.sampled_from([0, -1, 1]), st.integers(-(2**39), 2**39)),
+            max_size=6,
+        ),
+    )
+    @example(params=G12, start=Fraction(0), shifts=[0])
+    @example(params=G12, start=Fraction(0), shifts=[-1])
+    @example(params=G12, start=Fraction(2**62 + 1, 3), shifts=[0, 0, -1])
+    @example(params=G12, start=Fraction(-5, 3), shifts=[1, 0])
+    def test_matches_fraction_differences(self, params, start, shifts):
+        r = Fraction(1, 2**params.b)
+        slopes = [start]
+        for j in shifts:
+            slopes.append(slopes[-1] + r + Fraction(j, 2**60))
+        want = all(y - x >= r for x, y in zip(slopes, slopes[1:]))
+        assert verify_separation(SlopeSet(params, slopes, 1)) == want
 
     def test_twenty_plus_valid_triples(self):
         triples = valid_triples(max_count=24)
@@ -201,10 +231,27 @@ class TestProjectedCardinality:
     @example(params=G12, slope=Fraction(-(2**62 + 1)))
     @example(params=G12, slope=Fraction(-5, 3))
     @example(params=G12, slope=Fraction(3, 512))
+    @example(params=G12, slope=Fraction(1, 2048))  # P = 8 > m = 4
+    @example(params=G12, slope=Fraction(5, 256))  # P = 1
+    @example(params=G12, slope=Fraction(0))  # num = 0
+    @example(params=G12, slope=Fraction(-7, 1024))  # num < 0, P = m
     def test_matches_key_set(self, params, slope):
         spec = grid_parameters(params)
         want = distinct_keys_ref(spec.m, spec.n_g, slope.numerator, slope.denominator)
         assert projected_cardinality(params, slope) == want
+
+    # m = 64 at (16, 5/8, 16), so many residue classes hold several columns
+    @pytest.mark.parametrize("a,s,b", [(16, Fraction(5, 8), 16), (14, Fraction(3, 4), 13)])
+    def test_matches_key_set_on_every_slope_of_wide_grids(self, a, s, b):
+        params = ParamTriple(Scale(a), s, b)
+        spec = grid_parameters(params)
+        periods = []
+        for sigma in build_slope_set(params).slopes:
+            num, den = sigma.numerator, sigma.denominator
+            periods.append(den // math.gcd(den, spec.n_g))
+            want = distinct_keys_ref(spec.m, spec.n_g, num, den)
+            assert projected_cardinality(params, sigma) == want, sigma
+        assert min(periods) < spec.m
 
     @pytest.mark.parametrize("a,s,b", PIPELINE_TRIPLES + [K_MAX_2])
     def test_lemma_every_slope(self, a, s, b):
