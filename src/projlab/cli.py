@@ -265,7 +265,7 @@ def cmd_entropy(args) -> int:
 def cmd_adreg(args) -> int:
     rec = theorem_main2_experiment(args.level, args.plist, args.s)
     atoms = 4**args.level
-    if args.regularity or atoms <= args.regularity_atom_cap:
+    if atoms <= args.regularity_atom_cap:
         mu = from_pointset(gen_four_corners(args.level, Scale(2 * args.level)))
         adr = ad_regularity_check(mu)
         rec.results["A_lower"] = adr.A_lower
@@ -276,7 +276,7 @@ def cmd_adreg(args) -> int:
         rec.results["A"] = None
         rec.results["regularity_note"] = (
             f"skipped: 4^{args.level} atoms exceed cap "
-            f"{args.regularity_atom_cap}; pass --regularity to force"
+            f"{args.regularity_atom_cap}; raise --regularity-atom-cap to run it"
         )
     for row in rec.results["table"]:
         print(f"p={row['p']:>6}  average={row['average']:>14.4f}  "
@@ -394,9 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     ad.add_argument("--plist", type=_number_list(int, "integer"), required=True,
                     help="comma-separated direction counts")
     ad.add_argument("--s", type=_finite_float, required=True)
-    ad.add_argument("--regularity", action="store_true",
-                    help="run the regularity sweep above the atom cap")
-    ad.add_argument("--regularity-atom-cap", type=int, default=8192)
+    ad.add_argument("--regularity-atom-cap", type=int, default=8192,
+                    help="largest atom count 4^level the regularity sweep runs on")
     add_common(ad)
     ad.set_defaults(func=cmd_adreg)
 

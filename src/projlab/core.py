@@ -14,8 +14,8 @@ cross-multiplication, never through floats.
 dyadic coarsenings, by one lexsort of their columns; `_row_starts` marks
 where the runs of equal rows of an already sorted array start.  It is the
 one consecutive-row test: of `_group_rows`, of the duplicate scans in
-`LatticePointSet`, `DyadicMeasure` and `entropy._rejected_entry`, and of the
-cube runs in `ad_regularity_check` and `multiscale_check`.
+`LatticePointSet` and `DyadicMeasure`, and of the cube runs in
+`ad_regularity_check` and `multiscale_check`.
 """
 
 from __future__ import annotations

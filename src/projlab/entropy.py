@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Direction, InvalidParameterError, Scale, _group_rows, _row_starts, direction_grid
-from .pointsets import LatticePointSet, ParseError, gen_four_corners
+from .pointsets import LatticePointSet, ParseError, _header_scale, _read_header, gen_four_corners
 from .projections import _project_coords, _unit_coords, covering_number_1d
 from .records import ExperimentRecord
 
@@ -532,72 +532,46 @@ def write_dmeas(mu: DyadicMeasure, stream) -> None:
 
 
 def read_dmeas(stream) -> DyadicMeasure:
-    header = stream.readline()
-    parts = header.split()
-    if len(parts) != 4 or parts[0] != "DMEAS" or parts[1] != "v1":
-        raise ParseError(f"bad DMEAS header {header!r}", 1)
-    try:
-        dim = int(parts[2].removeprefix("d="))
-        level = int(parts[3].removeprefix("n="))
-    except ValueError:
-        raise ParseError(f"bad DMEAS header fields {header!r}", 1) from None
+    """Read a DMEAS v1 file; blank lines are skipped.
+
+    Each cube line is checked as it is read, so a `ParseError` names the
+    line of the first bad cube in file order: a field count other than
+    d + 1, an index that is not an integer or a mass that is not a float,
+    a mass that is not finite or is negative, and, for a cube of positive
+    mass, an index outside [0, 2^n) or one given before.  Cubes of zero mass
+    are dropped, as `DyadicMeasure` drops them, before their index is
+    checked.  Line 1 is named only for the whole file: the header, the level,
+    a file without mass, and the masses' total.
+    """
+    dim, level = _read_header(stream, "DMEAS", "d", "n")
     if dim not in (1, 2):
-        raise ParseError(f"dimension must be 1 or 2 in {header!r}", 1)
-    idx = []
-    mass = []
-    blank = []  # line numbers of blank lines, to place an index on its line
+        raise ParseError(f"dimension d={dim} is not 1 or 2", 1)
+    side = _header_scale(level).side
+    cubes: dict[tuple[int, ...], float] = {}
     for lineno, line in enumerate(stream, start=2):
         fields = line.split()
         if not fields:
-            blank.append(lineno)
             continue
         if len(fields) != dim + 1:
             raise ParseError(f"expected {dim + 1} fields, got {line!r}", lineno)
         try:
-            idx.append([int(f) for f in fields[:-1]])
-            mass.append(float(fields[-1]))
+            index = tuple(map(int, fields[:-1]))
+            w = float(fields[-1])
         except ValueError:
             raise ParseError(f"malformed cube line {line!r}", lineno) from None
-        if not math.isfinite(mass[-1]):
+        if not math.isfinite(w):
             raise ParseError(f"mass is not finite in {line!r}", lineno)
+        if w < 0:
+            raise ParseError(f"negative mass in {line!r}", lineno)
+        if w == 0:
+            continue
+        if min(index) < 0 or max(index) >= side:
+            raise ParseError(f"cube index outside [0, 2^{level}) in {line!r}", lineno)
+        if index in cubes:
+            raise ParseError(f"duplicate cube index in {line!r}", lineno)
+        cubes[index] = w
+    idx = np.array(list(cubes), dtype=np.int64).reshape(-1, dim)
     try:
-        idx_arr = np.array(idx, dtype=np.int64).reshape(-1, dim)
-    except OverflowError:
-        entry, v = next((k, v) for k, row in enumerate(idx) for v in row
-                        if not -(2**63) <= v < 2**63)
-        raise ParseError(f"cube index {v} beyond 64 bits",
-                         _entry_line(entry, blank)) from None
-    mass_arr = np.array(mass)
-    try:
-        return DyadicMeasure(dim, level, idx_arr, mass_arr)
-    except InvalidParameterError as e:
-        entry = _rejected_entry(idx_arr, mass_arr, level)
-        raise ParseError(str(e), 1 if entry is None else _entry_line(entry, blank)) from None
-
-
-def _entry_line(entry: int, blank: list[int]) -> int:
-    """Line number of the DMEAS body's entry-th cube line, past the header
-    and the blank lines listed in `blank`."""
-    line = entry + 2
-    for b in blank:
-        if b <= line:
-            line += 1
-    return line
-
-
-def _rejected_entry(idx: np.ndarray, mass: np.ndarray, level: int) -> int | None:
-    """First cube line that `DyadicMeasure` rejects, checked in its order: a
-    negative mass, an index outside the grid, then the second occurrence of
-    an index.  Cubes of zero mass are dropped before the last two checks.
-    None when the error concerns the whole file (the level, or the masses'
-    total)."""
-    if not (0 <= level <= 62):
-        return None
-    bad = mass < 0
-    kept = np.flatnonzero(mass > 0)
-    if not bad.any():
-        bad[kept] = ((idx[kept] < 0) | (idx[kept] >= 1 << level)).any(axis=1)
-    if not bad.any():
-        order = kept[np.lexsort(idx[kept].T)]  # stable: repeats keep file order
-        bad[order[~_row_starts(idx[order])]] = True
-    return int(np.argmax(bad)) if bad.any() else None
+        return DyadicMeasure(dim, level, idx, np.array(list(cubes.values())))
+    except InvalidParameterError as e:  # no mass, or a total other than 1
+        raise ParseError(str(e), 1) from None

@@ -19,6 +19,7 @@ discrete analogue of linear ball growth.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,6 +34,39 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def _read_header(stream, magic: str, key1: str, key2: str) -> tuple[int, int]:
+    """The two integers of the header line "<magic> v1 <key1>=<int>
+    <key2>=<int>" that opens the PSET and DMEAS formats; any other first
+    line is a `ParseError` on line 1."""
+    header = stream.readline()
+    found = re.fullmatch(rf"{magic} v1 {key1}=(\S+) {key2}=(\S+)", " ".join(header.split()))
+    try:
+        if found:
+            return int(found[1]), int(found[2])
+    except ValueError:
+        pass
+    raise ParseError(f"bad {magic} header {header!r}", 1)
+
+
+def _header_scale(n: int) -> Scale:
+    """The scale of a header's level n, or a `ParseError` on line 1."""
+    try:
+        return Scale(n)
+    except InvalidParameterError as e:
+        raise ParseError(str(e), 1) from None
+
+
+# The most points a generator builds or a PSET file may declare: 16 GiB as
+# int64 pairs.  The largest set the experiments use has 4^12 points.
+MAX_POINTS = 2**30
+
+
+def _check_point_count(count: int, what: str) -> None:
+    """Refuse a set of more than MAX_POINTS points before allocating it."""
+    if count > MAX_POINTS:
+        raise InvalidParameterError(f"{what} has {count} points, above 2^30")
 
 
 @dataclass(frozen=True)
@@ -61,6 +95,7 @@ class LatticePointSet:
 def gen_segment(scale: Scale) -> LatticePointSet:
     """The horizontal unit segment sampled at spacing delta: {(u, 0)}."""
     side = scale.side
+    _check_point_count(side, f"the segment at n={scale.n}")
     pts = np.zeros((side, 2), dtype=np.int64)
     pts[:, 0] = np.arange(side)
     return LatticePointSet(scale, pts)
@@ -79,6 +114,7 @@ def gen_four_corners(level: int, scale: Scale) -> LatticePointSet:
             f"lattice level n={scale.n} too coarse for four-corners level "
             f"{level}: need n >= {2 * level}"
         )
+    _check_point_count(4**level, f"four-corners level {level}")
     axis = np.array([0], dtype=np.int64)
     for i in range(level):
         step = 3 * (1 << (scale.n - 2)) >> (2 * i)  # 3 * 2^(n-2) / 4^i
@@ -147,6 +183,9 @@ def gen_grid_example(params: ParamTriple) -> LatticePointSet:
     spec = grid_parameters(params)
     n = params.scale.n
     m, n_g = spec.m, spec.n_g
+    _check_point_count(
+        m * n_g * (m + 1), f"the grid example at (a, s, b) = ({n}, {params.s}, {params.b})"
+    )
     col_step = 1 << (n - spec.e_m)  # lattice gap between columns, 2^n / m
     u = (np.arange(m, dtype=np.int64) * col_step)[:, None] + np.arange(
         m + 1, dtype=np.int64
@@ -225,46 +264,35 @@ def extract_delta_one_set(
 
 def write_pset(ps: LatticePointSet, stream) -> None:
     stream.write(f"PSET v1 n={ps.scale.n} count={len(ps)}\n")
-    for u, v in ps.points:
-        stream.write(f"{u} {v}\n")
+    stream.writelines(f"{u} {v}\n" for u, v in ps.points.tolist())
 
 
 def read_pset(stream) -> LatticePointSet:
-    header = stream.readline()
-    parts = header.split()
-    if len(parts) != 4 or parts[0] != "PSET" or parts[1] != "v1":
-        raise ParseError(f"bad PSET header {header!r}", 1)
-    try:
-        n = int(parts[2].removeprefix("n="))
-        count = int(parts[3].removeprefix("count="))
-    except ValueError:
-        raise ParseError(f"bad PSET header fields {header!r}", 1) from None
-    if count < 0:
-        raise ParseError(f"negative point count in {header!r}", 1)
-    try:
-        scale = Scale(n)
-    except InvalidParameterError as e:
-        raise ParseError(str(e), 1) from None
-    try:
-        pts = np.empty((count, 2), dtype=np.int64)
-    except (ValueError, MemoryError):
-        raise ParseError(f"point count too large in {header!r}", 1) from None
-    for i in range(count):
+    """Read a PSET v1 file.
+
+    Each point line is checked as it is read, so a `ParseError` names the
+    line of the first bad point in file order: a field count other than two,
+    a field that is not an integer, or a coordinate outside [0, 2^n).  So is
+    a non-blank line after the declared points.  Line 1 is named only for
+    the header: its format, the level n, and a count outside
+    [0, MAX_POINTS].  A file that ends early fails on the line after its end.
+    """
+    n, count = _read_header(stream, "PSET", "n", "count")
+    scale = _header_scale(n)
+    side = scale.side
+    if not 0 <= count <= MAX_POINTS:
+        raise ParseError(f"point count {count} outside [0, 2^30]", 1)
+    coords = []  # u0, v0, u1, v1, ...
+    for lineno in range(2, count + 2):
         line = stream.readline()
-        fields = line.split()
-        if len(fields) != 2:
-            raise ParseError(f"expected '<u> <v>', got {line!r}", i + 2)
         try:
-            pts[i, 0] = int(fields[0])
-            pts[i, 1] = int(fields[1])
-        except (ValueError, OverflowError):
-            raise ParseError(f"coordinate not a 64-bit integer in {line!r}", i + 2) from None
+            u, v = map(int, line.split())
+        except ValueError:
+            raise ParseError(f"expected '<u> <v>', got {line!r}", lineno) from None
+        if not (0 <= u < side and 0 <= v < side):
+            raise ParseError(f"point {line.strip()!r} outside [0, 2^{n})^2", lineno)
+        coords += u, v
     for lineno, line in enumerate(stream, start=count + 2):
         if line.strip():
             raise ParseError(f"line after the {count} declared points: {line!r}", lineno)
-    try:
-        return LatticePointSet(scale, pts)
-    except InvalidParameterError as e:
-        # the only per-point error: point i, on line i + 2, is off the lattice
-        i = int(np.argmax(((pts < 0) | (pts >= scale.side)).any(axis=1)))
-        raise ParseError(str(e), i + 2) from None
+    return LatticePointSet(scale, np.array(coords, dtype=np.int64).reshape(-1, 2))

@@ -312,19 +312,9 @@ class DirectionSetES:
         """Membership as maximal runs [theta_lo, theta_hi] of consecutive
         sweep gridpoints, merged across the 0 ~ pi wrap."""
         flags = self.sweep_is_member
-        if not flags.any():
-            return []
         th = self.sweep_thetas
-        arcs = []
-        start = None
-        for i, f in enumerate(flags):
-            if f and start is None:
-                start = i
-            elif not f and start is not None:
-                arcs.append((th[start], th[i - 1]))
-                start = None
-        if start is not None:
-            arcs.append((th[start], th[-1]))
+        edges = np.diff(flags.astype(np.int8), prepend=0, append=0)
+        arcs = list(zip(th[edges[:-1] == 1].tolist(), th[edges[1:] == -1].tolist()))
         if len(arcs) > 1 and flags[0] and flags[-1]:
             first = arcs.pop(0)
             last = arcs.pop()

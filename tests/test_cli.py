@@ -335,6 +335,29 @@ def test_adreg_level_out_of_range_names_the_typed_level(capsys, level):
     assert f"L={level} outside [0, 31]" in err
 
 
+def test_adreg_regularity_runs_up_to_the_atom_cap(tmp_path):
+    # 4^7 = 16384 atoms: above the default cap of 8192, below a cap of 20000
+    argv = ["adreg", "--level", "7", "--plist", "2", "--s", "0.75"]
+    skipped = _run(argv, tmp_path / "default.json")["results"]
+    assert skipped["A"] is None
+    assert "--regularity-atom-cap" in skipped["regularity_note"]
+    raised = _run([*argv, "--regularity-atom-cap", "20000"], tmp_path / "raised.json")
+    assert raised["results"]["A"] == 2.0
+    assert "regularity_note" not in raised["results"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--shape", "segment", "--n", "62", "--out", "unused.pset"],
+    ["gen", "--shape", "fourcorners", "--level", "16", "--out", "unused.pset"],
+    ["adreg", "--level", "31", "--plist", "2", "--s", "0.75", "--out", "-"],
+])
+def test_point_counts_beyond_max_points_are_invalid(capsys, argv):
+    assert main(argv) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "points, above 2^30" in err
+
+
 @pytest.mark.parametrize("s", ["1.5", "1", "0.49", "-3/4"])
 def test_adreg_s_outside_theorem_2s_range_is_invalid(capsys, s):
     argv = ["adreg", "--level", "3", "--plist", "2", f"--s={s}", "--out", "-"]

@@ -5,11 +5,20 @@ it writes with the frozen copy.  A change that alters a count, a float's
 last digit or the key order shows up here.
 """
 
+import io
 from pathlib import Path
 
 import pytest
 
-from projlab import Scale, from_pointset, gen_four_corners, write_dmeas
+from projlab import (
+    Scale,
+    from_pointset,
+    gen_four_corners,
+    read_dmeas,
+    read_pset,
+    write_dmeas,
+    write_pset,
+)
 from projlab.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -50,6 +59,18 @@ def test_four_corners_measure(tmp_path):
     with open(path, "w") as f:
         write_dmeas(from_pointset(gen_four_corners(5, Scale(10))), f)
     assert path.read_bytes() == DMEAS.read_bytes()
+
+
+@pytest.mark.parametrize("name, read, write", [
+    ("grid3.pset", read_pset, write_pset),
+    ("corners5.dmeas", read_dmeas, write_dmeas),
+])
+def test_read_then_write_is_byte_identical(name, read, write):
+    with open(GOLDEN / name, encoding="utf-8") as f:
+        back = read(f)
+    text = io.StringIO()
+    write(back, text)
+    assert text.getvalue().encode() == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -19,9 +19,13 @@ from projlab import (
     gen_grid_example,
     gen_segment,
     grid_parameters,
+    read_dmeas,
     read_pset,
+    write_dmeas,
     write_pset,
 )
+from projlab.entropy import DyadicMeasure
+from projlab.pointsets import MAX_POINTS, _check_point_count
 
 
 class TestSegment:
@@ -266,3 +270,105 @@ class TestPsetFormat:
         # blank lines after the points are fine
         ps = read_pset(io.StringIO("PSET v1 n=2 count=1\n0 0\n\n  \n"))
         assert len(ps) == 1
+
+
+class TestPointBudget:
+    @pytest.mark.parametrize("make", [
+        lambda: gen_segment(Scale(62)),
+        lambda: gen_four_corners(31, Scale(62)),
+        lambda: gen_grid_example(ParamTriple(Scale(40), Fraction(3, 4), 20)),  # 2^41
+    ], ids=["segment", "four-corners", "grid"])
+    def test_sets_beyond_max_points_are_refused_before_allocating(self, make):
+        with pytest.raises(InvalidParameterError, match="points, above 2\\^30"):
+            make()
+
+    def test_the_bound_itself_is_allowed(self):
+        _check_point_count(MAX_POINTS, "a set")
+        with pytest.raises(InvalidParameterError):
+            _check_point_count(MAX_POINTS + 1, "a set")
+
+    def test_a_pset_count_beyond_the_bound_names_the_header(self):
+        with pytest.raises(ParseError, match="line 1:"):
+            read_pset(io.StringIO(f"PSET v1 n=2 count={MAX_POINTS + 1}\n0 0\n"))
+
+
+def _fault(draw, row: list[str], n_index: int, side: int, earlier: list[list[str]]):
+    """`row` with one fault drawn: a wrong field count, a field that is not a
+    number, an index outside [0, side), and for DMEAS rows (which end in a
+    mass) a negative or non-finite mass or the index of an earlier row."""
+    faults = ["fields", "number", "range"]
+    if len(row) > n_index:
+        faults += ["negative", "non-finite"] + (["repeat"] if earlier else [])
+    fault = draw(st.sampled_from(faults))
+    k = draw(st.integers(0, n_index - 1))
+    row = list(row)
+    if fault == "fields":
+        return row[:-1] if draw(st.booleans()) else row + ["0"]
+    if fault == "number":
+        row[k] = draw(st.sampled_from(["x", "1.5", "1e3", "0x1", "--1"]))
+    elif fault == "range":
+        row[k] = str(draw(st.one_of(st.integers(side, 2**70), st.integers(-(2**70), -1))))
+    elif fault == "negative":
+        row[-1] = repr(draw(st.floats(max_value=-1e-300, allow_infinity=False)))
+    elif fault == "non-finite":
+        row[-1] = draw(st.sampled_from(["nan", "inf", "-inf", "1e999"]))
+    else:
+        row[:n_index] = draw(st.sampled_from(earlier))[:n_index]
+    return row
+
+
+@st.composite
+def _one_bad_row(draw):
+    """(reader, text, line) for a valid PSET or DMEAS text, blank lines
+    inserted where the format allows them, with the row on `line` made bad."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 8))
+        pts = draw(st.lists(st.tuples(st.integers(0, (1 << n) - 1),
+                                      st.integers(0, (1 << n) - 1)), min_size=1, max_size=8))
+        header = f"PSET v1 n={n} count={len(pts)}"
+        rows = [[str(u), str(v)] for u, v in pts]
+        reader, n_index, side = read_pset, 2, 1 << n
+    else:
+        dim = draw(st.sampled_from([1, 2]))
+        level = draw(st.integers(1, 6))
+        cubes = draw(st.lists(st.tuples(*[st.integers(0, (1 << level) - 1)] * dim),
+                              min_size=1, max_size=8, unique=True))
+        text = io.StringIO()
+        write_dmeas(DyadicMeasure(dim, level, cubes, np.full(len(cubes), 1 / len(cubes))), text)
+        header, *lines = text.getvalue().splitlines()
+        rows = [line.split() for line in lines]
+        reader, n_index, side = read_dmeas, dim, 1 << level
+    bad = draw(st.integers(0, len(rows) - 1))
+    rows[bad] = _fault(draw, rows[bad], n_index, side, rows[:bad])
+    blank = st.sampled_from(["", " ", "\t "])
+    body = []
+    for i, row in enumerate(rows):
+        if reader is read_dmeas:  # PSET allows blank lines only after its points
+            body += draw(st.lists(blank, max_size=2))
+        if i == bad:
+            line = len(body) + 2
+        body.append(" ".join(row))
+    body += draw(st.lists(blank, max_size=2))
+    return reader, "\n".join([header, *body]) + "\n", line
+
+
+class TestReadersNameTheBadRow:
+    @settings(max_examples=400, deadline=None)
+    @given(_one_bad_row())
+    def test_one_bad_row_is_named_by_its_line(self, case):
+        reader, text, line = case
+        with pytest.raises(ParseError) as exc:
+            reader(io.StringIO(text))
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"line {line}: ")
+
+    @pytest.mark.parametrize("text, line", [
+        # a repeated index before a non-finite mass, and the other way round
+        ("DMEAS v1 d=1 n=2\n0 0.5\n0 0.25\n1 nan\n", 3),
+        ("DMEAS v1 d=1 n=2\n1 nan\n0 0.5\n0 0.25\n", 2),
+        # an index outside the grid before a negative mass
+        ("DMEAS v1 d=2 n=2\n0 4 0.5\n\n1 1 -0.5\n", 2),
+    ])
+    def test_the_first_bad_row_in_file_order_is_named(self, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            read_dmeas(io.StringIO(text))

@@ -15,6 +15,7 @@ from conftest import (
 )
 from projlab import (
     Direction,
+    DirectionSetES,
     InvalidParameterError,
     LatticePointSet,
     ParamTriple,
@@ -464,6 +465,58 @@ class TestComputeES:
         es = compute_E_s(gen_segment(Scale(6)), params, sweep=4)
         assert es.sweep_thetas[0] == 0.0
         assert es.sweep_counts[0] == 64
+
+
+def _member_arcs_loop(thetas, flags):
+    """Membership arcs by one pass over the sweep flags: the reference for
+    `DirectionSetES.member_arcs`."""
+    arcs = []
+    start = None
+    for i, f in enumerate(flags):
+        if f and start is None:
+            start = i
+        elif not f and start is not None:
+            arcs.append((thetas[start], thetas[i - 1]))
+            start = None
+    if start is not None:
+        arcs.append((thetas[start], thetas[-1]))
+    if len(arcs) > 1 and flags[0] and flags[-1]:
+        first = arcs.pop(0)
+        last = arcs.pop()
+        arcs.append((last[0], first[1]))  # wraps through theta = 0
+    return arcs
+
+
+def _sweep_with_flags(flags) -> DirectionSetES:
+    flags = np.array(flags, dtype=bool)
+    thetas = PI * np.arange(len(flags)) / max(len(flags), 1)
+    params = ParamTriple(Scale(4), Fraction(3, 4), 2)
+    return DirectionSetES(params, [], 0.0, thetas, np.zeros(len(flags), dtype=np.int64),
+                          flags, [])
+
+
+class TestMemberArcs:
+    @pytest.mark.parametrize("flags", [
+        [0, 0, 0, 0, 0, 0],
+        [1, 1, 1, 1, 1, 1],
+        [1, 1, 0, 0, 1, 0, 1, 1],  # wraps through theta = 0
+        [0, 0, 0, 0, 0, 1],  # a lone last flag
+        [1, 0, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0, 1],  # two lone flags merged across the wrap
+        [0, 1, 1, 0, 1, 0, 1, 0],
+        [1],
+        [0],
+        [],
+    ])
+    def test_runs_equal_the_loop(self, flags):
+        es = _sweep_with_flags(flags)
+        assert es.member_arcs() == _member_arcs_loop(es.sweep_thetas, es.sweep_is_member)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.booleans(), max_size=24))
+    def test_random_flags_equal_the_loop(self, flags):
+        es = _sweep_with_flags(flags)
+        assert es.member_arcs() == _member_arcs_loop(es.sweep_thetas, es.sweep_is_member)
 
 
 class TestAgainstPerIntervalSearch:
