@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import parser_text
 from projlab import (
+    DyadicMeasure,
     InvalidParameterError,
     LatticePointSet,
     ParamTriple,
@@ -24,7 +25,6 @@ from projlab import (
     write_dmeas,
     write_pset,
 )
-from projlab.entropy import DyadicMeasure
 from projlab.pointsets import MAX_POINTS, _check_point_count
 
 
