@@ -196,8 +196,6 @@ def cmd_incidence(args) -> int:
     ps = _load_pset(args.infile)
     params = _params(args)
     es = compute_E_s(ps, params, sweep=args.sweep)
-    if not es.members:
-        raise InvalidParameterError("E_s is empty at this threshold; nothing to count")
     tubes = build_tubes(ps, es)
     rec = upper_bound_report(ps, tubes, params)
     _emit(rec.to_json(), args.out)

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Direction, InvalidParameterError, Scale, _group_rows, _row_starts, direction_grid
-from .pointsets import LatticePointSet, ParseError, _header_scale, _read_header, gen_four_corners
+from .pointsets import LatticePointSet, ParseError, _header_scale, _is_int, _read_header, gen_four_corners
 from .projections import _project_coords, _unit_coords, covering_number_1d
 from .records import ExperimentRecord
 
@@ -536,12 +536,13 @@ def read_dmeas(stream) -> DyadicMeasure:
 
     Each cube line is checked as it is read, so a `ParseError` names the
     line of the first bad cube in file order: a field count other than
-    d + 1, an index that is not an integer or a mass that is not a float,
-    a mass that is not finite or is negative, and, for a cube of positive
-    mass, an index outside [0, 2^n) or one given before.  Cubes of zero mass
-    are dropped, as `DyadicMeasure` drops them, before their index is
-    checked.  Line 1 is named only for the whole file: the header, the level,
-    a file without mass, and the masses' total.
+    d + 1, an index that is not a decimal integer in ASCII digits, a mass
+    that is not an ASCII float without '_', a mass that is not finite or is
+    negative, and, for a cube of positive mass, an index outside [0, 2^n) or
+    one given before.  Cubes of zero mass are dropped, as `DyadicMeasure`
+    drops them, before their index is checked.  Line 1 is named only for
+    the whole file: the header, the level, a file without mass, and the
+    masses' total.
     """
     dim, level = _read_header(stream, "DMEAS", "d", "n")
     if dim not in (1, 2):
@@ -555,6 +556,9 @@ def read_dmeas(stream) -> DyadicMeasure:
         if len(fields) != dim + 1:
             raise ParseError(f"expected {dim + 1} fields, got {line!r}", lineno)
         try:
+            if not (line.isascii() and "_" not in fields[-1]
+                    and all(map(_is_int, fields[:-1]))):
+                raise ValueError
             index = tuple(map(int, fields[:-1]))
             w = float(fields[-1])
         except ValueError:

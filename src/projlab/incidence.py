@@ -1,13 +1,11 @@
 """Point-tube incidence counting over per-direction tube families.
 
-For each direction e in a direction family, the projection of the point set
-is covered greedily by disjoint closed intervals of length delta; the tubes
-are the preimages of those intervals.  For the members of an E_s sweep the
-sweep has already walked that cover at the triple's delta and kept its
-starts, so `build_tubes` reads them and projects nothing; a plain list of
-directions is projected, sorted and walked by the same kernel at the set's
-own delta.  Disjointness makes the count exact:
-every point lies in exactly one tube per direction, so
+For each member e of an E_s sweep, the projection of the point set is
+covered greedily by disjoint closed intervals of length delta, the triple's
+delta; the tubes are the preimages of those intervals.  The sweep has
+already walked that cover and kept its starts, so `build_tubes` reads them
+and projects nothing.  Disjointness makes the count exact: every point lies
+in exactly one tube per direction, so
 
     |I(P, T)| = |P| * #directions
 
@@ -30,13 +28,7 @@ import numpy as np
 
 from .core import Direction, InvalidParameterError, ParamTriple
 from .pointsets import LatticePointSet
-from .projections import (
-    COVER_RTOL,
-    DirectionSetES,
-    _cover_sorted,
-    _project_coords,
-    _unit_coords,
-)
+from .projections import COVER_RTOL, DirectionSetES, _project_coords, _unit_coords
 from .records import ExperimentRecord
 
 
@@ -56,34 +48,24 @@ class IncidenceCount:
     count: int
 
 
-def build_tubes(ps: LatticePointSet, E: DirectionSetES | list[Direction]) -> TubeFamily:
-    """Greedy disjoint delta-tube family covering the set in every direction.
-
-    For an E_s sweep of this set, the tubes are the members' greedy starts
-    the sweep kept, at the triple's delta = es.params.delta; nothing is
-    projected again.  For a plain list of directions, each direction is
-    projected, sorted and walked at the set's own delta."""
-    dirs = E.members if isinstance(E, DirectionSetES) else list(E)
-    if not dirs:
-        raise InvalidParameterError("direction family is empty")
+def build_tubes(ps: LatticePointSet, es: DirectionSetES) -> TubeFamily:
+    """The greedy disjoint delta-tubes of the set along every member of its
+    E_s sweep, at the triple's delta = es.params.delta: the members' greedy
+    starts the sweep kept.  Nothing is projected again."""
+    if not es.members:
+        raise InvalidParameterError("E_s is empty at this threshold; nothing to count")
     if not len(ps):
         raise InvalidParameterError("point set is empty")
-    if isinstance(E, DirectionSetES):
-        return TubeFamily(E.params.delta, list(dirs),
-                          {d.theta: s for d, s in zip(dirs, E.member_starts)})
-    delta = ps.scale.delta
-    xy = _unit_coords(ps)
-    starts = {d.theta: _cover_sorted(np.sort(_project_coords(xy, d)), delta, None)[1]()
-              for d in dirs}
-    return TubeFamily(delta, dirs, starts)
+    return TubeFamily(es.params.delta, list(es.members),
+                      {d.theta: s for d, s in zip(es.members, es.member_starts)})
 
 
 def count_incidences(ps: LatticePointSet, tubes: TubeFamily) -> IncidenceCount:
     """Exact incidence count by binary search of each projection value, in
     point order, into the sorted disjoint intervals of its direction.
 
-    It projects the set again rather than reuse the values the sweep or
-    `build_tubes` sorted, so that the `exact_lower_bound_equality` check in
+    It projects the set again rather than reuse the values the sweep
+    sorted, so that the `exact_lower_bound_equality` check in
     `upper_bound_report` stays an independent count: a point the tube build
     missed, or placed in two tubes, shows up here.  The unit coordinates
     are computed once, above the direction loop."""

@@ -36,18 +36,23 @@ class ParseError(ValueError):
         self.line = line
 
 
+def _is_int(field: str) -> bool:
+    """Whether a field of an ASCII line is a decimal integer: ASCII digits
+    after an optional minus sign.  `int` alone also takes a '+', '_'
+    between digits and the digits of other scripts."""
+    return field.isdigit() or (field[:1] == "-" and field[1:].isdigit())
+
+
 def _read_header(stream, magic: str, key1: str, key2: str) -> tuple[int, int]:
     """The two integers of the header line "<magic> v1 <key1>=<int>
     <key2>=<int>" that opens the PSET and DMEAS formats; any other first
     line is a `ParseError` on line 1."""
     header = stream.readline()
-    found = re.fullmatch(rf"{magic} v1 {key1}=(\S+) {key2}=(\S+)", " ".join(header.split()))
-    try:
-        if found:
-            return int(found[1]), int(found[2])
-    except ValueError:
-        pass
-    raise ParseError(f"bad {magic} header {header!r}", 1)
+    found = re.fullmatch(rf"{magic} v1 {key1}=(-?[0-9]+) {key2}=(-?[0-9]+)",
+                         " ".join(header.split()))
+    if not found:
+        raise ParseError(f"bad {magic} header {header!r}", 1)
+    return int(found[1]), int(found[2])
 
 
 def _header_scale(n: int) -> Scale:
@@ -268,14 +273,15 @@ def write_pset(ps: LatticePointSet, stream) -> None:
 
 
 def read_pset(stream) -> LatticePointSet:
-    """Read a PSET v1 file.
+    """Read a PSET v1 file; blank lines after the header are skipped.
 
     Each point line is checked as it is read, so a `ParseError` names the
     line of the first bad point in file order: a field count other than two,
-    a field that is not an integer, or a coordinate outside [0, 2^n).  So is
-    a non-blank line after the declared points.  Line 1 is named only for
-    the header: its format, the level n, and a count outside
-    [0, MAX_POINTS].  A file that ends early fails on the line after its end.
+    a field that is not a decimal integer in ASCII digits, or a coordinate
+    outside [0, 2^n).  So is a point line after the declared points.  Line 1
+    is named only for the header: its format, the level n, and a count
+    outside [0, MAX_POINTS].  A file that ends early fails on the line after
+    its end.
     """
     n, count = _read_header(stream, "PSET", "n", "count")
     scale = _header_scale(n)
@@ -283,16 +289,20 @@ def read_pset(stream) -> LatticePointSet:
     if not 0 <= count <= MAX_POINTS:
         raise ParseError(f"point count {count} outside [0, 2^30]", 1)
     coords = []  # u0, v0, u1, v1, ...
-    for lineno in range(2, count + 2):
-        line = stream.readline()
-        try:
-            u, v = map(int, line.split())
-        except ValueError:
-            raise ParseError(f"expected '<u> <v>', got {line!r}", lineno) from None
+    lineno = 1
+    for lineno, line in enumerate(stream, start=2):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(coords) == 2 * count:
+            raise ParseError(f"line after the {count} declared points: {line!r}", lineno)
+        if not (len(fields) == 2 and line.isascii() and _is_int(fields[0])
+                and _is_int(fields[1])):
+            raise ParseError(f"expected '<u> <v>', got {line!r}", lineno)
+        u, v = int(fields[0]), int(fields[1])
         if not (0 <= u < side and 0 <= v < side):
             raise ParseError(f"point {line.strip()!r} outside [0, 2^{n})^2", lineno)
         coords += u, v
-    for lineno, line in enumerate(stream, start=count + 2):
-        if line.strip():
-            raise ParseError(f"line after the {count} declared points: {line!r}", lineno)
+    if len(coords) < 2 * count:
+        raise ParseError(f"file ends after {len(coords) // 2} of {count} points", lineno + 1)
     return LatticePointSet(scale, np.array(coords, dtype=np.int64).reshape(-1, 2))

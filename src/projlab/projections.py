@@ -28,8 +28,8 @@ interval's reach, straight from those columns.  A direction that bound
 decides is never projected; an open one is projected, sorted and handed to
 `_cover_sorted` with the cap.  A member's count is below the cap, so it is
 the full greedy cover, and the sweep keeps that cover's starts: they are
-the member's delta-tubes, which `incidence.build_tubes` reads instead of
-projecting, sorting and walking the direction a second time.
+the member's delta-tubes, and `incidence.build_tubes` returns them as they
+are.  No other path walks a direction for tubes.
 
 `compute_E_s` evaluates the direction set
 
@@ -59,8 +59,6 @@ COVER_RTOL = 1e-12
 def _sorted_values(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size > 1:
-        if arr[0] > arr[-1]:
-            arr = arr[::-1]
         # A comparison, not np.diff: inf - inf would be NaN.  A NaN beside
         # any value fails it, so NaN inputs are sorted too.
         if not (arr[1:] >= arr[:-1]).all():
@@ -368,16 +366,15 @@ def compute_E_s(
     )
 
 
-def covering_number_directions(E: DirectionSetES | list[Direction], r: float) -> int:
+def covering_number_directions(es: DirectionSetES, r: float) -> int:
     """Minimal number of closed arcs of length r covering the member angles
-    on the quotient circle [0, pi), wrap-around included."""
-    dirs = E.members if isinstance(E, DirectionSetES) else E
-    thetas = np.array([d.theta for d in dirs])
-    return covering_number_circle(thetas, r, circumference=np.pi)
+    of the sweep on the quotient circle [0, pi), wrap-around included."""
+    return covering_number_circle(es.sweep_thetas[es.sweep_is_member], r)
 
 
-def covering_number_circle(points, r: float, circumference: float) -> int:
-    """Exact minimal covering of circle points by closed arcs of length r.
+def covering_number_circle(points, r: float) -> int:
+    """Exact minimal covering of angles on the quotient circle [0, pi) by
+    closed arcs of length r.
 
     Some optimal cover has every arc's left end anchored at a point.  Fix
     the pivot point right after the largest cyclic gap; the arc covering the
@@ -387,13 +384,13 @@ def covering_number_circle(points, r: float, circumference: float) -> int:
     """
     if not 0 < r < np.inf:
         raise InvalidParameterError(f"arc length r={r} must be positive and finite")
-    th = np.unique(np.asarray(points, dtype=np.float64) % circumference)
+    th = np.unique(np.asarray(points, dtype=np.float64) % np.pi)
     k = len(th)
     if k == 0:
         return 0
-    if r >= circumference:
+    if r >= np.pi:
         return 1
-    lifted = np.concatenate([th, th + circumference])  # th, then th one turn on
+    lifted = np.concatenate([th, th + np.pi])  # th, then th one turn on
     gaps = np.diff(lifted[:k + 1])
     reach = r * (1.0 + COVER_RTOL)
     pivot = (int(np.argmax(gaps)) + 1) % k
@@ -402,7 +399,7 @@ def covering_number_circle(points, r: float, circumference: float) -> int:
     return min(
         len(greedy_cover_starts(lifted[idx:idx + k], r))
         for idx in range(k)
-        if (th[pivot] - th[idx]) % circumference <= reach
+        if (th[pivot] - th[idx]) % np.pi <= reach
     )
 
 

@@ -13,11 +13,11 @@ from projlab import (
     InvalidParameterError,
     ParamTriple,
     Scale,
-    covering_number_directions,
     direction_grid,
     perpendicular_direction,
 )
 from projlab.core import _group_rows, floor_pow2, integer_root
+from projlab.projections import covering_number_circle
 
 PI = math.pi
 
@@ -49,7 +49,7 @@ class TestDirection:
 
 
 def fits_one_arc(t1, t2, r):
-    return covering_number_directions([Direction(t1), Direction(t2)], r) == 1
+    return covering_number_circle([Direction(t1).theta, Direction(t2).theta], r) == 1
 
 
 class TestArcDistance:

@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 from projlab import (
+    Direction,
     Scale,
     from_pointset,
     gen_four_corners,
+    project_measure,
     read_dmeas,
     read_pset,
     write_dmeas,
@@ -23,12 +25,21 @@ from projlab.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).with_name("golden")
 DMEAS = GOLDEN / "corners5.dmeas"
+LINE = GOLDEN / "line.dmeas"
 TRIPLE = ["--log2delta", "8", "--s", "3/4", "--log2r", "6"]
 
 # name -> argv; "{pset}" is the generated grid3 set, "{dmeas}" the frozen
-# level-5 four-corners measure, "{out}" the output dir
+# level-5 four-corners measure, "{line}" its frozen projection to a line,
+# "{golden}" the golden dir, "{out}" the output dir (also the working dir,
+# so a path a record prints is relative); "--out {out}/<name>.json" is
+# appended unless the argv has its own --out
 CASES = {
     "adreg": ["adreg", "--level", "5", "--plist", "2,3,4,8,16", "--s", "0.75"],
+    "entropy_H": ["entropy", "H", "--in", "{dmeas}"],
+    "entropy_cef": ["entropy", "cef", "--in", "{dmeas}", "--fine", "6", "--coarse", "3"],
+    "entropy_cover": ["entropy", "cover", "--in", "{line}", "--s", "0.5"],
+    "entropy_blowup": ["entropy", "blowup", "--in", "{line}", "--k", "1", "--i", "0",
+                       "--write", "entropy_blowup.dmeas"],
     # no --A, so the regularity sweep runs and its constant is pinned too
     "entropy_marstrand": ["entropy", "marstrand", "--in", "{dmeas}", "--m", "5"],
     "entropy_multiscale": ["entropy", "multiscale", "--in", "{dmeas}", "--m", "2",
@@ -37,6 +48,8 @@ CASES = {
               "--csv", "{out}/esets.csv"],
     "incidence": ["incidence", "--in", "{pset}", *TRIPLE, "--sweep", "256"],
     "project": ["project", "--in", "{pset}", "--theta", "0.7"],
+    "report": ["report", "{golden}/esets.json", "{golden}/incidence.json",
+               "--out", "{out}/report.csv"],
     "sharpness_8_6": ["sharpness", *TRIPLE, "--csv", "{out}/sharpness_8_6.csv"],
     "sharpness_14_13": ["sharpness", "--log2delta", "14", "--s", "3/4",
                         "--log2r", "13", "--csv", "{out}/sharpness_14_13.csv"],
@@ -61,9 +74,18 @@ def test_four_corners_measure(tmp_path):
     assert path.read_bytes() == DMEAS.read_bytes()
 
 
+def test_line_measure(tmp_path):
+    path = tmp_path / "line.dmeas"
+    mu = from_pointset(gen_four_corners(3, Scale(6)))
+    with open(path, "w") as f:
+        write_dmeas(project_measure(mu, Direction(0.7), 6), f)
+    assert path.read_bytes() == LINE.read_bytes()
+
+
 @pytest.mark.parametrize("name, read, write", [
     ("grid3.pset", read_pset, write_pset),
     ("corners5.dmeas", read_dmeas, write_dmeas),
+    ("line.dmeas", read_dmeas, write_dmeas),
 ])
 def test_read_then_write_is_byte_identical(name, read, write):
     with open(GOLDEN / name, encoding="utf-8") as f:
@@ -74,9 +96,13 @@ def test_read_then_write_is_byte_identical(name, read, write):
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_command(name, pset, tmp_path):
-    argv = [arg.format(pset=pset, dmeas=DMEAS, out=tmp_path) for arg in CASES[name]]
-    assert main(argv + ["--out", str(tmp_path / f"{name}.json")]) == EXIT_OK
+def test_command(name, pset, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = [arg.format(pset=pset, dmeas=DMEAS, line=LINE, golden=GOLDEN, out=tmp_path)
+            for arg in CASES[name]]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / f"{name}.json")]
+    assert main(argv) == EXIT_OK
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == sorted(p.name for p in GOLDEN.glob(f"{name}.*"))
     for fname in written:

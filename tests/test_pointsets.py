@@ -271,6 +271,16 @@ class TestPsetFormat:
         ps = read_pset(io.StringIO("PSET v1 n=2 count=1\n0 0\n\n  \n"))
         assert len(ps) == 1
 
+    def test_blank_lines_anywhere_after_the_header_are_skipped(self):
+        # the count counts the point lines only, as DMEAS skips blank lines
+        ps = read_pset(io.StringIO("PSET v1 n=2 count=2\n\n0 0\n\n \t\n1 1\n\n"))
+        assert ps.points.tolist() == [[0, 0], [1, 1]]
+        # a file that ends early fails on the line after its last one
+        with pytest.raises(ParseError, match="^line 5: .*1 of 2 points"):
+            read_pset(io.StringIO("PSET v1 n=2 count=2\n\n0 0\n\n"))
+        with pytest.raises(ParseError, match="^line 2: "):
+            read_pset(io.StringIO("PSET v1 n=2 count=1\n"))
+
 
 class TestPointBudget:
     @pytest.mark.parametrize("make", [
@@ -294,18 +304,23 @@ class TestPointBudget:
 
 def _fault(draw, row: list[str], n_index: int, side: int, earlier: list[list[str]]):
     """`row` with one fault drawn: a wrong field count, a field that is not a
-    number, an index outside [0, side), and for DMEAS rows (which end in a
-    mass) a negative or non-finite mass or the index of an earlier row."""
+    decimal integer in ASCII digits, an index outside [0, side), and for DMEAS
+    rows (which end in a mass) a mass that `float` reads but the format does
+    not, a negative or non-finite mass or the index of an earlier row."""
     faults = ["fields", "number", "range"]
     if len(row) > n_index:
-        faults += ["negative", "non-finite"] + (["repeat"] if earlier else [])
+        faults += ["mass", "negative", "non-finite"] + (["repeat"] if earlier else [])
     fault = draw(st.sampled_from(faults))
     k = draw(st.integers(0, n_index - 1))
     row = list(row)
     if fault == "fields":
         return row[:-1] if draw(st.booleans()) else row + ["0"]
     if fault == "number":
-        row[k] = draw(st.sampled_from(["x", "1.5", "1e3", "0x1", "--1"]))
+        # `int` reads the last four: a sign, '_' and non-ASCII digits
+        row[k] = draw(st.sampled_from(["x", "1.5", "1e3", "0x1", "--1",
+                                       "+1", "1_0", "\u0663", "\uff11"]))
+    elif fault == "mass":
+        row[-1] = draw(st.sampled_from(["0.1_25", "1_0", "\u0660.5", "\u0661"]))
     elif fault == "range":
         row[k] = str(draw(st.one_of(st.integers(side, 2**70), st.integers(-(2**70), -1))))
     elif fault == "negative":
@@ -343,8 +358,7 @@ def _one_bad_row(draw):
     blank = st.sampled_from(["", " ", "\t "])
     body = []
     for i, row in enumerate(rows):
-        if reader is read_dmeas:  # PSET allows blank lines only after its points
-            body += draw(st.lists(blank, max_size=2))
+        body += draw(st.lists(blank, max_size=2))
         if i == bad:
             line = len(body) + 2
         body.append(" ".join(row))
@@ -372,3 +386,19 @@ class TestReadersNameTheBadRow:
     def test_the_first_bad_row_in_file_order_is_named(self, text, line):
         with pytest.raises(ParseError, match=f"^line {line}: "):
             read_dmeas(io.StringIO(text))
+
+    @pytest.mark.parametrize("reader, text, line", [
+        # `int` and `float` read every field here: the first file used to
+        # give the point (10, 3), the fourth a level-3 measure
+        (read_pset, "PSET v1 n=+8 count=0_1\n1_0 \u0663\n", 1),
+        (read_pset, "PSET v1 n=8 count=1\n1_0 \u0663\n", 2),
+        (read_pset, "PSET v1 n=8 count=2\n1 2\n+1 3\n", 3),
+        (read_dmeas, "DMEAS v1 d=+1 n=0_3\n0 1\n", 1),
+        (read_dmeas, "DMEAS v1 d=\u0661 n=3\n0 1\n", 1),
+        (read_dmeas, "DMEAS v1 d=1 n=3\n0 0.5\n\n\u0661 0.5\n", 4),
+        (read_dmeas, "DMEAS v1 d=1 n=3\n0 0.5\n1 0.2_5\n2 0.25\n", 3),
+    ], ids=["pset-header", "pset-row", "pset-plus", "dmeas-header", "dmeas-digit-d",
+            "dmeas-index", "dmeas-mass"])
+    def test_numbers_are_ascii_decimals(self, reader, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            reader(io.StringIO(text))

@@ -293,7 +293,7 @@ class TestGapComponents:
         with pytest.raises(InvalidParameterError):
             covering_number_1d([0.0, 1.0], width)
         with pytest.raises(InvalidParameterError):
-            covering_number_circle([0.0, 1.0], width, PI)
+            covering_number_circle([0.0, 1.0], width)
 
 
 # Sorted runs of copies on the half-width lattice offset + k·w/2: steps of
@@ -330,13 +330,25 @@ class TestWalks:
     @example((np.repeat(np.arange(12.0), [1, 2, 4, 8, 16, 32, 32, 16, 8, 4, 2, 1]), 1.0), 4)
     # every value a tie at the previous start's reach: 40 values of stride 1
     @example((np.arange(40) * (1.0 + COVER_RTOL), 1.0), None)
-    def test_both_walks_match_the_per_interval_search(self, case, stop):
+    def test_walk_matches_the_per_interval_search(self, case, stop):
         vals, width = case
         want = searchsorted_cover_starts(vals, width)
         if stop is not None:
             want = want[:stop]
         got = projections.greedy_cover_starts(vals, width, stop_after=stop)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("width", [1e-4, 3e-4, 1.0 / 8192])
+    def test_long_inputs_match_the_per_interval_search(self, width):
+        # uncapped and capped; at width 1/8192 the grid spacing puts a value
+        # exactly at every interval's right end
+        n = 3 * 8192 + 1
+        rng = np.random.default_rng(3)
+        for vals in (np.sort(rng.random(n)), np.arange(n) / 8192.0):
+            want = searchsorted_cover_starts(vals, width)
+            assert np.array_equal(projections.greedy_cover_starts(vals, width), want)
+            got = projections.greedy_cover_starts(vals, width, stop_after=len(want) // 2)
+            assert np.array_equal(got, want[:len(want) // 2])
 
 
 class TestNonFiniteValues:
@@ -556,25 +568,16 @@ class TestAgainstPerIntervalSearch:
         assert n_members > 0
 
     def test_tube_starts(self):
-        params, sets = self._sets()
-        dirs = direction_grid(64)
-        for ps in sets:
-            fam = build_tubes(ps, dirs)
-            for d in dirs:
-                want = searchsorted_cover_starts(projection_values(ps, d), ps.scale.delta)
-                assert np.array_equal(fam.starts[d.theta], want)
-
-    @pytest.mark.parametrize("width", [1e-4, 3e-4, 1.0 / 8192])
-    def test_starts_across_pointer_chunks(self, width):
-        # long inputs, uncapped and capped; at width 1/8192 the grid spacing
-        # puts a value exactly at every interval's right end
-        n = 3 * 8192 + 1
-        rng = np.random.default_rng(3)
-        for vals in (np.sort(rng.random(n)), np.arange(n) / 8192.0):
-            want = searchsorted_cover_starts(vals, width)
-            assert np.array_equal(projections.greedy_cover_starts(vals, width), want)
-            got = projections.greedy_cover_starts(vals, width, stop_after=len(want) // 2)
-            assert np.array_equal(got, want[:len(want) // 2])
+        # the tubes are the kept starts, at the triple's delta; E_s of the
+        # random set is empty
+        params, (grid, _) = self._sets()
+        es = compute_E_s(grid, params, sweep=256)
+        fam = build_tubes(grid, es)
+        assert fam.scale_delta == params.delta
+        assert fam.directions == es.members
+        for d in es.members:
+            want = searchsorted_cover_starts(projection_values(grid, d), params.delta)
+            assert np.array_equal(fam.starts[d.theta], want)
 
 
 class TestUnitCoordinates:
@@ -623,14 +626,14 @@ class TestUnitCoordinates:
             assert np.array_equal(got, want)
 
     def test_tube_starts(self):
-        params, sets = TestAgainstPerIntervalSearch._sets()
-        dirs = direction_grid(256)
-        for ps in sets:
-            fam = build_tubes(ps, dirs)
-            for d in dirs:
-                want = searchsorted_cover_starts(np.sort(raw_projection_ref(ps, d)),
-                                                 ps.scale.delta)
-                assert np.array_equal(fam.starts[d.theta], want)
+        params, (grid, _) = TestAgainstPerIntervalSearch._sets()
+        es = compute_E_s(grid, params, sweep=256)
+        fam = build_tubes(grid, es)
+        assert fam.directions == es.members
+        for d in es.members:
+            want = searchsorted_cover_starts(np.sort(raw_projection_ref(grid, d)),
+                                             params.delta)
+            assert np.array_equal(fam.starts[d.theta], want)
 
     def test_member_starts(self):
         params = ParamTriple(Scale(12), Fraction(3, 4), 10)
@@ -817,13 +820,15 @@ class TestBoxBound:
 
 class TestDirectionCovering:
     def test_single_direction(self):
-        assert covering_number_directions([Direction(0.7)], 0.01) == 1
+        assert covering_number_circle([0.7], 0.01) == 1
 
     def test_grid16_quarter_arcs(self):
-        dirs = direction_grid(16)
-        got = covering_number_directions(dirs, PI / 4)
-        assert got == 4
-        assert brute_min_arc_cover([d.theta for d in dirs], PI / 4, PI) == 4
+        # one point has a single projection value: all 16 directions are in E_s
+        ps = LatticePointSet(Scale(4), np.array([[5, 9]]))
+        es = compute_E_s(ps, ParamTriple(Scale(4), Fraction(1, 2), 4), sweep=16)
+        assert es.members == direction_grid(16)
+        assert covering_number_directions(es, PI / 4) == 4
+        assert brute_min_arc_cover(es.sweep_thetas, PI / 4, PI) == 4
 
     def test_matches_brute_force_random(self):
         rng = np.random.default_rng(8)
@@ -831,19 +836,19 @@ class TestDirectionCovering:
             k = int(rng.integers(1, 10))
             angles = rng.uniform(0, PI, size=k)
             r = float(rng.uniform(0.05, 2.5))
-            got = covering_number_circle(angles, r, PI)
+            got = covering_number_circle(angles, r)
             assert got == brute_min_arc_cover(angles, r, PI)
 
     def test_wraparound(self):
         # points hugging both ends of [0, pi) are one arc across the seam
         angles = [0.01, 0.02, PI - 0.02, PI - 0.01]
-        assert covering_number_circle(angles, 0.1, PI) == 1
+        assert covering_number_circle(angles, 0.1) == 1
 
     def test_monotone_in_r(self):
         rng = np.random.default_rng(3)
         angles = rng.uniform(0, PI, size=40)
         rs = np.sort(rng.uniform(0.01, 1.0, size=6))
-        counts = [covering_number_circle(angles, r, PI) for r in rs]
+        counts = [covering_number_circle(angles, r) for r in rs]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_segment_kaufman_scale(self):
