@@ -45,11 +45,11 @@ def _is_int(field: str) -> bool:
 
 def _read_header(stream, magic: str, key1: str, key2: str) -> tuple[int, int]:
     """The two integers of the header line "<magic> v1 <key1>=<int>
-    <key2>=<int>" that opens the PSET and DMEAS formats; any other first
-    line is a `ParseError` on line 1."""
+    <key2>=<int>" that opens the PSET and DMEAS formats, in ASCII; any
+    other first line is a `ParseError` on line 1."""
     header = stream.readline()
-    found = re.fullmatch(rf"{magic} v1 {key1}=(-?[0-9]+) {key2}=(-?[0-9]+)",
-                         " ".join(header.split()))
+    found = header.isascii() and re.fullmatch(
+        rf"{magic} v1 {key1}=(-?[0-9]+) {key2}=(-?[0-9]+)", " ".join(header.split()))
     if not found:
         raise ParseError(f"bad {magic} header {header!r}", 1)
     return int(found[1]), int(found[2])

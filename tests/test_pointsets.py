@@ -388,17 +388,19 @@ class TestReadersNameTheBadRow:
             read_dmeas(io.StringIO(text))
 
     @pytest.mark.parametrize("reader, text, line", [
-        # `int` and `float` read every field here: the first file used to
-        # give the point (10, 3), the fourth a level-3 measure
+        # each file used to parse: `int` and `float` read every field, and
+        # the header split at any whitespace; the first gave the point
+        # (10, 3), the fifth a level-3 measure
         (read_pset, "PSET v1 n=+8 count=0_1\n1_0 \u0663\n", 1),
+        (read_pset, "PSET\u2003v1 n=8 count=1\n1 0\n", 1),
         (read_pset, "PSET v1 n=8 count=1\n1_0 \u0663\n", 2),
         (read_pset, "PSET v1 n=8 count=2\n1 2\n+1 3\n", 3),
         (read_dmeas, "DMEAS v1 d=+1 n=0_3\n0 1\n", 1),
         (read_dmeas, "DMEAS v1 d=\u0661 n=3\n0 1\n", 1),
         (read_dmeas, "DMEAS v1 d=1 n=3\n0 0.5\n\n\u0661 0.5\n", 4),
         (read_dmeas, "DMEAS v1 d=1 n=3\n0 0.5\n1 0.2_5\n2 0.25\n", 3),
-    ], ids=["pset-header", "pset-row", "pset-plus", "dmeas-header", "dmeas-digit-d",
-            "dmeas-index", "dmeas-mass"])
-    def test_numbers_are_ascii_decimals(self, reader, text, line):
+    ], ids=["pset-header", "pset-header-space", "pset-row", "pset-plus", "dmeas-header",
+            "dmeas-digit-d", "dmeas-index", "dmeas-mass"])
+    def test_text_is_ascii_with_decimal_integers(self, reader, text, line):
         with pytest.raises(ParseError, match=f"^line {line}: "):
             reader(io.StringIO(text))
