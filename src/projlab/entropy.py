@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Direction, InvalidParameterError, Scale, _group_rows, _row_starts, direction_grid
-from .pointsets import LatticePointSet, ParseError, _header_scale, _is_int, _read_header, gen_four_corners
+from .pointsets import LatticePointSet, ParseError, _header_scale, _read_header, gen_four_corners
 from .projections import _project_coords, _unit_coords, covering_number_1d
 from .records import ExperimentRecord
 
@@ -556,8 +556,10 @@ def read_dmeas(stream) -> DyadicMeasure:
         if len(fields) != dim + 1:
             raise ParseError(f"expected {dim + 1} fields, got {line!r}", lineno)
         try:
+            # indices as in `read_pset`; `float` also takes '_' and the
+            # digits of other scripts
             if not (line.isascii() and "_" not in fields[-1]
-                    and all(map(_is_int, fields[:-1]))):
+                    and all(f.removeprefix("-").isdigit() for f in fields[:-1])):
                 raise ValueError
             index = tuple(map(int, fields[:-1]))
             w = float(fields[-1])

@@ -36,13 +36,6 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _is_int(field: str) -> bool:
-    """Whether a field of an ASCII line is a decimal integer: ASCII digits
-    after an optional minus sign.  `int` alone also takes a '+', '_'
-    between digits and the digits of other scripts."""
-    return field.isdigit() or (field[:1] == "-" and field[1:].isdigit())
-
-
 def _read_header(stream, magic: str, key1: str, key2: str) -> tuple[int, int]:
     """The two integers of the header line "<magic> v1 <key1>=<int>
     <key2>=<int>" that opens the PSET and DMEAS formats, in ASCII; any
@@ -296,8 +289,10 @@ def read_pset(stream) -> LatticePointSet:
             continue
         if len(coords) == 2 * count:
             raise ParseError(f"line after the {count} declared points: {line!r}", lineno)
-        if not (len(fields) == 2 and line.isascii() and _is_int(fields[0])
-                and _is_int(fields[1])):
+        # ASCII digits after an optional minus: `int` alone also takes a '+',
+        # '_' between digits and the digits of other scripts
+        if not (len(fields) == 2 and line.isascii() and fields[0].removeprefix("-").isdigit()
+                and fields[1].removeprefix("-").isdigit()):
             raise ParseError(f"expected '<u> <v>', got {line!r}", lineno)
         u, v = int(fields[0]), int(fields[1])
         if not (0 <= u < side and 0 <= v < side):
