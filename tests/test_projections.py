@@ -857,6 +857,8 @@ class TestDirectionCovering:
         params = ParamTriple(Scale(n), Fraction(1, 2), n)
         es = compute_E_s(gen_segment(Scale(n)), params)
         cov = covering_number_directions(es, params.delta)
+        assert 0 < len(es.members) < len(es.sweep_thetas)
+        assert cov == covering_number_circle([d.theta for d in es.members], params.delta)
         target = params.delta**-0.5
         assert cov <= 100 * math.log(1 / params.delta) * target
         assert cov >= target / 100
