@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -253,7 +254,8 @@ def cmd_entropy(args) -> int:
                 "level": piece.level,
                 "atoms": len(piece),
                 "mass_sum": float(piece.mass.sum()),
-                "out": args.outfile,
+                # the file name only, so the record does not depend on the directory
+                "out": os.path.basename(args.outfile) if args.outfile else None,
             },
         )
     _emit(rec.to_json(), args.out)

@@ -183,15 +183,11 @@ def blow_up(mu: DyadicMeasure, q, k: int) -> DyadicMeasure:
     return DyadicMeasure(mu.dim, shift, sub_idx, sub_mass / total)
 
 
-def projection_offset(e: Direction) -> float:
-    """Translation of the fixed per-direction similarity w = (t - offset)/2."""
-    return min(0.0, math.cos(e.theta))
-
-
 def _projected_bins(x: np.ndarray, y: np.ndarray, e: Direction, level: int) -> np.ndarray:
     """Level-`level` bins of the points (x, y) in [0,1]^2 projected along e
-    and mapped into [0,1) by the similarity w = (t - offset)/2: integers in
-    [0, 2^level), equal to floor(w 2^level) bit for bit.
+    and mapped into [0,1) by the similarity w = (t - offset)/2, with
+    offset = min(0, cos theta): integers in [0, 2^level), equal to
+    floor(w 2^level) bit for bit.
 
     Scaling.  w 2^level is computed as (t - offset) 2^(level-1), one
     power-of-two scaling.  It equals the rounded w = (t - offset)/2 times
@@ -205,10 +201,8 @@ def _projected_bins(x: np.ndarray, y: np.ndarray, e: Direction, level: int) -> n
     x <= 1, so x c >= c, and rounding is monotone with c representable, so
     fl(x c) >= c; adding fl(y s) >= 0 and subtracting c keeps it >= 0.
     """
-    c, s = e.unit
-    t = x * c
-    t += y * s
-    t -= projection_offset(e)
+    t = _project_coords((x, y), e)
+    t -= min(0.0, math.cos(e.theta))
     t *= 2.0 ** (level - 1)
     return t.astype(np.int64)
 
@@ -394,7 +388,9 @@ def marstrand_average(
     absolute constant that is not pinned, so per-s deficits are reported, not
     asserted.  The measured regularity constant A is attached (computed here
     unless supplied) and flagged against REGULARITY_ALARM_A.  A supplied A
-    must be at least 1, since r/A <= mu(B) <= A r has no solution below 1.
+    must be at least 1, since r/A <= mu(B) <= A r has no solution below 1,
+    and A (m + 1) must be finite, so that every threshold is.  Each s must
+    lie in [0, 1), where the bound is stated.
 
     Each direction bins the atom centers as `project_measure` does, into
     [0, 2^m) since w < 1, and reads H_m and the L^2 energy 2^m sum p^2 off
@@ -405,10 +401,17 @@ def marstrand_average(
         raise InvalidParameterError("marstrand_average needs a planar measure")
     if not (0 < m <= mu.level):
         raise InvalidParameterError(f"need 0 < m <= {mu.level}, got m = {m}")
+    for s in s_values:
+        if not 0.0 <= s < 1.0:
+            raise InvalidParameterError(f"s={s} outside [0, 1)")
     if A is None:
         A = ad_regularity_check(mu).A
     elif not A >= 1.0:
         raise InvalidParameterError(f"regularity constant A={A} must be at least 1")
+    elif not math.isfinite(A * (m + 1)):
+        raise InvalidParameterError(
+            f"regularity constant A={A} is too large: A*(m+1) overflows"
+        )
     x, y = np.ascontiguousarray(mu.centers().T)
     hs = []
     energies = []
@@ -442,9 +445,12 @@ def marstrand_average(
 
 def covering_from_entropy(nu: DyadicMeasure, s: float) -> ExperimentRecord:
     """Entropy at least s forces more than 2^(n t) occupied level-n cubes for
-    t slightly below s - 1/(n log 2); exact statement, hard-asserted."""
+    t slightly below s - 1/(n log 2); exact statement, hard-asserted.  The
+    exponent s must lie in [0, 1], the range of normalized entropy."""
     if nu.dim != 1:
         raise InvalidParameterError("covering_from_entropy needs a line measure")
+    if not 0.0 <= s <= 1.0:
+        raise InvalidParameterError(f"s={s} outside [0, 1]")
     n = nu.level
     h = entropy(nu, n).normalized
     hypothesis_ok = h >= s - 1e-12

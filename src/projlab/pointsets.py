@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -71,7 +71,6 @@ def _check_point_count(count: int, what: str) -> None:
 class LatticePointSet:
     scale: Scale
     points: np.ndarray  # (N, 2) int64, lexicographically sorted, no duplicates
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.int64).reshape(-1, 2)
@@ -119,9 +118,7 @@ def gen_four_corners(level: int, scale: Scale) -> LatticePointSet:
         axis = (axis[:, None] + np.array([0, step], dtype=np.int64)).ravel()
     u = np.repeat(axis, len(axis))
     v = np.tile(axis, len(axis))
-    return LatticePointSet(
-        scale, np.column_stack([u, v]), meta={"level": level}
-    )
+    return LatticePointSet(scale, np.column_stack([u, v]))
 
 
 @dataclass(frozen=True)
@@ -194,17 +191,7 @@ def gen_grid_example(params: ParamTriple) -> LatticePointSet:
     pts = np.column_stack(
         [np.repeat(u, n_g), np.tile(v, len(u))]
     )
-    return LatticePointSet(
-        params.scale,
-        pts,
-        meta={
-            "m": m,
-            "n_g": n_g,
-            "h": float(spec.h),
-            "points_per_segment": m + 1,
-            "cardinality_before_dedup": m * n_g * (m + 1),
-        },
-    )
+    return LatticePointSet(params.scale, pts)
 
 
 def _dyadic_ratio(pts: np.ndarray, n: int) -> float:
@@ -246,11 +233,7 @@ def extract_delta_one_set(
             kept.append((u, v))
             for j in range(n + 1):
                 counts[j][keys[j]] = counts[j].get(keys[j], 0) + 1
-    out = LatticePointSet(
-        input_set.scale,
-        np.array(kept, dtype=np.int64).reshape(-1, 2),
-        meta=dict(input_set.meta, frostman_C0=capacity_constant),
-    )
+    out = LatticePointSet(input_set.scale, np.array(kept, dtype=np.int64).reshape(-1, 2))
     return out, _dyadic_ratio(out.points, n)
 
 

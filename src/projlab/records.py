@@ -9,7 +9,7 @@ carry measured constants for bounds whose absolute constants are not pinned.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -19,14 +19,6 @@ class Assertion:
     measured: float
     threshold: float
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "measured": self.measured,
-            "threshold": self.threshold,
-        }
-
 
 @dataclass
 class ExperimentRecord:
@@ -35,12 +27,11 @@ class ExperimentRecord:
     results: dict = field(default_factory=dict)
     assertions: list[Assertion] = field(default_factory=list)
 
-    def check(self, name: str, ok: bool, measured: float, threshold: float) -> bool:
+    def check(self, name: str, ok: bool, measured: float, threshold: float) -> None:
         """Record a hard assertion; the caller decides whether to raise."""
         self.assertions.append(
             Assertion(name, "pass" if ok else "fail", float(measured), float(threshold))
         )
-        return ok
 
     def soft(self, name: str, measured: float, threshold: float) -> None:
         self.assertions.append(
@@ -56,11 +47,11 @@ class ExperimentRecord:
             "name": self.name,
             "params": self.params,
             "results": self.results,
-            "assertions": [a.as_dict() for a in self.assertions],
+            "assertions": [asdict(a) for a in self.assertions],
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2, default=_jsonify) + "\n"
+        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
 
     def flat(self) -> dict:
         """One flat row: params and results prefixed, assertion statuses."""
@@ -73,15 +64,6 @@ class ExperimentRecord:
             row[f"assert.{a.name}"] = a.status
             row[f"assert.{a.name}.measured"] = a.measured
         return row
-
-
-def _jsonify(v):
-    """Coerce numpy scalars/arrays and exact rationals for json.dumps."""
-    if hasattr(v, "item") and not hasattr(v, "__len__"):
-        return v.item()
-    if hasattr(v, "tolist"):
-        return v.tolist()
-    return str(v)
 
 
 _ASSERTION_FIELDS = ("name", "status", "measured", "threshold")

@@ -45,7 +45,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .core import ExactSlope, InvalidParameterError, ParamTriple, floor_pow2
-from .pointsets import GridSpec, LatticePointSet, gen_grid_example, grid_parameters
+from .pointsets import LatticePointSet, gen_grid_example, grid_parameters
 # `project` is unused here, but the benchmark's own test
 # `test_tracer_restores_the_library` reads `sharpness.project`.
 from .projections import covering_number_1d, project  # noqa: F401
@@ -62,9 +62,13 @@ class SlopeSet:
         return len(self.slopes)
 
 
-def _slope_grid_data(
-    params: ParamTriple, exploratory: bool = False
-) -> tuple[GridSpec, int, Fraction]:
+def build_slope_set(params: ParamTriple, exploratory: bool = False) -> SlopeSet:
+    """Enumerate all admissible (k, l), deduplicate, sort, reduce.
+
+    Over D = n_g lcm(1..k_max) the slope l/(k n_g) is the integer key
+    l lcm(1..k_max)/k, so equal slopes share a key and keys sort as the
+    slopes do; one `Fraction` is built per distinct key.
+    """
     spec = grid_parameters(params)
     a, b, s = params.a, params.b, params.s
     if b < a * s:
@@ -77,24 +81,10 @@ def _slope_grid_data(
     else:
         k_max = floor_pow2(b - a * s)
     l_exp = a - 3 * spec.e_m  # delta^(-3s+1/2) r^(3/2) = 2^(a - 3 e_m)
-    l_bound_factor = (
-        Fraction(1 << l_exp) if l_exp >= 0 else Fraction(1, 1 << (-l_exp))
-    )
-    return spec, k_max, l_bound_factor
-
-
-def build_slope_set(params: ParamTriple, exploratory: bool = False) -> SlopeSet:
-    """Enumerate all admissible (k, l), deduplicate, sort, reduce.
-
-    Over D = n_g lcm(1..k_max) the slope l/(k n_g) is the integer key
-    l lcm(1..k_max)/k, so equal slopes share a key and keys sort as the
-    slopes do; one `Fraction` is built per distinct key.
-    """
-    spec, k_max, l_bound_factor = _slope_grid_data(params, exploratory)
     lcm = math.lcm(*range(1, k_max + 1))
     keys = set()
     for k in range(1, k_max + 1):
-        l_max = int(k * l_bound_factor)  # floor, exact
+        l_max = k << l_exp if l_exp >= 0 else k >> -l_exp  # floor(k 2^l_exp)
         step = lcm // k
         keys.update(range(0, (l_max + 1) * step, step))
     D = spec.n_g * lcm
@@ -185,7 +175,6 @@ def covering_number_at_slope(ps: LatticePointSet, slope: ExactSlope) -> int:
 
 @dataclass
 class SharpnessReport:
-    params: ParamTriple
     slope_count: int
     max_proj_cardinality: int
     covering_max_K: int | None  # max over S of N(proj of K, delta), if computed
@@ -297,7 +286,6 @@ def run_sharpness(
             rec.soft("covering_K_constant", covering_max / proj_target, 64.0)
 
     return SharpnessReport(
-        params=params,
         slope_count=len(S),
         max_proj_cardinality=max_pc,
         covering_max_K=covering_max,

@@ -26,12 +26,13 @@ from projlab import (
     read_pset,
     write_dmeas,
 )
-from projlab.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
+from projlab.cli import EXIT_ASSERTION, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from projlab.projections import projection_values
 from projlab.records import record_from_dict
 
 TRIPLE = ["--log2delta", "8", "--s", "3/4", "--log2r", "6"]
-GOLDEN_GRID3 = Path(__file__).with_name("golden") / "grid3.pset"
+GOLDEN = Path(__file__).with_name("golden")
+GOLDEN_GRID3 = GOLDEN / "grid3.pset"
 
 
 def _run(argv, out):
@@ -131,6 +132,63 @@ def test_non_finite_float_option_is_a_usage_error(capsys, argv, option, finite, 
     assert out == ""
     assert f"argument {option}: not a" in err and "finite number" in err
     assert "Traceback" not in err
+
+
+# finite values that would overflow a bound term or a threshold
+@pytest.mark.parametrize("argv", [
+    ["entropy", "cover", "--in", str(GOLDEN / "line.dmeas"), "--s", "400"],
+    ["entropy", "marstrand", "--in", str(GOLDEN / "corners5.dmeas"), "--m", "3",
+     "--s-list", "1e300"],
+    ["entropy", "marstrand", "--in", str(GOLDEN / "corners5.dmeas"), "--m", "3",
+     "--A", "1e308"],
+], ids=["cover-s", "marstrand-s-list", "marstrand-A"])
+def test_huge_finite_float_option_is_invalid(capsys, argv):
+    assert main([*argv, "--out", "-"]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid parameters" in err
+
+
+@pytest.mark.parametrize("s", ["abc", "1/0"])
+def test_s_that_is_not_a_rational_is_a_usage_error(capsys, s):
+    with pytest.raises(SystemExit) as exc:
+        main(["sharpness", "--log2delta", "8", f"--s={s}", "--log2r", "6"])
+    assert exc.value.code == 2
+    assert "argument --s: not a rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--shape", "segment"], "segment needs --n"),
+    (["--shape", "fourcorners", "--n", "6"], "fourcorners needs --level"),
+    (["--shape", "grid3", "--log2delta", "8", "--s", "3/4"], "grid3 needs"),
+])
+def test_gen_without_the_options_its_shape_needs_is_invalid(tmp_path, capsys, argv, message):
+    out_path = tmp_path / "unused.pset"
+    assert main(["gen", *argv, "--out", str(out_path)]) == EXIT_INVALID
+    assert message in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["project", "--theta", "0", "--in"],
+    ["entropy", "H", "--in"],
+    ["report"],
+])
+def test_missing_input_file_is_an_io_error(tmp_path, capsys, argv):
+    assert main([*argv, str(tmp_path / "missing"), "--out", "-"]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "io error" in err
+
+
+def test_failed_hard_assertion_exits_3(plane_measure, monkeypatch, capsys):
+    # a conditional entropy that disagrees with H(fine) - H(coarse)
+    monkeypatch.setattr("projlab.cli.conditional_entropy", lambda mu, fine, coarse: 99.0)
+    argv = ["entropy", "cef", "--in", str(plane_measure), "--fine", "6", "--coarse", "3"]
+    assert main([*argv, "--out", "-"]) == EXIT_ASSERTION
+    out, err = capsys.readouterr()
+    assert json.loads(out)["assertions"][0]["status"] == "fail"
+    assert "hard assertion failed: conditional_entropy_identity" in err
 
 
 def test_esets(grid3, tmp_path):
@@ -283,6 +341,7 @@ def test_blowup_writes_the_piece(request, tmp_path, fixture, cube):
     argv = ["entropy", "blowup", "--in", str(request.getfixturevalue(fixture)), "--k", "1",
             *cube, "--write", str(piece)]
     rec = _run(argv, tmp_path / "b.json")
+    assert rec["results"]["out"] == "piece.dmeas"  # the name, not the path typed
     with open(piece) as f:
         mu = read_dmeas(f)
     assert mu.level == rec["results"]["level"] == 5
@@ -420,6 +479,22 @@ def test_report_cells_equal_each_records_flat_values(grid3, tmp_path):
                 assert float(cell) == flat[key], key
             else:
                 assert cell == str(flat[key]), key
+
+
+def test_report_to_stdout(capsys):
+    # the default --out is "-"
+    argv = ["report", str(GOLDEN / "esets.json"), str(GOLDEN / "incidence.json")]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / "report.csv").read_text()
+
+
+def test_report_on_a_file_that_is_not_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"name": "x",\n oops}\n')
+    assert main(["report", str(path)]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"parse error: line 2: {path}: Expecting property name" in err
 
 
 @pytest.mark.parametrize("payload", [

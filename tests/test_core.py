@@ -41,11 +41,15 @@ class TestScale:
 
 
 class TestDirection:
-    @pytest.mark.parametrize("theta", [0.0, -0.0, PI, -PI, 2 * PI])
+    @pytest.mark.parametrize("theta", [0.0, -0.0, PI, -PI, 2 * PI, -1e-17])
     def test_zero_angle_is_positive_zero(self, theta):
-        # fmod keeps the sign of a zero, and -0.0 would print as "-0.0"
+        # fmod keeps the sign of a zero, and -0.0 would print as "-0.0";
+        # -1e-17 + pi rounds to pi, which wraps to 0
         t = Direction(theta).theta
         assert t == 0.0 and math.copysign(1.0, t) == 1.0
+
+    def test_negative_angle_wraps_by_pi(self):
+        assert Direction(-0.5).theta == PI - 0.5
 
 
 def fits_one_arc(t1, t2, r):

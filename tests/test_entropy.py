@@ -41,7 +41,7 @@ from projlab import (
     theorem_main2_experiment,
     write_dmeas,
 )
-from projlab.entropy import MASS_TOL, _annulus, _projected_bins, projection_offset, shannon
+from projlab.entropy import MASS_TOL, _annulus, _projected_bins, shannon
 
 EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected.json"
 
@@ -137,6 +137,20 @@ class TestRowLayout:
         assert mu.idx.shape == mu.centers().shape == (len(mu), mu.dim)
         for m in range(mu.level + 1):
             assert mu.coarsen(m)[0].shape[1] == mu.dim
+
+    # `read_dmeas` catches each of these before it builds the measure
+    @pytest.mark.parametrize("dim, level, idx, mass, message", [
+        (3, 2, [[0, 0, 0]], [1.0], "dim=3"),
+        (1, 63, [0], [1.0], "level=63"),
+        (1, 2, [0, 1], [1.0], "disagree in length"),
+        (1, 2, [0, 1], [1.5, -0.5], "negative mass"),
+        (1, 2, [4], [1.0], "outside"),
+        (2, 2, [[1, 1], [1, 1]], [0.5, 0.5], "duplicate"),
+    ])
+    def test_the_constructor_rejects_a_malformed_measure(self, dim, level, idx, mass,
+                                                         message):
+        with pytest.raises(InvalidParameterError, match=message):
+            DyadicMeasure(dim, level, idx, mass)
 
 
 class TestEntropyAgainstReference:
@@ -365,7 +379,7 @@ def _bins_ref(x, y, e, level):
     """`_projected_bins` as floor(w 2^level) with w = (t - offset)/2."""
     c, s = e.unit
     t = x * c + y * s
-    w = (t - projection_offset(e)) * 0.5
+    w = (t - min(0.0, math.cos(e.theta))) * 0.5
     return np.floor(w * 2.0**level).astype(np.int64)
 
 

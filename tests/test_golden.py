@@ -30,16 +30,15 @@ TRIPLE = ["--log2delta", "8", "--s", "3/4", "--log2r", "6"]
 
 # name -> argv; "{pset}" is the generated grid3 set, "{dmeas}" the frozen
 # level-5 four-corners measure, "{line}" its frozen projection to a line,
-# "{golden}" the golden dir, "{out}" the output dir (also the working dir,
-# so a path a record prints is relative); "--out {out}/<name>.json" is
-# appended unless the argv has its own --out
+# "{golden}" the golden dir, "{out}" the output dir; "--out {out}/<name>.json"
+# is appended unless the argv has its own --out
 CASES = {
     "adreg": ["adreg", "--level", "5", "--plist", "2,3,4,8,16", "--s", "0.75"],
     "entropy_H": ["entropy", "H", "--in", "{dmeas}"],
     "entropy_cef": ["entropy", "cef", "--in", "{dmeas}", "--fine", "6", "--coarse", "3"],
     "entropy_cover": ["entropy", "cover", "--in", "{line}", "--s", "0.5"],
     "entropy_blowup": ["entropy", "blowup", "--in", "{line}", "--k", "1", "--i", "0",
-                       "--write", "entropy_blowup.dmeas"],
+                       "--write", "{out}/entropy_blowup.dmeas"],
     # no --A, so the regularity sweep runs and its constant is pinned too
     "entropy_marstrand": ["entropy", "marstrand", "--in", "{dmeas}", "--m", "5"],
     "entropy_multiscale": ["entropy", "multiscale", "--in", "{dmeas}", "--m", "2",
@@ -96,8 +95,7 @@ def test_read_then_write_is_byte_identical(name, read, write):
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_command(name, pset, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_command(name, pset, tmp_path):
     argv = [arg.format(pset=pset, dmeas=DMEAS, line=LINE, golden=GOLDEN, out=tmp_path)
             for arg in CASES[name]]
     if "--out" not in argv:

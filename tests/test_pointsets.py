@@ -83,7 +83,6 @@ class TestGridExample:
         assert (spec.m, spec.n_g) == (4, 4096)
         assert spec.h == Fraction(1, 2**14)
         ps = gen_grid_example(params)
-        assert ps.meta["points_per_segment"] == 5
         assert len(ps) == 4 * 4096 * 5
         # columns at k * 2^14, five samples each
         xs = sorted(set(ps.points[:, 0].tolist()))

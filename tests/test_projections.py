@@ -478,6 +478,11 @@ class TestComputeES:
         assert es.sweep_thetas[0] == 0.0
         assert es.sweep_counts[0] == 64
 
+    def test_empty_sweep_is_rejected(self):
+        params = ParamTriple(Scale(6), Fraction(3, 4), 6)
+        with pytest.raises(InvalidParameterError, match="sweep=0"):
+            compute_E_s(gen_segment(Scale(6)), params, sweep=0)
+
 
 def _member_arcs_loop(thetas, flags):
     """Membership arcs by one pass over the sweep flags: the reference for
@@ -838,6 +843,10 @@ class TestDirectionCovering:
             r = float(rng.uniform(0.05, 2.5))
             got = covering_number_circle(angles, r)
             assert got == brute_min_arc_cover(angles, r, PI)
+
+    @pytest.mark.parametrize("r", [PI, 4.0])
+    def test_an_arc_of_length_pi_covers_the_circle(self, r):
+        assert covering_number_circle([0.1, 1.0, 2.0, 3.0], r) == 1
 
     def test_wraparound(self):
         # points hugging both ends of [0, pi) are one arc across the seam

@@ -77,8 +77,7 @@ class TestBuildSlopeSet:
         params = ParamTriple(Scale(16), Fraction(3, 4), 12)
         S = build_slope_set(params)
         assert S.k_max == 1
-        assert sharpness._slope_grid_data(params)[2] == 1024  # l bound factor
-        assert len(S) == 1025
+        assert len(S) == 1025  # l runs over 0..1024 at k = 1
         assert S.slopes[0] == 0 and S.slopes[-1] == Fraction(1, 4)
         r = Fraction(1, 2**12)
         gaps = {b - a for a, b in zip(S.slopes, S.slopes[1:])}
@@ -103,13 +102,10 @@ class TestBuildSlopeSet:
             assert all(type(x) is Fraction for x in slopes)
 
     def test_zero_and_nonzero_always_present(self):
-        # k_max * l_bound_factor >= 1 throughout the valid range, so S always
-        # holds a nonzero slope besides 0
+        # S always holds a nonzero slope besides 0 in the valid range
         for params in valid_triples(max_count=12):
             S = build_slope_set(params)
-            _, k_max, l_bound_factor = sharpness._slope_grid_data(params)
             assert S.slopes[0] == 0
-            assert k_max * l_bound_factor >= 1
             assert len(S) >= 2
 
     def test_out_of_range_rejected(self):
@@ -315,7 +311,9 @@ class TestRunSharpness:
         params = ParamTriple(Scale(12), Fraction(3, 4), 10)
         ps = gen_grid_example(params)
         spec = grid_parameters(params)
-        assert ps.meta["m"] == spec.m and ps.meta["n_g"] == spec.n_g
+        u, v = ps.points[:, 0], ps.points[:, 1]
+        assert len(np.unique(u >> (params.a - spec.e_m))) == spec.m  # columns
+        assert len(np.unique(v)) == spec.n_g  # rows
 
 
 def _all_slopes_max(params):
