@@ -242,8 +242,7 @@ def cmd_entropy(args) -> int:
     elif args.entropy_cmd == "cover":
         rec = covering_from_entropy(mu, args.s)
     else:  # blowup
-        q = args.i if mu.dim == 1 else (args.i, args.j if args.j is not None else 0)
-        piece = blow_up(mu, q, args.k)
+        piece = blow_up(mu, (args.i,) if args.j is None else (args.i, args.j), args.k)
         if args.outfile:
             with open(args.outfile, "w") as f:
                 write_dmeas(piece, f)

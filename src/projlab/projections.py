@@ -244,7 +244,6 @@ class _BoxBins:
 
 @dataclass(frozen=True)
 class ProjectionProfile:
-    direction: Direction
     values: np.ndarray  # sorted ascending
     covering_number: int  # at the set's own delta
 
@@ -284,7 +283,7 @@ def project(ps: LatticePointSet, e: Direction) -> ProjectionProfile:
     """`projection_values` along e, with the covering number at the set's
     own delta attached."""
     vals = projection_values(ps, e)
-    return ProjectionProfile(e, vals, covering_number_1d(vals, ps.scale.delta))
+    return ProjectionProfile(vals, covering_number_1d(vals, ps.scale.delta))
 
 
 @dataclass(frozen=True)
@@ -397,7 +396,7 @@ def covering_number_circle(points, r: float) -> int:
     # the linear greedy over the k points unrolled from each anchor th[idx]
     # whose arc reaches the pivot (idx = pivot always does)
     return min(
-        len(greedy_cover_starts(lifted[idx:idx + k], r))
+        _cover_sorted(lifted[idx:idx + k], r, None)[0]
         for idx in range(k)
         if (th[pivot] - th[idx]) % np.pi <= reach
     )

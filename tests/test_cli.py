@@ -229,6 +229,15 @@ def test_incidence(grid3, tmp_path):
     assert rec["results"]["incidences"] > 0
 
 
+def test_incidence_default_sweep_follows_log2delta(tmp_path):
+    # no --sweep: one tube family per member of the 4 * 2^8 grid
+    rec = _run(["incidence", "--in", str(GOLDEN_GRID3), *TRIPLE], tmp_path / "i.json")
+    with open(GOLDEN_GRID3) as f:
+        ps = read_pset(f)
+    es = compute_E_s(ps, ParamTriple(Scale(8), Fraction(3, 4), 6), sweep=1024)
+    assert rec["results"]["incidences"] == len(ps) * len(es.members)
+
+
 def test_incidence_tubes_are_delta_wide(tmp_path):
     # an n = 8 set at delta = 2^-6: the tubes are the sweep's 2^-6 covers
     argv = ["--log2delta", "6", "--s", "3/4", "--log2r", "4"]
@@ -266,6 +275,15 @@ def test_sharpness(tmp_path):
 )
 def test_entropy_plane(plane_measure, tmp_path, sub, args, key):
     rec = _run(["entropy", sub, "--in", str(plane_measure), *args], tmp_path / "h.json")
+    assert key in rec["results"]
+
+
+@pytest.mark.parametrize("sub, args, key", [
+    ("H", [], "normalized"),
+    ("cef", ["--fine", "6", "--coarse", "3"], "direct"),
+])
+def test_entropy_line(line_measure, tmp_path, sub, args, key):
+    rec = _run(["entropy", sub, "--in", str(line_measure), *args], tmp_path / "h.json")
     assert key in rec["results"]
 
 
@@ -330,6 +348,18 @@ def test_blowup_of_a_cube_beyond_64_bits_is_invalid(request, capsys, fixture, cu
     out, err = capsys.readouterr()
     assert out == ""
     assert "carries no mass" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fixture, cube, dim", [
+    ("line_measure", ["--i", "0", "--j", "5"], 1),
+    ("plane_measure", ["--i", "0"], 2),
+])
+def test_blowup_needs_one_index_per_dimension(request, capsys, fixture, cube, dim):
+    path = request.getfixturevalue(fixture)
+    assert main(["entropy", "blowup", "--in", str(path), "--k", "1", *cube]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"needs {dim} indices" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("fixture, cube", [

@@ -24,6 +24,7 @@ from projlab import (
 from projlab.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).with_name("golden")
+PSET = GOLDEN / "grid3.pset"
 DMEAS = GOLDEN / "corners5.dmeas"
 LINE = GOLDEN / "line.dmeas"
 TRIPLE = ["--log2delta", "8", "--s", "3/4", "--log2r", "6"]
@@ -63,7 +64,7 @@ def pset(tmp_path_factory):
 
 
 def test_gen(pset):
-    assert pset.read_bytes() == (GOLDEN / "grid3.pset").read_bytes()
+    assert pset.read_bytes() == PSET.read_bytes()
 
 
 def test_four_corners_measure(tmp_path):
@@ -92,6 +93,13 @@ def test_read_then_write_is_byte_identical(name, read, write):
     text = io.StringIO()
     write(back, text)
     assert text.getvalue().encode() == (GOLDEN / name).read_bytes()
+
+
+def test_every_golden_file_is_pinned():
+    # test_command checks the files "<name>.*" of each case; test_gen,
+    # test_four_corners_measure and test_line_measure regenerate the inputs
+    written = {path for name in CASES for path in GOLDEN.glob(f"{name}.*")}
+    assert sorted(GOLDEN.iterdir()) == sorted(written | {PSET, DMEAS, LINE})
 
 
 @pytest.mark.parametrize("name", CASES)
