@@ -51,6 +51,9 @@ EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_ASSERTION = 3
 
+# Largest atom count 4^level that `adreg` runs the regularity check on.
+REGULARITY_ATOM_CAP = 4**8
+
 SWEEP_HELP = "direction grid size (default 4*2^log2delta, whatever the set's own n)"
 
 
@@ -263,8 +266,7 @@ def cmd_entropy(args) -> int:
 
 def cmd_adreg(args) -> int:
     rec = theorem_main2_experiment(args.level, args.plist, args.s)
-    atoms = 4**args.level
-    if atoms <= args.regularity_atom_cap:
+    if 4**args.level <= REGULARITY_ATOM_CAP:
         mu = from_pointset(gen_four_corners(args.level, Scale(2 * args.level)))
         adr = ad_regularity_check(mu)
         rec.results["A_lower"] = adr.A_lower
@@ -274,8 +276,8 @@ def cmd_adreg(args) -> int:
     else:
         rec.results["A"] = None
         rec.results["regularity_note"] = (
-            f"skipped: 4^{args.level} atoms exceed cap "
-            f"{args.regularity_atom_cap}; raise --regularity-atom-cap to run it"
+            f"skipped: 4^{args.level} atoms exceed the regularity check's limit of "
+            f"{REGULARITY_ATOM_CAP}"
         )
     for row in rec.results["table"]:
         print(f"p={row['p']:>6}  average={row['average']:>14.4f}  "
@@ -393,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     ad.add_argument("--plist", type=_number_list(int, "integer"), required=True,
                     help="comma-separated direction counts")
     ad.add_argument("--s", type=_finite_float, required=True)
-    ad.add_argument("--regularity-atom-cap", type=int, default=8192,
-                    help="largest atom count 4^level the regularity sweep runs on")
     add_common(ad)
     ad.set_defaults(func=cmd_adreg)
 

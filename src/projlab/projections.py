@@ -5,31 +5,29 @@ interval of the requested width at the leftmost uncovered value, repeat.
 For fixed-length intervals this greedy is exactly optimal, which the test
 suite re-verifies against exhaustive enumeration on small instances.
 
-Every count runs on sorted values, in `_cover_sorted`:
-- one numpy pass splits the values at every gap wider than the reach
+`greedy_cover_starts` is the walk, and the one function that takes a cap.
+It bisects from each start to the first value past its interval, trying the
+previous stride first, so it reads only the values near the starts.
+`covering_number_1d` counts without a cap and walks less:
+- one numpy pass splits the sorted values at every gap wider than the reach
   w(1 + COVER_RTOL).  The greedy restarts at each such gap, since it
   compares with the same float expression and rounding is monotone.  A
   component whose span is within reach costs exactly one interval, so those
   are counted without a walk;
 - the values of the wider components, concatenated, are walked in one
-  call.  The walk bisects from each start to the first value past its
-  interval, trying the previous stride first, so it reads only the values
-  near the starts.  A gap between two components restarts the walk, as a
-  separate call per component would.
-The same pass can hand back the greedy starts, merged from the narrow
-components' first values and the walk's starts, but only on request: a
-plain count never assembles them.
+  call.  A gap between two components restarts the walk, as a separate call
+  per component would.
 
 The sweep in `compute_E_s` needs each count only up to a cap, and tries one
 sort-free lower bound first, on the set rather than on a projection:
 `_BoxBins` shifts the unit coordinates to the corners of their bounding box
 once per set and counts a parity packing of bins just wider than one
 interval's reach, straight from those columns.  A direction that bound
-decides is never projected; an open one is projected, sorted and handed to
-`_cover_sorted` with the cap.  A member's count is below the cap, so it is
-the full greedy cover, and the sweep keeps that cover's starts: they are
-the member's delta-tubes, and `incidence.build_tubes` returns them as they
-are.  No other path walks a direction for tubes.
+decides is never projected; an open one is projected, sorted and walked by
+`greedy_cover_starts` with the cap.  A member's walk ends below the cap, so
+its starts are the full greedy cover: they are the member's delta-tubes,
+and `incidence.build_tubes` returns them as they are.  No other path walks
+a direction for tubes.
 
 `compute_E_s` evaluates the direction set
 
@@ -117,57 +115,34 @@ def covering_number_1d(values, width: float) -> int:
     The values may come in any order.  Empty input gives 0.  Ties (a value
     exactly at an interval end) count as covered, up to a relative 1e-12
     slack.  A NaN value raises `InvalidParameterError`; an infinite value is
-    a point of its own, and equal infinities share one interval.  The sorted
-    values are counted by `_cover_sorted`, without a cap.
-    """
-    if not 0 < width < np.inf:
-        raise InvalidParameterError(f"width={width} must be positive and finite")
-    arr = _sorted_values(values)
-    if arr.size and np.isnan(arr[-1]):  # the sort puts any NaN last
-        raise InvalidParameterError("values must not be NaN")
-    return _cover_sorted(arr, width, None)[0]
+    a point of its own, and equal infinities share one interval.
 
-
-def _cover_sorted(arr: np.ndarray, width: float, stop_after: int | None):
-    """The greedy count of sorted values without NaN, capped at `stop_after`,
-    and a function that assembles that cover's starts.
-
-    The values split into gap components, broken wherever
+    The sorted values split into gap components, broken wherever
     v[i+1] > v[i] + reach with the walk's own reach = w(1 + COVER_RTOL).
     Rounding is monotone, so no interval started left of such a gap reaches
     past it, and the greedy restarts at each component.  A component with
     v[last] <= v[first] + reach costs exactly one interval; only the wider
     ones are walked, in one `greedy_cover_starts` call over their
     concatenation that bisects from start to start, and whose gaps still
-    restart the walk.  With `stop_after`, the component count, and then that
-    count plus one per wide component, are lower bounds that may decide
-    before the walk.
-
-    The second item is None when a lower bound decided the cap.  Otherwise
-    calling it gives the greedy starts in ascending order: the first value
-    of each narrow component merged with the walk's starts.  They are the
-    whole cover only when the count is below the cap.  A caller that wants
-    the count alone never pays to assemble them.
+    restart the walk.
     """
+    if not 0 < width < np.inf:
+        raise InvalidParameterError(f"width={width} must be positive and finite")
+    arr = _sorted_values(values)
     if arr.size == 0:
-        return 0, lambda: arr
+        return 0
+    if np.isnan(arr[-1]):  # the sort puts any NaN last
+        raise InvalidParameterError("values must not be NaN")
     reach = width * (1.0 + COVER_RTOL)
     heads = np.flatnonzero(arr[1:] > arr[:-1] + reach) + 1
-    comps = heads.size + 1
-    if stop_after is not None and comps >= stop_after:
-        return stop_after, None
     first = np.concatenate(([0], heads))
     last = np.concatenate((heads - 1, [arr.size - 1]))
     wide = ~(arr[last] <= arr[first] + reach)
-    ones = comps - int(np.count_nonzero(wide))
-    if ones == comps:
-        return ones, lambda: arr[first]
-    if stop_after is not None and 2 * comps - ones >= stop_after:
-        return stop_after, None  # a wide component takes two intervals or more
-    cap = None if stop_after is None else stop_after - ones
+    ones = first.size - int(np.count_nonzero(wide))
+    if ones == first.size:
+        return ones
     walked = arr if ones == 0 else arr[np.repeat(wide, last - first + 1)]
-    tail = greedy_cover_starts(walked, width, stop_after=cap)
-    return ones + len(tail), lambda: np.sort(np.concatenate((arr[first[~wide]], tail)))
+    return ones + len(greedy_cover_starts(walked, width))
 
 
 # Bin width margin of `_BoxBins`, relative to the largest |unit coordinate|.
@@ -331,9 +306,9 @@ def compute_E_s(
     Each direction's count stops at floor(delta^-s) + 1, where membership is
     decided.  The parity bound of `_BoxBins`, on box columns prepared once
     per set, decides most directions without their projection; only a
-    direction it leaves open is projected, sorted and counted by
-    `_cover_sorted`.  Either way the count is min(count, cap).  A member's
-    greedy starts are kept in `member_starts`.
+    direction it leaves open is projected, sorted and walked by
+    `greedy_cover_starts` up to the cap.  Either way the count is
+    min(count, cap).  A member's greedy starts are kept in `member_starts`.
     """
     if sweep is None:
         sweep = 4 * params.scale.side
@@ -348,10 +323,10 @@ def compute_E_s(
     member_starts = []
     for i, d in enumerate(grid):
         if box.lower_bound(d) < stop:
-            count, starts = _cover_sorted(np.sort(_project_coords(xy, d)), params.delta, stop)
-            counts[i] = count
-            if count < stop:
-                member_starts.append(starts())
+            starts = greedy_cover_starts(np.sort(_project_coords(xy, d)), params.delta, stop)
+            counts[i] = len(starts)
+            if len(starts) < stop:
+                member_starts.append(starts)
     is_member = counts <= t_int
     members = [d for d, ok in zip(grid, is_member) if ok]
     return DirectionSetES(
@@ -383,7 +358,10 @@ def covering_number_circle(points, r: float) -> int:
     """
     if not 0 < r < np.inf:
         raise InvalidParameterError(f"arc length r={r} must be positive and finite")
-    th = np.unique(np.asarray(points, dtype=np.float64) % np.pi)
+    th = np.asarray(points, dtype=np.float64)
+    if not np.isfinite(th).all():
+        raise InvalidParameterError("angles must be finite")
+    th = np.unique(th % np.pi)
     k = len(th)
     if k == 0:
         return 0
@@ -396,7 +374,7 @@ def covering_number_circle(points, r: float) -> int:
     # the linear greedy over the k points unrolled from each anchor th[idx]
     # whose arc reaches the pivot (idx = pivot always does)
     return min(
-        _cover_sorted(lifted[idx:idx + k], r, None)[0]
+        covering_number_1d(lifted[idx:idx + k], r)
         for idx in range(k)
         if (th[pivot] - th[idx]) % np.pi <= reach
     )

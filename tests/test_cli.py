@@ -425,14 +425,15 @@ def test_adreg_level_out_of_range_names_the_typed_level(capsys, level):
 
 
 def test_adreg_regularity_runs_up_to_the_atom_cap(tmp_path):
-    # 4^7 = 16384 atoms: above the default cap of 8192, below a cap of 20000
-    argv = ["adreg", "--level", "7", "--plist", "2", "--s", "0.75"]
-    skipped = _run(argv, tmp_path / "default.json")["results"]
+    # the check runs up to 4^8 atoms, so at L = 7 and not at L = 9
+    ran = _run(["adreg", "--level", "7", "--plist", "2", "--s", "0.75"],
+               tmp_path / "ran.json")["results"]
+    assert ran["A"] == 2.0
+    assert "regularity_note" not in ran
+    skipped = _run(["adreg", "--level", "9", "--plist", "2", "--s", "0.75"],
+                   tmp_path / "skipped.json")["results"]
     assert skipped["A"] is None
-    assert "--regularity-atom-cap" in skipped["regularity_note"]
-    raised = _run([*argv, "--regularity-atom-cap", "20000"], tmp_path / "raised.json")
-    assert raised["results"]["A"] == 2.0
-    assert "regularity_note" not in raised["results"]
+    assert "limit of 65536" in skipped["regularity_note"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,7 +20,6 @@ from projlab import (
     LatticePointSet,
     ParamTriple,
     Scale,
-    build_tubes,
     compute_E_s,
     count_incidences,
     covering_number_1d,
@@ -36,7 +35,6 @@ from projlab.incidence import TubeFamily
 from projlab.projections import (
     COVER_RTOL,
     _BoxBins,
-    _cover_sorted,
     _project_coords,
     _unit_coords,
     covering_number_circle,
@@ -48,15 +46,16 @@ PI = math.pi
 
 
 def _count_sorted(arr, width, stop_after):
-    return _cover_sorted(arr, width, stop_after)[0]
+    """The walk's count of sorted values, capped at `stop_after`."""
+    return len(projections.greedy_cover_starts(arr, width, stop_after))
 
 
 def _assert_starts_below_cap(values, width, stop):
-    """Below the cap, `_cover_sorted`'s starts are the per-interval search's."""
+    """Below the cap, the walk's starts are the per-interval search's."""
     arr = np.sort(np.asarray(values, dtype=float))
-    count, starts = _cover_sorted(arr, width, stop)
-    if stop is None or count < stop:
-        assert np.array_equal(starts(), searchsorted_cover_starts(arr, width))
+    starts = projections.greedy_cover_starts(arr, width, stop)
+    if stop is None or len(starts) < stop:
+        assert np.array_equal(starts, searchsorted_cover_starts(arr, width))
 
 
 class TestCovering1D:
@@ -98,10 +97,10 @@ class TestCovering1D:
         st.floats(0.01, 4.0),
         st.integers(1, 16),
     )
-    # values 3 widths apart: the component count reaches stop_after and decides
+    # values 3 widths apart: the walk stops at stop_after
     @example([0.0, 3.0, 6.0, 9.0, 12.0, 15.0], 1.0, 2)
     @example([0.0, 3.0, 6.0, 9.0, 12.0, 15.0], 1.0, 3)
-    # one component, one interval, one below stop_after: it must not decide
+    # one interval, one below stop_after
     @example([0.0, 0.5], 1.0, 2)
     def test_stop_after_is_min_of_full_count(self, values, width, stop):
         full = covering_number_1d(values, width)
@@ -132,23 +131,23 @@ class TestCovering1D:
 
 
 def _assert_capped_counts(vals, w, want):
-    """`_count_sorted` at every cap up to want + 1 is min(want, cap)."""
+    """`covering_number_1d` is want, and the walk at every cap up to
+    want + 1 is min(want, cap)."""
     arr = np.sort(np.asarray(vals, dtype=float))
-    assert _count_sorted(arr, w, None) == want
+    assert covering_number_1d(arr, w) == want
     for cap in range(1, want + 2):
         assert _count_sorted(arr, w, cap) == min(want, cap)
 
 
 class TestLowerBound:
-    """The capped count's own lower bounds, the gap components and two
-    intervals per wide component, against the exhaustive minimum at every
-    cap: a bound above the minimum would return a cap the greedy never
-    reaches."""
+    """Spacings at and past the reach, where the gap components and the
+    walk meet ties, against the exhaustive minimum: uncapped, and at every
+    cap of the walk."""
 
     @pytest.mark.parametrize("k", [1, 2, 7, 12])
     @pytest.mark.parametrize("w", [0.1, 0.125, 1e-9])
     def test_spacing_past_two_widths_is_tight(self, k, w):
-        # every value a component of its own: the components decide every cap
+        # every value a component of its own
         vals = np.arange(k) * 2.01 * w
         assert brute_min_cover(vals, w) == covering_number_1d(vals[::-1], w) == k
         _assert_capped_counts(vals, w, k)
@@ -216,13 +215,13 @@ class TestGapComponents:
     @settings(max_examples=300, deadline=None)
     @given(_tied_values(12), st.none() | st.integers(1, 14))
     @example(([0, 2, 4, 6], 1.0), None)  # spans and gaps all exactly w
-    @example(([0, 3, 6, 9, 12, 13], 0.125), 4)  # comps reach the cap
-    # one narrow component and a wide one of 4 intervals: the walk's cap is 3
+    @example(([0, 3, 6, 9, 12, 13], 0.125), 4)  # five components, capped at 4
+    # a wide component of 4 intervals and a narrow one
     @example(([0.0, 0.6, 1.2, 1.8, 2.4, 3.0, 3.6, 4.2, 100.0], 1.0), 4)
     def test_small_inputs_against_the_exhaustive_minimum(self, case, stop):
         values, width = case
         want = brute_min_cover(values, width)
-        assert want == _walk_count(values, width)
+        assert want == _walk_count(values, width) == covering_number_1d(values, width)
         capped = want if stop is None else min(want, stop)
         assert _count_sorted(np.sort(values), width, stop) == capped
         _assert_starts_below_cap(values, width, stop)
@@ -238,14 +237,11 @@ class TestGapComponents:
         assert _count_sorted(np.sort(values), width, stop) == capped
         _assert_starts_below_cap(values, width, stop)
 
-    @staticmethod
-    def _no_walk(monkeypatch):
+    def test_narrow_clusters_count_without_a_walk(self, monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("greedy_cover_starts ran")
-        monkeypatch.setattr(projections, "greedy_cover_starts", boom)
 
-    def test_narrow_clusters_count_without_a_walk(self, monkeypatch):
-        self._no_walk(monkeypatch)
+        monkeypatch.setattr(projections, "greedy_cover_starts", boom)
         w = 0.125
         reach = w * (1.0 + COVER_RTOL)
         # 12 clusters 3w apart (gaps of 2w) of span 0, w/2, w and the full
@@ -254,15 +250,14 @@ class TestGapComponents:
         vals = [3 * w * c + x for c in range(12) for x in shapes[c % 4]]
         assert brute_min_cover(vals[:8], w) == 4
         assert covering_number_1d(vals, w) == 12
-        assert _count_sorted(np.sort(vals), w, 13) == 12
 
     def test_one_walk_over_every_wide_component(self, monkeypatch):
         calls = []
         walk = projections.greedy_cover_starts
 
-        def spy(sorted_values, width, stop_after=None):
+        def spy(sorted_values, width):
             calls.append(len(sorted_values))
-            return walk(sorted_values, width, stop_after=stop_after)
+            return walk(sorted_values, width)
 
         monkeypatch.setattr(projections, "greedy_cover_starts", spy)
         w = 1.0
@@ -270,23 +265,6 @@ class TestGapComponents:
         vals = [0.0, 1.0, 2.0, 5.0, 10.0, 10.8, 11.6, 20.0, 20.5, 21.0, 21.5, 30.0, 30.9]
         assert covering_number_1d(vals, w) == _walk_count(vals, w) == 8
         assert calls == [10]
-        assert _count_sorted(np.sort(vals), w, 9) == 8
-        assert calls == [10, 10]
-
-    def test_a_capped_count_decided_by_the_components(self, monkeypatch):
-        self._no_walk(monkeypatch)
-        w = 1.0
-        # 8 singletons 1.5w apart: 8 components
-        vals = np.arange(8) * 1.5 * w
-        assert _count_sorted(vals, w, 6) == 6
-
-    def test_a_capped_count_decided_by_two_per_wide_component(self, monkeypatch):
-        self._no_walk(monkeypatch)
-        w = 1.0
-        # 4 components {5k, 5k + 0.6, 5k + 1.2}: each takes two intervals
-        vals = np.array([[5.0 * k, 5.0 * k + 0.6, 5.0 * k + 1.2] for k in range(4)]).ravel()
-        assert _count_sorted(vals, w, 7) == 7
-        assert brute_min_cover(vals, w) == 8
 
     @pytest.mark.parametrize("width", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_non_finite_or_non_positive_width_is_rejected(self, width):
@@ -537,7 +515,8 @@ class TestMemberArcs:
 
 
 class TestAgainstPerIntervalSearch:
-    """Sweep counts and tube starts against `searchsorted_cover_starts`."""
+    """Sweep counts and member starts against `searchsorted_cover_starts`
+    over the sorted `raw_projection_ref` values."""
 
     @staticmethod
     def _sets():
@@ -553,36 +532,34 @@ class TestAgainstPerIntervalSearch:
         stop = params.floor_delta_pow(params.s) + 1
         for ps in sets:
             es = compute_E_s(ps, params, sweep=256)
-            for th, count in zip(es.sweep_thetas, es.sweep_counts):
-                vals = projection_values(ps, Direction(th))
-                full = len(searchsorted_cover_starts(vals, params.delta))
-                assert covering_number_1d(vals, params.delta) == full
-                assert count == min(full, stop)
+            full = []
+            for d in direction_grid(256):
+                vals = raw_projection_ref(ps, d)
+                full.append(len(searchsorted_cover_starts(np.sort(vals), params.delta)))
+                assert covering_number_1d(vals, params.delta) == full[-1]
+            assert np.array_equal(es.sweep_counts, np.minimum(full, stop))
+            assert np.array_equal(es.sweep_is_member, np.less(full, stop))
+        # the random set's directions are all decided by the box bound alone
+        box = _BoxBins(_unit_coords(sets[1]), params.delta)
+        assert all(box.lower_bound(d) >= stop for d in direction_grid(256))
 
     def test_member_starts(self):
-        # the starts the sweep keeps for each member, bit for bit
-        params, sets = self._sets()
+        # the starts the sweep keeps for each member, bit for bit, on the
+        # (8, 3/4, 6) sets and on the larger (12, 3/4, 10) ones
+        small, small_sets = self._sets()
+        large = ParamTriple(Scale(12), Fraction(3, 4), 10)
+        cases = [(small, ps, 256) for ps in small_sets]
+        cases += [(large, ps, 1024) for ps in TestUnitCoordinates._large_sets()]
         n_members = 0
-        for ps in sets:
-            es = compute_E_s(ps, params, sweep=256)
+        for params, ps, sweep in cases:
+            es = compute_E_s(ps, params, sweep=sweep)
             assert len(es.member_starts) == len(es.members)
             for d, starts in zip(es.members, es.member_starts):
-                want = searchsorted_cover_starts(projection_values(ps, d), params.delta)
+                want = searchsorted_cover_starts(np.sort(raw_projection_ref(ps, d)),
+                                                 params.delta)
                 assert np.array_equal(starts, want)
             n_members += len(es.members)
         assert n_members > 0
-
-    def test_tube_starts(self):
-        # the tubes are the kept starts, at the triple's delta; E_s of the
-        # random set is empty
-        params, (grid, _) = self._sets()
-        es = compute_E_s(grid, params, sweep=256)
-        fam = build_tubes(grid, es)
-        assert fam.scale_delta == params.delta
-        assert fam.directions == es.members
-        for d in es.members:
-            want = searchsorted_cover_starts(projection_values(grid, d), params.delta)
-            assert np.array_equal(fam.starts[d.theta], want)
 
 
 class TestUnitCoordinates:
@@ -618,41 +595,6 @@ class TestUnitCoordinates:
         for d in dirs:
             assert np.array_equal(_project_coords(xy, d), raw_projection_ref(ps, d))
 
-    def test_sweep_counts(self):
-        params, sets = TestAgainstPerIntervalSearch._sets()
-        stop = params.floor_delta_pow(params.s) + 1
-        for ps in sets:
-            want = [
-                min(len(searchsorted_cover_starts(np.sort(raw_projection_ref(ps, d)),
-                                                  params.delta)), stop)
-                for d in direction_grid(256)
-            ]
-            got = compute_E_s(ps, params, sweep=256).sweep_counts
-            assert np.array_equal(got, want)
-
-    def test_tube_starts(self):
-        params, (grid, _) = TestAgainstPerIntervalSearch._sets()
-        es = compute_E_s(grid, params, sweep=256)
-        fam = build_tubes(grid, es)
-        assert fam.directions == es.members
-        for d in es.members:
-            want = searchsorted_cover_starts(np.sort(raw_projection_ref(grid, d)),
-                                             params.delta)
-            assert np.array_equal(fam.starts[d.theta], want)
-
-    def test_member_starts(self):
-        params = ParamTriple(Scale(12), Fraction(3, 4), 10)
-        n_members = 0
-        for ps in self._large_sets():
-            es = compute_E_s(ps, params, sweep=1024)
-            assert len(es.member_starts) == len(es.members)
-            for d, starts in zip(es.members, es.member_starts):
-                want = searchsorted_cover_starts(np.sort(raw_projection_ref(ps, d)),
-                                                 params.delta)
-                assert np.array_equal(starts, want)
-            n_members += len(es.members)
-        assert n_members > 0
-
     def test_incidence_count(self):
         # tubes placed over half the points from the reference values, so
         # the count depends on where each other point's value falls
@@ -677,21 +619,6 @@ class TestUnitCoordinates:
 
 
 class TestCappedSweep:
-    def test_counts_are_the_full_counts_capped(self):
-        params, sets = TestAgainstPerIntervalSearch._sets()
-        stop = params.floor_delta_pow(params.s) + 1
-        for ps in sets:
-            capped = compute_E_s(ps, params, sweep=256)
-            full = np.array([
-                len(searchsorted_cover_starts(projection_values(ps, d), params.delta))
-                for d in direction_grid(256)
-            ])
-            assert np.array_equal(capped.sweep_counts, np.minimum(full, stop))
-            assert np.array_equal(capped.sweep_is_member, full < stop)
-        # the random set's directions are all decided by the box bound alone
-        box = _BoxBins(_unit_coords(sets[1]), params.delta)
-        assert all(box.lower_bound(d) >= stop for d in direction_grid(256))
-
     @staticmethod
     def _projected(monkeypatch):
         seen = []
@@ -847,6 +774,11 @@ class TestDirectionCovering:
     @pytest.mark.parametrize("r", [PI, 4.0])
     def test_an_arc_of_length_pi_covers_the_circle(self, r):
         assert covering_number_circle([0.1, 1.0, 2.0, 3.0], r) == 1
+
+    @pytest.mark.parametrize("angles", [[0.1, np.nan], [0.1, np.inf], [-np.inf]])
+    def test_non_finite_angles_are_rejected(self, angles):
+        with pytest.raises(InvalidParameterError, match="angles must be finite"):
+            covering_number_circle(angles, 0.1)
 
     def test_wraparound(self):
         # points hugging both ends of [0, pi) are one arc across the seam
