@@ -515,8 +515,7 @@ class TestMemberArcs:
 
 
 class TestAgainstPerIntervalSearch:
-    """Sweep counts and member starts against `searchsorted_cover_starts`
-    over the sorted `raw_projection_ref` values."""
+    """Sweep counts and member starts against `searchsorted_cover_starts`."""
 
     @staticmethod
     def _sets():
@@ -532,31 +531,21 @@ class TestAgainstPerIntervalSearch:
         stop = params.floor_delta_pow(params.s) + 1
         for ps in sets:
             es = compute_E_s(ps, params, sweep=256)
-            full = []
-            for d in direction_grid(256):
-                vals = raw_projection_ref(ps, d)
-                full.append(len(searchsorted_cover_starts(np.sort(vals), params.delta)))
-                assert covering_number_1d(vals, params.delta) == full[-1]
-            assert np.array_equal(es.sweep_counts, np.minimum(full, stop))
-            assert np.array_equal(es.sweep_is_member, np.less(full, stop))
-        # the random set's directions are all decided by the box bound alone
-        box = _BoxBins(_unit_coords(sets[1]), params.delta)
-        assert all(box.lower_bound(d) >= stop for d in direction_grid(256))
+            for th, count in zip(es.sweep_thetas, es.sweep_counts):
+                vals = projection_values(ps, Direction(th))
+                full = len(searchsorted_cover_starts(vals, params.delta))
+                assert covering_number_1d(vals, params.delta) == full
+                assert count == min(full, stop)
 
     def test_member_starts(self):
-        # the starts the sweep keeps for each member, bit for bit, on the
-        # (8, 3/4, 6) sets and on the larger (12, 3/4, 10) ones
-        small, small_sets = self._sets()
-        large = ParamTriple(Scale(12), Fraction(3, 4), 10)
-        cases = [(small, ps, 256) for ps in small_sets]
-        cases += [(large, ps, 1024) for ps in TestUnitCoordinates._large_sets()]
+        # the starts the sweep keeps for each member, bit for bit
+        params, sets = self._sets()
         n_members = 0
-        for params, ps, sweep in cases:
-            es = compute_E_s(ps, params, sweep=sweep)
+        for ps in sets:
+            es = compute_E_s(ps, params, sweep=256)
             assert len(es.member_starts) == len(es.members)
             for d, starts in zip(es.members, es.member_starts):
-                want = searchsorted_cover_starts(np.sort(raw_projection_ref(ps, d)),
-                                                 params.delta)
+                want = searchsorted_cover_starts(projection_values(ps, d), params.delta)
                 assert np.array_equal(starts, want)
             n_members += len(es.members)
         assert n_members > 0
@@ -595,6 +584,31 @@ class TestUnitCoordinates:
         for d in dirs:
             assert np.array_equal(_project_coords(xy, d), raw_projection_ref(ps, d))
 
+    def test_sweep_counts(self):
+        params, sets = TestAgainstPerIntervalSearch._sets()
+        stop = params.floor_delta_pow(params.s) + 1
+        for ps in sets:
+            want = [
+                min(len(searchsorted_cover_starts(np.sort(raw_projection_ref(ps, d)),
+                                                  params.delta)), stop)
+                for d in direction_grid(256)
+            ]
+            got = compute_E_s(ps, params, sweep=256).sweep_counts
+            assert np.array_equal(got, want)
+
+    def test_member_starts(self):
+        params = ParamTriple(Scale(12), Fraction(3, 4), 10)
+        n_members = 0
+        for ps in self._large_sets():
+            es = compute_E_s(ps, params, sweep=1024)
+            assert len(es.member_starts) == len(es.members)
+            for d, starts in zip(es.members, es.member_starts):
+                want = searchsorted_cover_starts(np.sort(raw_projection_ref(ps, d)),
+                                                 params.delta)
+                assert np.array_equal(starts, want)
+            n_members += len(es.members)
+        assert n_members > 0
+
     def test_incidence_count(self):
         # tubes placed over half the points from the reference values, so
         # the count depends on where each other point's value falls
@@ -619,6 +633,21 @@ class TestUnitCoordinates:
 
 
 class TestCappedSweep:
+    def test_counts_are_the_full_counts_capped(self):
+        params, sets = TestAgainstPerIntervalSearch._sets()
+        stop = params.floor_delta_pow(params.s) + 1
+        for ps in sets:
+            capped = compute_E_s(ps, params, sweep=256)
+            full = np.array([
+                len(searchsorted_cover_starts(projection_values(ps, d), params.delta))
+                for d in direction_grid(256)
+            ])
+            assert np.array_equal(capped.sweep_counts, np.minimum(full, stop))
+            assert np.array_equal(capped.sweep_is_member, full < stop)
+        # the random set's directions are all decided by the box bound alone
+        box = _BoxBins(_unit_coords(sets[1]), params.delta)
+        assert all(box.lower_bound(d) >= stop for d in direction_grid(256))
+
     @staticmethod
     def _projected(monkeypatch):
         seen = []
