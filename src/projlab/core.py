@@ -153,13 +153,21 @@ def floor_pow2(expo: Fraction) -> int:
     return integer_root(1 << e.numerator, e.denominator)
 
 
+# The largest direction grid: the default E_s sweep 4 * 2^a at a = 20.  A
+# `Direction` takes about 113 bytes, so such a grid takes about 0.5 GB.
+MAX_DIRECTIONS = 2**22
+
+
 def direction_grid(p: int) -> list[Direction]:
     """p equidistributed directions theta_k = pi k / p, k = 0..p-1, ascending.
 
     Consecutive (cyclic) gaps on the quotient circle are exactly pi/p.
+    A grid of more than MAX_DIRECTIONS directions is refused.
     """
     if p < 1:
         raise InvalidParameterError(f"direction grid size p={p} must be >= 1")
+    if p > MAX_DIRECTIONS:
+        raise InvalidParameterError(f"direction grid size p={p} is above 2^22")
     return [Direction(PI * k / p) for k in range(p)]
 
 

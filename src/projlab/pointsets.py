@@ -18,7 +18,6 @@ discrete analogue of linear ball growth.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -149,21 +148,25 @@ class GridSpec:
         return Fraction(1, self.m * self.n_g)
 
 
-@functools.cache
 def grid_parameters(params: ParamTriple) -> GridSpec:
-    """Validate integrality of (m, n_g, h/delta) and return exact exponents."""
-    a, b, s = params.a, params.b, params.s
-    e_m = Fraction(a + b, 2) - a * s
-    if e_m.denominator != 1 or e_m < 0:
+    """Validate integrality of (m, n_g, h/delta) and return exact exponents.
+
+    With s = p/q, 2q e_m = (a + b) q - 2 a p and q e_n = 2 a p - b q, so
+    both checks are on ints.
+    """
+    a, b = params.scale.n, params.log2r
+    p, q = params.s.numerator, params.s.denominator
+    m2q = (a + b) * q - 2 * a * p  # 2q e_m
+    if m2q < 0 or m2q % (2 * q):
         raise InvalidParameterError(
-            f"m = delta^(s-1/2) r^(-1/2) = 2^({e_m}) is not a positive integer"
+            f"m = delta^(s-1/2) r^(-1/2) = 2^({Fraction(m2q, 2 * q)}) is not a positive integer"
         )
-    e_n = 2 * a * s - b
-    if e_n.denominator != 1 or e_n < 0:
+    nq = 2 * a * p - b * q  # q e_n
+    if nq < 0 or nq % q:
         raise InvalidParameterError(
-            f"n_g = delta^(-2s) r = 2^({e_n}) is not a positive integer"
+            f"n_g = delta^(-2s) r = 2^({Fraction(nq, q)}) is not a positive integer"
         )
-    return GridSpec(int(e_m), int(e_n))
+    return GridSpec(m2q // (2 * q), nq // q)
 
 
 def gen_grid_example(params: ParamTriple) -> LatticePointSet:

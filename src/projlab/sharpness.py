@@ -14,8 +14,13 @@ in S yields at most about delta^-s distinct values, via the sum-set bound
 
     |proj(A1 x A2)| * |line cap (A1 x A2)| <= 4 |A1| |A2|.
 
+Scaled by n_g, S is the set of reduced fractions c/d in [0, 2^l_exp] with
+d <= k_max, where k_max = floor(delta^s/r) and 2^l_exp = delta^(-3s+1/2)
+r^(3/2): the Farey fractions of order k_max up to 2^l_exp.  (A reduced c/d
+in that range is l/k with k = d, l = c; each l/k reduces to one.)
+
 Everything in this module is exact, in Python ints: slopes are `Fraction`s,
-enumerated and deduplicated as integer keys over one shared denominator,
+enumerated once each, in increasing order, by the Farey neighbour step,
 separations are compared by cross-multiplication, and distinct projected
 values are counted without listing them.  Over a shared denominator each
 grid column projects to a run of n_g consecutive integers inside one residue
@@ -42,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from operator import itemgetter
 
 from .core import ExactSlope, InvalidParameterError, ParamTriple, floor_pow2
@@ -62,12 +68,39 @@ class SlopeSet:
         return len(self.slopes)
 
 
-def build_slope_set(params: ParamTriple, exploratory: bool = False) -> SlopeSet:
-    """Enumerate all admissible (k, l), deduplicate, sort, reduce.
+# The most slopes `build_slope_set` lists, about 0.5 GB of `Fraction`s.  The
+# largest family the tests build has 10,369 slopes, at (20, 3/4, 20); every
+# exploratory triple with a <= 20 has at most 2^20 + 1.
+MAX_SLOPES = 2**22
 
-    Over D = n_g lcm(1..k_max) the slope l/(k n_g) is the integer key
-    l lcm(1..k_max)/k, so equal slopes share a key and keys sort as the
-    slopes do; one `Fraction` is built per distinct key.
+
+def _farey_walk(k_max: int, l_exp: int):
+    """The reduced fractions c/d in [0, 2^l_exp] with d <= k_max, as pairs
+    (c, d) in increasing order.
+
+    0/1 and 1/k_max are consecutive Farey fractions of order k_max.  After
+    consecutive p/q < c/d the next is (j c - p)/(j d - q) with
+    j = floor((k_max + q)/d), the step that holds on all of [0, inf) as on
+    [0, 1].  The walk stops at the first c/d > 2^l_exp, compared in ints.
+    """
+    lo, hi = max(-l_exp, 0), max(l_exp, 0)
+    p, q, c, d = 0, 1, 1, k_max
+    yield 0, 1
+    while c << lo <= d << hi:
+        yield c, d
+        j = (k_max + q) // d
+        p, q, c, d = c, d, j * c - p, j * d - q
+
+
+def build_slope_set(params: ParamTriple, exploratory: bool = False) -> SlopeSet:
+    """The slopes l/(k n_g), 1 <= k <= k_max, 0 <= l <= k 2^l_exp, sorted and
+    distinct: n_g times each Farey fraction c/d of order k_max in
+    [0, 2^l_exp], one `Fraction` per term of `_farey_walk`.
+
+    A family of more than MAX_SLOPES slopes is refused before any slope is
+    built.  |S| is at most the number of pairs (k, l), and that is at most
+    pairs = k_max + floor(k_max (k_max + 1) 2^l_exp / 2); only when pairs is
+    above the budget does a walk that only counts run first.
     """
     spec = grid_parameters(params)
     a, b, s = params.a, params.b, params.s
@@ -81,14 +114,14 @@ def build_slope_set(params: ParamTriple, exploratory: bool = False) -> SlopeSet:
     else:
         k_max = floor_pow2(b - a * s)
     l_exp = a - 3 * spec.e_m  # delta^(-3s+1/2) r^(3/2) = 2^(a - 3 e_m)
-    lcm = math.lcm(*range(1, k_max + 1))
-    keys = set()
-    for k in range(1, k_max + 1):
-        l_max = k << l_exp if l_exp >= 0 else k >> -l_exp  # floor(k 2^l_exp)
-        step = lcm // k
-        keys.update(range(0, (l_max + 1) * step, step))
-    D = spec.n_g * lcm
-    return SlopeSet(params, [Fraction(key, D) for key in sorted(keys)], k_max)
+    pairs = k_max + (k_max * (k_max + 1) // 2 << max(l_exp, 0) >> max(-l_exp, 0))
+    beyond = islice(_farey_walk(k_max, l_exp), MAX_SLOPES, None)  # terms past the budget
+    if pairs > MAX_SLOPES and next(beyond, None) is not None:
+        raise InvalidParameterError(
+            f"the slope family at (a, s, b) = ({a}, {s}, {b}) has more than 2^22 slopes"
+        )
+    n_g = spec.n_g
+    return SlopeSet(params, [Fraction(c, d * n_g) for c, d in _farey_walk(k_max, l_exp)], k_max)
 
 
 def verify_separation(S: SlopeSet) -> bool:

@@ -448,6 +448,58 @@ def test_point_counts_beyond_max_points_are_invalid(capsys, argv):
     assert "points, above 2^30" in err
 
 
+DEEP_K_MAX = ["sharpness", "--log2delta", "32", "--s", "1/2", "--log2r", "32", "--out", "-"]
+
+
+def test_sharpness_at_deep_k_max_fails_its_slope_count(capsys):
+    # k_max = 2^16 and two slopes, far below delta^-s (delta/r)^(1/2) / 64
+    assert main([*DEEP_K_MAX, "--skip-full-set"]) == EXIT_ASSERTION
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["results"]["slope_count"] == 2
+    failed = [c["name"] for c in rec["assertions"] if c["status"] == "fail"]
+    assert failed == ["slope_count_constant"]
+
+
+def test_sharpness_at_deep_k_max_refuses_the_full_set(capsys):
+    assert main(DEEP_K_MAX) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "points, above 2^30" in err
+
+
+def test_slope_family_beyond_max_slopes_is_invalid(capsys):
+    # k_max = 1 and l_exp = 38: 2^38 + 1 slopes
+    argv = ["sharpness", "--log2delta", "62", "--s", "3/4", "--log2r", "47", "--out", "-"]
+    assert main(argv) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "more than 2^22 slopes" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["esets", "--in", str(GOLDEN_GRID3), "--log2delta", "30", "--s", "3/4", "--log2r", "24"],
+    ["incidence", "--in", str(GOLDEN_GRID3), "--log2delta", "30", "--s", "3/4",
+     "--log2r", "24"],
+    ["esets", "--in", str(GOLDEN_GRID3), *TRIPLE, "--sweep", str(2**22 + 1)],
+    ["adreg", "--level", "2", "--plist", f"2,{2**23}", "--s", "0.75"],
+], ids=["esets-default-sweep", "incidence-default-sweep", "esets-sweep", "adreg-plist"])
+def test_direction_grids_beyond_max_directions_are_invalid(capsys, argv):
+    assert main([*argv, "--out", "-"]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "is above 2^22" in err
+
+
+def test_marstrand_grid_beyond_max_directions_is_invalid(tmp_path, capsys):
+    path = tmp_path / "deep.dmeas"
+    path.write_text("DMEAS v1 d=2 n=23\n0 0 1.0\n")
+    argv = ["entropy", "marstrand", "--in", str(path), "--m", "23", "--A", "1"]
+    assert main([*argv, "--out", "-"]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"p={2**23} is above 2^22" in err
+
+
 @pytest.mark.parametrize("s", ["1.5", "1", "0.49", "-3/4"])
 def test_adreg_s_outside_theorem_2s_range_is_invalid(capsys, s):
     argv = ["adreg", "--level", "3", "--plist", "2", f"--s={s}", "--out", "-"]

@@ -16,6 +16,7 @@ from projlab import (
     direction_grid,
     perpendicular_direction,
 )
+from projlab import core
 from projlab.core import _group_rows, floor_pow2, integer_root
 from projlab.projections import covering_number_circle
 
@@ -111,6 +112,14 @@ class TestDirectionGrid:
     def test_invalid(self):
         with pytest.raises(InvalidParameterError):
             direction_grid(0)
+
+    def test_grid_above_max_directions_is_refused(self, monkeypatch):
+        with pytest.raises(InvalidParameterError, match="above 2"):
+            direction_grid(core.MAX_DIRECTIONS + 1)
+        monkeypatch.setattr(core, "MAX_DIRECTIONS", 8)
+        assert len(direction_grid(8)) == 8
+        with pytest.raises(InvalidParameterError, match="p=9"):
+            direction_grid(9)
 
 
 class TestPerpendicular:

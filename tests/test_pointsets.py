@@ -25,7 +25,7 @@ from projlab import (
     write_dmeas,
     write_pset,
 )
-from projlab.pointsets import MAX_POINTS, _check_point_count
+from projlab.pointsets import MAX_POINTS, GridSpec, _check_point_count
 
 
 class TestSegment:
@@ -109,6 +109,28 @@ class TestGridExample:
             grid_parameters(params)
         with pytest.raises(InvalidParameterError, match="m ="):
             gen_grid_example(params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.integers(0, 62),
+        s=st.fractions(Fraction(1, 2), 1, max_denominator=40).filter(lambda s: s < 1),
+        data=st.data(),
+    )
+    def test_exponents_match_their_rational_definitions(self, a, s, data):
+        b = data.draw(st.integers(0, a))
+        e_m = Fraction(a + b, 2) - a * s
+        e_n = 2 * a * s - b
+        params = ParamTriple(Scale(a), s, b)
+        if e_m.denominator != 1 or e_m < 0:
+            message = f"m = delta^(s-1/2) r^(-1/2) = 2^({e_m}) is not a positive integer"
+        elif e_n.denominator != 1 or e_n < 0:
+            message = f"n_g = delta^(-2s) r = 2^({e_n}) is not a positive integer"
+        else:
+            assert grid_parameters(params) == GridSpec(int(e_m), int(e_n))
+            return
+        with pytest.raises(InvalidParameterError) as exc:
+            grid_parameters(params)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "a,s,b",

@@ -95,11 +95,46 @@ class TestBuildSlopeSet:
         assert len(S) == 2**12 + 1  # dedup removed the even-l overlap
 
     def test_matches_fraction_enumeration(self):
-        a, s, b = K_MAX_2
-        for params in valid_triples(max_a=16) + [ParamTriple(Scale(a), s, b)]:
+        # every valid triple with a <= 20, and three with k_max = 2^14 to 2^16
+        deep = [ParamTriple(Scale(a), Fraction(1, 2), b) for a, b in ((28, 28), (32, 30), (32, 32))]
+        for params in valid_triples(max_a=20) + deep:
             slopes = build_slope_set(params).slopes
             assert slopes == slope_set_ref(params), (params.a, str(params.s), params.b)
             assert all(type(x) is Fraction for x in slopes)
+        assert slopes == [0, Fraction(1, 2**16)]
+
+    def test_exploratory_is_the_k1_row(self):
+        # r > delta^s: k_max = 1 and S is l/n_g for 0 <= l <= 2^l_exp
+        checked = 0
+        for s in (Fraction(1, 2), Fraction(5, 8), Fraction(2, 3), Fraction(3, 4)):
+            for a in range(21):
+                for b in range(a + 1):
+                    params = ParamTriple(Scale(a), s, b)
+                    try:
+                        spec = grid_parameters(params)
+                    except InvalidParameterError:
+                        continue
+                    l_exp = a - 3 * spec.e_m
+                    if b >= a * s or l_exp >= 12:
+                        continue
+                    S = build_slope_set(params, exploratory=True)
+                    assert S.k_max == 1
+                    row = [Fraction(l, spec.n_g) for l in range((1 << l_exp) + 1)]
+                    assert S.slopes == row, (a, str(s), b)
+                    checked += 1
+        assert checked > 50
+
+    @pytest.mark.parametrize("a, s, b, size", [
+        (*FLAGSHIP, 1025),  # 1025 pairs (k, l), all distinct
+        (*K_MAX_2, 2**12 + 1),  # 6146 pairs (k, l): the family is counted by a walk
+    ])
+    def test_family_above_max_slopes_is_refused(self, monkeypatch, a, s, b, size):
+        params = ParamTriple(Scale(a), s, b)
+        monkeypatch.setattr(sharpness, "MAX_SLOPES", size)
+        assert len(build_slope_set(params)) == size
+        monkeypatch.setattr(sharpness, "MAX_SLOPES", size - 1)
+        with pytest.raises(InvalidParameterError, match=rf"\({a}, {s}, {b}\)"):
+            build_slope_set(params)
 
     def test_zero_and_nonzero_always_present(self):
         # S always holds a nonzero slope besides 0 in the valid range
