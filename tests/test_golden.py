@@ -46,6 +46,8 @@ CASES = {
                            "--theta", "0.7"],
     "esets": ["esets", "--in", "{pset}", *TRIPLE, "--sweep", "256",
               "--csv", "{out}/esets.csv"],
+    # no --sweep: the default 4·2^8 = 1024 directions
+    "esets_default": ["esets", "--in", "{pset}", *TRIPLE, "--csv", "{out}/esets_default.csv"],
     "incidence": ["incidence", "--in", "{pset}", *TRIPLE, "--sweep", "256"],
     "project": ["project", "--in", "{pset}", "--theta", "0.7"],
     "report": ["report", "{golden}/esets.json", "{golden}/incidence.json",
