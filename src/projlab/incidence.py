@@ -61,25 +61,26 @@ def build_tubes(ps: LatticePointSet, es: DirectionSetES) -> TubeFamily:
 
 
 def count_incidences(ps: LatticePointSet, tubes: TubeFamily) -> IncidenceCount:
-    """Exact incidence count by binary search of each projection value, in
-    point order, into the sorted disjoint intervals of its direction.
+    """Exact count of the (point, tube) pairs with the point in the tube.
 
-    It projects the set again rather than reuse the values the sweep
-    sorted, so that the `exact_lower_bound_equality` check in
-    `upper_bound_report` stays an independent count: a point the tube build
-    missed, or placed in two tubes, shows up here.  The unit coordinates
-    are computed once, above the direction loop."""
-    delta = tubes.scale_delta
-    reach = delta * (1.0 + COVER_RTOL)
+    Per direction the projection values are sorted, and each tube's closed
+    interval [start, start + reach] counts the values in it by rank: the
+    values up to its right end, by `searchsorted(side="right")`, less those
+    below its start, by `searchsorted(side="left")`.  It projects the set
+    again rather than reuse the values the sweep sorted, so that the
+    `exact_lower_bound_equality` check in `upper_bound_report` stays an
+    independent count: a point the tube build missed, or placed in two
+    tubes (a start listed twice, say), shows up here.  The unit
+    coordinates are computed once, above the direction loop."""
+    reach = tubes.scale_delta * (1.0 + COVER_RTOL)
     xy = _unit_coords(ps)
     total = 0
     for d in tubes.directions:
         starts = tubes.starts[d.theta]
-        vals = _project_coords(xy, d)
-        idx = np.searchsorted(starts, vals, side="right") - 1
-        idx = np.clip(idx, 0, len(starts) - 1)
-        inside = (vals >= starts[idx]) & (vals <= starts[idx] + reach)
-        total += int(np.count_nonzero(inside))
+        vals = np.sort(_project_coords(xy, d))
+        inside = (np.searchsorted(vals, starts + reach, side="right")
+                  - np.searchsorted(vals, starts, side="left"))
+        total += int(inside.sum())
     return IncidenceCount(total)
 
 

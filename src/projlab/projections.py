@@ -22,9 +22,14 @@ The sweep in `compute_E_s` needs each count only up to a cap, and tries one
 sort-free lower bound first, on the set rather than on a projection:
 `_BoxBins` shifts the unit coordinates to the corners of their bounding box
 once per set and counts a parity packing of bins just wider than one
-interval's reach, straight from those columns.  A direction that bound
-decides is never projected; an open one is projected, sorted and walked by
-`greedy_cover_starts` with the cap.  A member's walk ends below the cap, so
+interval's reach, straight from those columns.  Widened by the diameter of
+the box times an angular spread, the same bins bound every direction within
+that spread, so one evaluation at a run's mid-angle decides a whole run of
+consecutive sweep angles, and a run it leaves open is cut to at most half.  A
+direction a bound decides is never projected; a single direction left open
+is projected, sorted and walked by `greedy_cover_starts` with the cap.  The
+sweep builds a `Direction` only for the angles it evaluates and for its
+members.  A member's walk ends below the cap, so
 its starts are the full greedy cover: they are the member's delta-tubes,
 and `incidence.build_tubes` returns them as they are.  No other path walks
 a direction for tubes.
@@ -42,12 +47,13 @@ loop, and project those per direction with the same values as `project`.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Direction, InvalidParameterError, ParamTriple, direction_grid
+from .core import PI, Direction, InvalidParameterError, ParamTriple, direction_angles
 from .pointsets import LatticePointSet
 
 # Closed-interval coverage tolerance, relative to the interval width.
@@ -147,6 +153,8 @@ def covering_number_1d(values, width: float) -> int:
 
 # Bin width margin of `_BoxBins`, relative to the largest |unit coordinate|.
 BOX_MARGIN = 2.0**-46
+# Margin that rounds the box diameter of `_BoxBins` up.
+DIAM_RTOL = 2.0**-40
 
 
 class _BoxBins:
@@ -155,10 +163,11 @@ class _BoxBins:
     box, X0 = x - x_min, X1 = x - x_max and Y0 = y - y_min.
 
     Along e = (c, s), s >= 0 on [0, pi), the bin of a point is t truncated,
-    with t = X (c/bw) + Y0 (s/bw) and X = X0 if c >= 0, else X1.  Both terms
-    are non-negative, so t >= 0 needs no min or offset pass, and t is at
-    most the box span T = Xspan |c/bw| + Yspan (s/bw), computed with the
-    same rounded operations, as rounding is monotone and symmetric.
+    with t = X (c/W) + Y0 (s/W) and X = X0 if c >= 0, else X1, for the bin
+    width W (bw, below, unless a spread widens it).  Both terms are
+    non-negative, so t >= 0 needs no min or offset pass, and t is at most
+    the box span T = Xspan |c/W| + Yspan (s/W), computed with the same
+    rounded operations, as rounding is monotone and symmetric.
 
     The bound is max(odd, occupied - odd) over the occupied bins.  It holds
     when no greedy interval reaches from one bin to the next-but-one, since
@@ -167,26 +176,42 @@ class _BoxBins:
     even size once the span T reaches it, which keeps parity; a collision
     only lowers the count.
 
+    `lower_bound(e, spread)` bounds the greedy count along every direction
+    e' = (c', s') whose angle theta' has fl(|theta' - theta|) <= spread,
+    where theta is e's angle: one evaluation decides a run of sweep angles
+    around its mid-angle.  It bins at the widened width
+    W = fl(bw + fl(D spread)).  D = fl(hypot(Xspan, Yspan)) (1 + DIAM_RTOL),
+    rounded, is at least the set's diameter D0 times 1 + 2^-41.  At
+    spread 0, W is bw bit for bit and e' = e: the single-direction bound.
+
     The bin width is bw = reach + BOX_MARGIN M, with reach = w(1 + COVER_RTOL)
     the greedy's own and M the largest |unit coordinate|.  Soundness, with
     u = 2^-53 and every operation rounded to nearest (a subnormal result
     adds at most 2^-1075, far inside the uM of slack left below, as a
     nonzero M is at least 2^-62):
-    - the greedy counts v = fl(fl(x c) + fl(y s)), within 3uM of the exact
-      p = x c + y s, since |c| + |s| <= 1.42;
-    - X carries one rounding (the shifted columns are not always exact, for
-      example at `Scale(62)` above 2^53), c/bw one, the product one and the
-      sum one.  Both summands are non-negative, so these relative errors
-      bound |t - tau| <= 4.01u tau <= 11.7uM/bw, where tau = (p - p0)/bw for
-      the box corner's exact p0, and tau <= 2M 1.42/bw;
+    - the greedy along e' counts v = fl(fl(x c') + fl(y s')), within 3uM of
+      the exact p' = x c' + y s', since |c'| + |s'| <= 1.42;
     - two values v_a <= v_b of one greedy interval started at v_0 satisfy
-      v_b - v_a <= fl(v_0 + reach) - v_0 <= reach(1 + u) + 1.5uM;
-    - so bw |t_b - t_a| <= reach(1 + u) + (6 + 23.4 + 1.5)uM, which is at
-      most (reach + 128uM)(1 - u) <= bw when reach <= 48M.  Otherwise
-      bw |t_b - t_a| <= |p_b - p_a| + 23.4uM <= 3M < bw anyway.
+      v_b - v_a <= fl(v_0 + reach) - v_0 <= reach(1 + u) + 1.5uM, so
+      |p'_b - p'_a| <= reach(1 + u) + 7.5uM;
+    - along e the exact p = x c + y s differs by the rest:
+      |p_b - p_a| <= |p'_b - p'_a| + D0 |e - e'|.  With cos and sin within
+      one ulp (at most 2u) of the true values, |e - e'| is at most
+      |theta - theta'| + 5.7u <= spread(1 + u) + 5.7u, and D0 <= 2.83M, so
+      |p_b - p_a| <= reach(1 + u) + 23.6uM + D0 spread(1 + u);
+    - X carries one rounding (the shifted columns are not always exact, for
+      example at `Scale(62)` above 2^53), c/W one, the product one and the
+      sum one.  Both summands are non-negative, so these relative errors
+      bound |t - tau| <= 4.01u tau <= 11.7uM/W, where tau = (p - p0)/W for
+      the box corner's exact p0, and tau <= 2M 1.42/W;
+    - so W |t_b - t_a| <= reach(1 + u) + 47uM + D0 spread(1 + u).  Here
+      D0 spread(1 + u) <= fl(D spread)(1 - u), and W >= (bw + fl(D spread))
+      (1 - u), so the sum is at most W when reach(1 + u) + 47uM <= bw(1 - u).
+      That holds when reach <= 24M, as bw >= (reach + 128uM)(1 - u).
+      Otherwise W |t_b - t_a| <= |p_b - p_a| + 23.4uM <= 3M < bw <= W anyway.
     Hence |t_b - t_a| <= 1, their bins differ by at most one, and each
     interval meets at most one occupied bin of each parity.  t stays below
-    2^48, as bw >= 2^-46 M.
+    2^48, as W >= bw >= 2^-46 M.
     """
 
     def __init__(self, xy: tuple[np.ndarray, np.ndarray], width: float):
@@ -200,10 +225,12 @@ class _BoxBins:
         self.x_span, self.y_span = x_hi - x_lo, y_hi - y_lo
         big = max(-x_lo, x_hi, -y_lo, y_hi)
         self.bw = width * (1.0 + COVER_RTOL) + BOX_MARGIN * big
+        self.diam = math.hypot(self.x_span, self.y_span) * (1.0 + DIAM_RTOL)
 
-    def lower_bound(self, e: Direction) -> int:
+    def lower_bound(self, e: Direction, spread: float = 0.0) -> int:
+        bin_w = self.bw + self.diam * spread
         c, s = e.unit
-        cb, sb = c / self.bw, s / self.bw
+        cb, sb = c / bin_w, s / bin_w
         t = (self.x0 if c >= 0 else self.x1) * cb
         t += self.y0 * sb
         bins = t.astype(np.intp)
@@ -299,16 +326,32 @@ def compute_E_s(
     params: ParamTriple,
     sweep: int | None = None,
 ) -> DirectionSetES:
-    """Evaluate E_s membership on direction_grid(sweep).
+    """Evaluate E_s membership on the angles of direction_grid(sweep).
 
     The sweep defaults to 4 * 2^a gridpoints, a = params.a, so the angular
     resolution is finer than delta = 2^-a whatever the set's own scale.
-    Each direction's count stops at floor(delta^-s) + 1, where membership is
-    decided.  The parity bound of `_BoxBins`, on box columns prepared once
-    per set, decides most directions without their projection; only a
-    direction it leaves open is projected, sorted and walked by
+    Each direction's count stops at stop = floor(delta^-s) + 1, where
+    membership is decided.
+
+    The parity bound of `_BoxBins`, on box columns prepared once per set,
+    decides most directions without their projection, and one evaluation
+    can decide a whole run of consecutive sweep angles.  The sweep walks
+    the angles left to right and tries the run [i, i + n) at its
+    mid-angle, its bins widened by the spread, the largest float distance
+    from the mid-angle to an angle of the run.  A bound of at least stop
+    decides every direction of the run.  A run left open is shortened to
+    at most half; a run of one is a single direction, at spread 0, and if
+    the bound leaves it open it is projected, sorted and walked by
     `greedy_cover_starts` up to the cap.  Either way the count is
-    min(count, cap).  A member's greedy starts are kept in `member_starts`.
+    min(count, stop), and a member's greedy starts are kept in
+    `member_starts`.  Runs only ever decide non-members, so the counts do
+    not depend on which runs are tried.
+
+    The run length adapts to the bounds: while the bins are dense a bound
+    L at width W falls about as 1/width, so the next run is the longest
+    whose widened width is at most W L / stop.  After a decided run it is
+    at least twice as long, unless a run that long has been left open
+    since the last projected direction.
     """
     if sweep is None:
         sweep = 4 * params.scale.side
@@ -316,24 +359,45 @@ def compute_E_s(
         raise InvalidParameterError(f"sweep={sweep} must be >= 1")
     t_int = params.floor_delta_pow(params.s)  # floor(delta^-s), exact
     stop = t_int + 1
-    grid = direction_grid(sweep)
+    thetas = direction_angles(sweep)
+    th = thetas.tolist()
     xy = _unit_coords(ps)
     box = _BoxBins(xy, params.delta)
     counts = np.full(sweep, stop, dtype=np.int64)
     member_starts = []
-    for i, d in enumerate(grid):
-        if box.lower_bound(d) < stop:
+    widening = box.diam * PI / sweep  # the widened width grows this much per angle step
+    i, n = 0, 1  # the next run is [i, i + n); a run of one is at spread 0
+    refused = sweep + 1  # the shortest run left open since the last projection
+    while i < sweep:
+        j = min(i + n, sweep) - 1
+        d = Direction((th[i] + th[j]) / 2)
+        spread = max(d.theta - th[i], th[j] - d.theta)
+        bound = box.lower_bound(d, spread)
+        # the longest run whose widened width, about bw + widening (fit - 1)/2,
+        # is at most W L / stop
+        room = (box.bw + box.diam * spread) * bound / stop - box.bw
+        fit = 1 + int(2 * room / widening) if room > 0 and widening > 0 else 1
+        n = j + 1 - i
+        if bound >= stop:
+            i = j + 1
+            n = max(fit, 2 * n) if 2 * n < refused else fit
+        elif n > 1:
+            refused = min(refused, n)
+            n = max(min(n // 2, fit), 1)
+        else:
             starts = greedy_cover_starts(np.sort(_project_coords(xy, d)), params.delta, stop)
             counts[i] = len(starts)
             if len(starts) < stop:
                 member_starts.append(starts)
+            i += 1
+            refused = sweep + 1
+            n = fit
     is_member = counts <= t_int
-    members = [d for d, ok in zip(grid, is_member) if ok]
     return DirectionSetES(
         params=params,
-        members=members,
+        members=[Direction(t) for t in thetas[is_member].tolist()],
         threshold=params.delta_pow(-params.s),
-        sweep_thetas=np.array([d.theta for d in grid]),
+        sweep_thetas=thetas,
         sweep_counts=counts,
         sweep_is_member=is_member,
         member_starts=member_starts,

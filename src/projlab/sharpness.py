@@ -98,7 +98,9 @@ def build_slope_set(params: ParamTriple, exploratory: bool = False) -> SlopeSet:
     [0, 2^l_exp], one `Fraction` per term of `_farey_walk`.
 
     A family of more than MAX_SLOPES slopes is refused before any slope is
-    built.  |S| is at most the number of pairs (k, l), and that is at most
+    built.  |S| is at least floor(2^l_exp) + 1, the k = 1 row, which alone
+    refuses a family with l_exp >= 22 before any walk.  |S| is at most the
+    number of pairs (k, l), and that is at most
     pairs = k_max + floor(k_max (k_max + 1) 2^l_exp / 2); only when pairs is
     above the budget does a walk that only counts run first.
     """
@@ -114,9 +116,10 @@ def build_slope_set(params: ParamTriple, exploratory: bool = False) -> SlopeSet:
     else:
         k_max = floor_pow2(b - a * s)
     l_exp = a - 3 * spec.e_m  # delta^(-3s+1/2) r^(3/2) = 2^(a - 3 e_m)
+    row = (1 << max(l_exp, 0) >> max(-l_exp, 0)) + 1  # the slopes l/n_g, k = 1
     pairs = k_max + (k_max * (k_max + 1) // 2 << max(l_exp, 0) >> max(-l_exp, 0))
-    beyond = islice(_farey_walk(k_max, l_exp), MAX_SLOPES, None)  # terms past the budget
-    if pairs > MAX_SLOPES and next(beyond, None) is not None:
+    if row > MAX_SLOPES or pairs > MAX_SLOPES and next(
+            islice(_farey_walk(k_max, l_exp), MAX_SLOPES, None), None) is not None:
         raise InvalidParameterError(
             f"the slope family at (a, s, b) = ({a}, {s}, {b}) has more than 2^22 slopes"
         )

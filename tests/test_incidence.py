@@ -257,6 +257,19 @@ class TestUpperBoundReport:
             "exact_lower_bound_equality"]
         assert rec.results["incidences"] < len(ps) * len(es.members)
 
+    def test_duplicated_start_fails_the_exact_equality(self):
+        # a start listed twice puts the points of its interval in two tubes
+        params = ParamTriple(Scale(8), Fraction(3, 4), 6)
+        ps = gen_grid_example(params)
+        es = compute_E_s(ps, params, sweep=256)
+        i = len(es.members) // 2
+        starts = es.member_starts[i]
+        es.member_starts[i] = np.insert(starts, len(starts) // 2, starts[len(starts) // 2])
+        rec = upper_bound_report(ps, build_tubes(ps, es), params)
+        assert [a.name for a in rec.assertions if a.status == "fail"] == [
+            "exact_lower_bound_equality"]
+        assert rec.results["incidences"] > len(ps) * len(es.members)
+
     def test_four_corners_direction_grid(self):
         ps = gen_four_corners(4, Scale(8))
         params = ParamTriple(Scale(8), Fraction(17, 20), 6)

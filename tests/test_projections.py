@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -669,8 +669,38 @@ class TestCappedSweep:
         box = _BoxBins(_unit_coords(grid), params.delta)
         open_ = [d.theta for d in direction_grid(256) if box.lower_bound(d) < stop]
         assert 0 < len(open_) < 256
-        compute_E_s(grid, params, sweep=256)
-        assert seen == open_
+        es = compute_E_s(grid, params, sweep=256)
+        # a run's bound can decide a direction that its own bound leaves
+        # open, never the reverse; each direction is projected at most once
+        assert set(seen) <= set(open_) and len(set(seen)) == len(seen)
+        assert {d.theta for d in es.members} <= set(seen)
+
+    def test_default_sweep_counts_are_the_full_counts_capped(self):
+        # 1024 directions, where runs of two and more angles are decided
+        params, sets = TestAgainstPerIntervalSearch._sets()
+        stop = params.floor_delta_pow(params.s) + 1
+        for ps in sets:
+            es = compute_E_s(ps, params)
+            full = np.array([
+                len(searchsorted_cover_starts(projection_values(ps, d), params.delta))
+                for d in direction_grid(1024)
+            ])
+            assert np.array_equal(es.sweep_counts, np.minimum(full, stop))
+            assert [d.theta for d in es.members] == es.sweep_thetas[full < stop].tolist()
+
+    def test_runs_decide_the_random_set_in_fewer_evaluations(self, monkeypatch):
+        params, (_, rand) = TestAgainstPerIntervalSearch._sets()
+        spreads = []
+        bound = _BoxBins.lower_bound
+
+        def spy(box, e, spread=0.0):
+            spreads.append(spread)
+            return bound(box, e, spread)
+
+        monkeypatch.setattr(_BoxBins, "lower_bound", spy)
+        es = compute_E_s(rand, params, sweep=1024)
+        assert not es.members
+        assert len(spreads) < 1024 and max(spreads) >= PI / 2048
 
     def test_empty_set(self):
         params = ParamTriple(Scale(8), Fraction(3, 4), 6)
@@ -777,6 +807,92 @@ class TestBoxBound:
         k = np.arange(12)
         ps = LatticePointSet(Scale(20), np.column_stack([(1 << 19) + step[0] * k, step[1] * k]))
         assert self._check(ps, 2.0**-14, theta) == 12
+
+
+@st.composite
+def _run_cases(draw):
+    """A `_box_cases` set and width, and a run of angles in [0, pi): its
+    mid-angle, its spread, the largest float distance from the mid-angle
+    to an angle of the run, and its two ends and an angle inside.  The run
+    lies anywhere, starts at theta = 0, or crosses pi/2, where cos changes
+    sign."""
+    ps, width, theta = draw(_box_cases())
+    half = draw(st.sampled_from([PI / 2**23, PI / 2**12, PI / 2**9, 0.1, 0.5])
+                | st.floats(0.0, 0.5))
+    where = draw(st.sampled_from(["anywhere", "zero", "vertical"]))
+    if where == "zero":
+        mid = half
+    elif where == "vertical":
+        mid = PI / 2 + draw(st.floats(-1.0, 1.0)) * half
+    else:
+        mid = min(max(theta, half), PI - 2 * half)
+    lo, hi = mid - half, mid + half
+    assume(0.0 <= lo and hi < PI)
+    spread = max(mid - lo, hi - mid)
+    inside = min(max(lo + draw(st.floats(0.0, 1.0)) * (hi - lo), lo), hi)
+    return ps, width, mid, spread, [lo, hi, inside]
+
+
+class TestRunBound:
+    """One widened bound at a run's mid-angle never exceeds the greedy
+    count at any angle of the run."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_run_cases())
+    # a run of two sweep angles at the benchmark's step, next to 0 and
+    # across pi/2, on a set spread over its square
+    @example((gen_grid_example(ParamTriple(Scale(8), Fraction(3, 4), 6)), 2.0**-8,
+              PI / 8192, PI / 8192, [0.0, PI / 4096, PI / 8192]))
+    @example((gen_grid_example(ParamTriple(Scale(8), Fraction(3, 4), 6)), 2.0**-8,
+              PI / 2, PI / 2048, [PI / 2 - PI / 2048, PI / 2 + PI / 2048, PI / 2]))
+    def test_never_exceeds_the_greedy_count_in_the_run(self, case):
+        ps, width, mid, spread, angles = case
+        bound = _BoxBins(_unit_coords(ps), width).lower_bound(Direction(mid), spread)
+        assert 1 <= bound
+        for theta in angles:
+            assert Direction(theta).theta == theta
+            assert bound <= covering_number_1d(projection_values(ps, Direction(theta)), width)
+
+    @pytest.mark.parametrize("start", [0.0, PI / 2])
+    def test_pairs_across_the_spread_are_tight(self, start):
+        # Two pairs of points a full side apart across the direction at the
+        # run's start, where each pair projects to one value.  At the run's
+        # far end a pair's values lie about a widened bin apart, so a pair
+        # whose first point sits near the end of a bin would reach the
+        # next-but-one bin if the widening fell short of D * spread.  The
+        # second pair sweeps through every place in its bin.
+        n, width = 20, 2.0**-14
+        side = (1 << n) - 1
+
+        def pairs(gap):
+            pts = np.array([[0, 0], [side, 0], [0, gap], [side, gap]])
+            return LatticePointSet(Scale(n), pts if start else pts[:, ::-1])
+
+        box = _BoxBins(_unit_coords(pairs(1)), width)
+        spread = 200 * box.bw / box.diam
+        run = Direction(start + spread)
+        step = (box.bw + box.diam * spread) / np.cos(spread) * 2.0**n
+        for place in np.linspace(0.025, 0.975, 20):
+            ps = pairs(round((4 + place) * step))
+            assert covering_number_1d(projection_values(ps, Direction(start)), width) == 2
+            assert _BoxBins(_unit_coords(ps), width).lower_bound(run, spread) == 2
+
+    def test_spread_zero_is_the_single_bound(self):
+        params, sets = TestAgainstPerIntervalSearch._sets()
+        for ps in sets:
+            box = _BoxBins(_unit_coords(ps), params.delta)
+            assert box.bw + box.diam * 0.0 == box.bw
+            for d in direction_grid(64):
+                assert box.lower_bound(d, 0.0) == box.lower_bound(d)
+
+    def test_bound_falls_as_the_spread_grows(self):
+        # the bound falls as the bins widen, down to 1 for a spread past pi
+        ps = gen_grid_example(ParamTriple(Scale(8), Fraction(3, 4), 6))
+        box = _BoxBins(_unit_coords(ps), 2.0**-8)
+        d = Direction(0.3)
+        bounds = [box.lower_bound(d, spread) for spread in (0.0, 1e-3, 1e-2, 1e-1, 4.0)]
+        assert bounds[0] <= covering_number_1d(projection_values(ps, d), 2.0**-8)
+        assert bounds[-1] == 1 and bounds[0] > bounds[-1]
 
 
 class TestDirectionCovering:

@@ -136,6 +136,25 @@ class TestBuildSlopeSet:
         with pytest.raises(InvalidParameterError, match=rf"\({a}, {s}, {b}\)"):
             build_slope_set(params)
 
+    @pytest.mark.parametrize("a, s, b, budget", [
+        (62, Fraction(3, 4), 47, 2**22),  # k_max = 1, l_exp = 38: 2^38 + 1 slopes
+        (8, Fraction(3, 4), 4, 2**8),  # k_max = 1, l_exp = 8: 2^8 + 1 slopes
+    ])
+    def test_long_k1_row_is_refused_before_any_walk(self, monkeypatch, a, s, b, budget):
+        params = ParamTriple(Scale(a), s, b)
+        walks = []
+        walk = sharpness._farey_walk
+        monkeypatch.setattr(sharpness, "_farey_walk", lambda *args: walks.append(args) or walk(*args))
+        monkeypatch.setattr(sharpness, "MAX_SLOPES", budget)
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^the slope family at \(a, s, b\) = \({a}, {s}, {b}\) "
+                                 r"has more than 2\^22 slopes$"):
+            build_slope_set(params, exploratory=True)
+        assert walks == []
+        if budget < 2**22:
+            monkeypatch.setattr(sharpness, "MAX_SLOPES", budget + 1)
+            assert len(build_slope_set(params, exploratory=True)) == budget + 1
+
     def test_zero_and_nonzero_always_present(self):
         # S always holds a nonzero slope besides 0 in the valid range
         for params in valid_triples(max_count=12):
