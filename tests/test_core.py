@@ -113,6 +113,14 @@ class TestDirectionGrid:
         with pytest.raises(InvalidParameterError):
             direction_grid(0)
 
+    @pytest.mark.parametrize("p", [1, 3, 256, 1000, 4096, 65536])
+    def test_angles_are_the_python_thetas(self, p):
+        # the E_s sweep's angle array: the same doubles as pi * k / p
+        angles = core.direction_angles(p)
+        assert angles.dtype == np.float64
+        assert angles.tolist() == [PI * k / p for k in range(p)]
+        assert angles.tolist() == [d.theta for d in direction_grid(p)]
+
     def test_grid_above_max_directions_is_refused(self, monkeypatch):
         with pytest.raises(InvalidParameterError, match="above 2"):
             direction_grid(core.MAX_DIRECTIONS + 1)
