@@ -21,7 +21,6 @@ from .entropy import (
     DyadicMeasure,
     EntropyValue,
     ad_regularity_check,
-    blow_up,
     conditional_entropy,
     covering_from_entropy,
     entropy,
@@ -91,7 +90,6 @@ __all__ = [
     "SlopeSet",
     "TubeFamily",
     "ad_regularity_check",
-    "blow_up",
     "build_slope_set",
     "build_tubes",
     "compute_E_s",

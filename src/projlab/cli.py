@@ -9,14 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
 from .core import Direction, InvalidParameterError, ParamTriple, Scale
 from .entropy import (
     ad_regularity_check,
-    blow_up,
     conditional_entropy,
     covering_from_entropy,
     entropy,
@@ -25,7 +23,6 @@ from .entropy import (
     multiscale_check,
     read_dmeas,
     theorem_main2_experiment,
-    write_dmeas,
 )
 from .incidence import build_tubes, upper_bound_report
 from .pointsets import (
@@ -242,24 +239,8 @@ def cmd_entropy(args) -> int:
         rec = multiscale_check(mu, Direction(args.theta), args.m)
     elif args.entropy_cmd == "marstrand":
         rec = marstrand_average(mu, args.m, A=args.A, s_values=tuple(args.s_list))
-    elif args.entropy_cmd == "cover":
+    else:  # cover
         rec = covering_from_entropy(mu, args.s)
-    else:  # blowup
-        piece = blow_up(mu, (args.i,) if args.j is None else (args.i, args.j), args.k)
-        if args.outfile:
-            with open(args.outfile, "w") as f:
-                write_dmeas(piece, f)
-        rec = ExperimentRecord(
-            "entropy_blowup",
-            params={"k": args.k, "i": args.i, "j": args.j},
-            results={
-                "level": piece.level,
-                "atoms": len(piece),
-                "mass_sum": float(piece.mass.sum()),
-                # the file name only, so the record does not depend on the directory
-                "out": os.path.basename(args.outfile) if args.outfile else None,
-            },
-        )
     _emit(rec.to_json(), args.out)
     return _record_exit(rec)
 
@@ -380,12 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default="0.5,0.75,0.9")
     ecov = esub.add_parser("cover")
     ecov.add_argument("--s", type=_finite_float, required=True)
-    eb = esub.add_parser("blowup")
-    eb.add_argument("--k", type=int, required=True)
-    eb.add_argument("--i", type=int, required=True)
-    eb.add_argument("--j", type=int)
-    eb.add_argument("--write", dest="outfile", help="write the blow-up as DMEAS")
-    for sp in (eh, ec, em, ema, ecov, eb):
+    for sp in (eh, ec, em, ema, ecov):
         sp.add_argument("--in", dest="infile", required=True)
         sp.add_argument("--out", default="-")
         sp.set_defaults(func=cmd_entropy)

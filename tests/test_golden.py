@@ -5,6 +5,7 @@ it writes with the frozen copy.  A change that alters a count, a float's
 last digit or the key order shows up here.
 """
 
+import argparse
 import io
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from projlab import (
     write_dmeas,
     write_pset,
 )
-from projlab.cli import EXIT_OK, main
+from projlab.cli import EXIT_OK, build_parser, main
 
 GOLDEN = Path(__file__).with_name("golden")
 PSET = GOLDEN / "grid3.pset"
@@ -38,8 +39,6 @@ CASES = {
     "entropy_H": ["entropy", "H", "--in", "{dmeas}"],
     "entropy_cef": ["entropy", "cef", "--in", "{dmeas}", "--fine", "6", "--coarse", "3"],
     "entropy_cover": ["entropy", "cover", "--in", "{line}", "--s", "0.5"],
-    "entropy_blowup": ["entropy", "blowup", "--in", "{line}", "--k", "1", "--i", "0",
-                       "--write", "{out}/entropy_blowup.dmeas"],
     # no --A, so the regularity sweep runs and its constant is pinned too
     "entropy_marstrand": ["entropy", "marstrand", "--in", "{dmeas}", "--m", "5"],
     "entropy_multiscale": ["entropy", "multiscale", "--in", "{dmeas}", "--m", "2",
@@ -102,6 +101,24 @@ def test_every_golden_file_is_pinned():
     # test_four_corners_measure and test_line_measure regenerate the inputs
     written = {path for name in CASES for path in GOLDEN.glob(f"{name}.*")}
     assert sorted(GOLDEN.iterdir()) == sorted(written | {PSET, DMEAS, LINE})
+
+
+def _leaf_commands(parser, prefix=()):
+    """The argv prefix of every subcommand without subcommands of its own."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield prefix
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_commands(sub, (*prefix, name))
+
+
+def test_every_leaf_command_is_pinned():
+    # test_gen pins `gen`; every other command starts some case
+    leaves = set(_leaf_commands(build_parser()))
+    assert ("entropy", "cover") in leaves
+    starts = {tuple(argv[:len(leaf)]) for leaf in leaves for argv in CASES.values()}
+    assert sorted(leaves - starts) == [("gen",)]
 
 
 @pytest.mark.parametrize("name", CASES)
