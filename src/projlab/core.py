@@ -63,6 +63,8 @@ class Direction:
     theta: float
 
     def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise InvalidParameterError(f"theta={self.theta} must be finite")
         t = math.fmod(self.theta, PI) + 0.0  # + 0.0 turns -0.0 into 0.0
         if t < 0.0:
             t += PI

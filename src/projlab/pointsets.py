@@ -220,9 +220,9 @@ def extract_delta_one_set(
     """
     if len(input_set) == 0:
         raise InvalidParameterError("cannot extract from an empty point set")
-    if capacity_constant < 1:
+    if not 1 <= capacity_constant < np.inf:
         raise InvalidParameterError(
-            f"capacity constant C0={capacity_constant} must be >= 1"
+            f"capacity constant C0={capacity_constant} must be >= 1 and finite"
         )
     n = input_set.scale.n
     caps = [int(capacity_constant * (1 << (n - j))) for j in range(n + 1)]

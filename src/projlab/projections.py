@@ -25,7 +25,7 @@ once per set and counts a parity packing of bins just wider than one
 interval's reach, straight from those columns.  Widened by the diameter of
 the box times an angular spread, the same bins bound every direction within
 that spread, so one evaluation at a run's mid-angle decides a whole run of
-consecutive sweep angles, and a run it leaves open is cut to at most half.  A
+consecutive sweep angles, and a run it leaves open is halved.  A
 direction a bound decides is never projected; a single direction left open
 is projected, sorted and walked by `greedy_cover_starts` with the cap.  The
 sweep builds a `Direction` only for the angles it evaluates and for its
@@ -58,11 +58,6 @@ from .pointsets import LatticePointSet
 
 # Closed-interval coverage tolerance, relative to the interval width.
 COVER_RTOL = 1e-12
-
-
-def _sorted_values(values) -> np.ndarray:
-    """The values as a sorted float64 array; any NaN sorts last."""
-    return np.sort(np.asarray(values, dtype=np.float64).ravel())
 
 
 def greedy_cover_starts(
@@ -129,7 +124,7 @@ def covering_number_1d(values, width: float) -> int:
     """
     if not 0 < width < np.inf:
         raise InvalidParameterError(f"width={width} must be positive and finite")
-    arr = _sorted_values(values)
+    arr = np.sort(np.asarray(values, dtype=np.float64).ravel())
     if arr.size == 0:
         return 0
     if np.isnan(arr[-1]):  # the sort puts any NaN last
@@ -273,7 +268,7 @@ def _project_coords(xy: tuple[np.ndarray, np.ndarray], e: Direction) -> np.ndarr
 def projection_values(ps: LatticePointSet, e: Direction) -> np.ndarray:
     """Orthogonal projection values of the set along e, in the set's unit
     coordinates (lattice points times its own delta), sorted ascending."""
-    return _sorted_values(_project_coords(_unit_coords(ps), e))
+    return np.sort(_project_coords(_unit_coords(ps), e))
 
 
 def project(ps: LatticePointSet, e: Direction) -> ProjectionProfile:
@@ -334,19 +329,22 @@ def compute_E_s(
     the angles left to right and tries the run [i, i + n) at its
     mid-angle, its bins widened by the spread, the largest float distance
     from the mid-angle to an angle of the run.  A bound of at least stop
-    decides every direction of the run.  A run left open is shortened to
-    at most half; a run of one is a single direction, at spread 0, and if
-    the bound leaves it open it is projected, sorted and walked by
-    `greedy_cover_starts` up to the cap.  Either way the count is
-    min(count, stop), and a member's greedy starts are kept in
-    `member_starts`.  Runs only ever decide non-members, so the counts do
-    not depend on which runs are tried.
+    decides every direction of the run.  A run of one is a single
+    direction, at spread 0, and if the bound leaves it open it is
+    projected, sorted and walked by `greedy_cover_starts` up to the cap.
+    Either way the count is min(count, stop), and a member's greedy starts
+    are kept in `member_starts`.  Runs only ever decide non-members, so the
+    counts do not depend on which runs are tried.
 
-    The run length adapts to the bounds: while the bins are dense a bound
-    L at width W falls about as 1/width, so the next run is the longest
-    whose widened width is at most W L / stop.  After a decided run it is
-    at least twice as long, unless a run that long has been left open
-    since the last projected direction.
+    The run length n follows three rules and one flag, `probe`: no run has
+    been left open since the last walked direction.
+    - After a decided run, n is `fit`, the longest run whose widened width
+      is at most W L / stop, as a bound L at width W falls about as 1/width
+      while the bins are dense.  While `probe` holds, n is at least twice
+      the decided run's length.
+    - After an open run of two or more angles, `probe` is cleared and n is
+      halved.
+    - After a walked direction, `probe` is set and n stays 1.
     """
     if sweep is None:
         sweep = 4 * params.scale.side
@@ -362,31 +360,30 @@ def compute_E_s(
     member_starts = []
     widening = box.diam * PI / sweep  # the widened width grows this much per angle step
     i, n = 0, 1  # the next run is [i, i + n); a run of one is at spread 0
-    refused = sweep + 1  # the shortest run left open since the last projection
+    probe = True  # no run left open since the last walked direction
     while i < sweep:
         j = min(i + n, sweep) - 1
         d = Direction((th[i] + th[j]) / 2)
         spread = max(d.theta - th[i], th[j] - d.theta)
         bound = box.lower_bound(d, spread)
-        # the longest run whose widened width, about bw + widening (fit - 1)/2,
-        # is at most W L / stop
-        room = (box.bw + box.diam * spread) * bound / stop - box.bw
-        fit = 1 + int(2 * room / widening) if room > 0 and widening > 0 else 1
         n = j + 1 - i
         if bound >= stop:
+            # the longest run whose widened width, about bw + widening (fit - 1)/2,
+            # is at most W L / stop
+            room = (box.bw + box.diam * spread) * bound / stop - box.bw
+            fit = 1 + int(2 * room / widening) if room > 0 else 1
             i = j + 1
-            n = max(fit, 2 * n) if 2 * n < refused else fit
+            n = max(fit, 2 * n) if probe else fit
         elif n > 1:
-            refused = min(refused, n)
-            n = max(min(n // 2, fit), 1)
+            probe = False
+            n //= 2
         else:
             starts = greedy_cover_starts(np.sort(_project_coords(xy, d)), params.delta, stop)
             counts[i] = len(starts)
             if len(starts) < stop:
                 member_starts.append(starts)
             i += 1
-            refused = sweep + 1
-            n = fit
+            probe = True
     is_member = counts <= t_int
     return DirectionSetES(
         params=params,

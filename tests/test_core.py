@@ -52,6 +52,11 @@ class TestDirection:
     def test_negative_angle_wraps_by_pi(self):
         assert Direction(-0.5).theta == PI - 0.5
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_is_refused(self, theta):
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            Direction(theta)
+
 
 def fits_one_arc(t1, t2, r):
     return covering_number_circle([Direction(t1).theta, Direction(t2).theta], r) == 1

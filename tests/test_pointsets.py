@@ -216,6 +216,11 @@ class TestExtractDeltaOne:
         with pytest.raises(InvalidParameterError):
             extract_delta_one_set(gen_segment(Scale(2)), 0.5)
 
+    @pytest.mark.parametrize("c0", [float("nan"), float("inf")])
+    def test_non_finite_capacity_is_refused(self, c0):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            extract_delta_one_set(gen_segment(Scale(2)), c0)
+
 
 class TestPsetFormat:
     def test_round_trip_bit_exact(self):

@@ -702,6 +702,42 @@ class TestCappedSweep:
         assert not es.members
         assert len(spreads) < 1024 and max(spreads) > 0
 
+    @pytest.mark.parametrize(
+        "a, b, random, sweep, max_bounds, max_walks",
+        [
+            (8, 6, False, 256, 262, 92),
+            (8, 6, False, 1024, 889, 370),
+            (12, 10, False, 4096, 3629, 872),
+            (12, 10, True, 4096, 2050, 0),
+        ],
+    )
+    def test_sweep_work_stays_within_its_counts(
+        self, monkeypatch, a, b, random, sweep, max_bounds, max_walks
+    ):
+        # bound evaluations and walks on the grid3 set, or on a seed-1 random
+        # set of its size as in the benchmark; a run schedule that does more
+        # work fails, one that does less passes
+        params = ParamTriple(Scale(a), Fraction(3, 4), b)
+        ps = gen_grid_example(params)
+        if random:
+            cells = np.random.default_rng(1).choice(1 << (2 * a), size=len(ps), replace=False)
+            ps = LatticePointSet(Scale(a), np.column_stack([cells >> a, cells & ((1 << a) - 1)]))
+        work = {"bounds": 0, "walks": 0}
+        bound, walk = _BoxBins.lower_bound, projections.greedy_cover_starts
+
+        def bound_spy(box, e, spread=0.0):
+            work["bounds"] += 1
+            return bound(box, e, spread)
+
+        def walk_spy(*args, **kwargs):
+            work["walks"] += 1
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(_BoxBins, "lower_bound", bound_spy)
+        monkeypatch.setattr(projections, "greedy_cover_starts", walk_spy)
+        compute_E_s(ps, params, sweep=sweep)
+        assert work["bounds"] <= max_bounds and work["walks"] <= max_walks
+
     def test_empty_set(self):
         params = ParamTriple(Scale(8), Fraction(3, 4), 6)
         es = compute_E_s(LatticePointSet(Scale(8), np.zeros((0, 2), dtype=np.int64)),
