@@ -205,11 +205,7 @@ def cmd_incidence(args) -> int:
 
 def cmd_sharpness(args) -> int:
     params = _params(args)
-    report = run_sharpness(
-        params,
-        exploratory=args.exploratory,
-        project_full_set=not args.skip_full_set,
-    )
+    report = run_sharpness(params, project_full_set=not args.skip_full_set)
     if args.csv:
         with open(args.csv, "w") as f:
             per_slope_csv(report, f)
@@ -337,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     sh = sub.add_parser("sharpness", help="exact worst-case slope-family pipeline")
     add_triple(sh)
     sh.add_argument("--csv", help="per-slope rows: num,den,line_hits,proj_cardinality")
-    sh.add_argument("--exploratory", action="store_true",
-                    help="allow r > delta^s; nothing is asserted there")
     sh.add_argument("--skip-full-set", action="store_true",
                     help="skip the full-set covering maximum covering_max_K")
     add_common(sh)

@@ -19,6 +19,7 @@ discrete analogue of linear ball growth.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -267,7 +268,7 @@ def read_pset(stream) -> LatticePointSet:
     side = scale.side
     if not 0 <= count <= MAX_POINTS:
         raise ParseError(f"point count {count} outside [0, 2^30]", 1)
-    coords = []  # u0, v0, u1, v1, ...
+    coords = array("q")  # u0, v0, u1, v1, ... as int64: 16 bytes a point
     lineno = 1
     for lineno, line in enumerate(stream, start=2):
         fields = line.split()
@@ -283,7 +284,8 @@ def read_pset(stream) -> LatticePointSet:
         u, v = int(fields[0]), int(fields[1])
         if not (0 <= u < side and 0 <= v < side):
             raise ParseError(f"point {line.strip()!r} outside [0, 2^{n})^2", lineno)
-        coords += u, v
+        coords.append(u)
+        coords.append(v)
     if len(coords) < 2 * count:
         raise ParseError(f"file ends after {len(coords) // 2} of {count} points", lineno + 1)
-    return LatticePointSet(scale, np.array(coords, dtype=np.int64).reshape(-1, 2))
+    return LatticePointSet(scale, np.asarray(coords).reshape(-1, 2))  # a view, no copy

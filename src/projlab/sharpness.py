@@ -1,8 +1,9 @@
 """Worst-case pipeline: exact slope family of the grid example and its
 small-projection verification.
 
-For valid (delta, s, r) with delta <= r <= delta^s, the grid-of-segments set
-admits a family of slopes
+The pipeline takes valid (delta, s, r) in the one range delta <= r <= delta^s,
+where the abstract constructs its examples, and refuses r > delta^s.  There
+the grid-of-segments set admits a family of slopes
 
     S = { l / (k n_g) : 1 <= k <= delta^s/r,
                         0 <= l <= k * delta^(-3s+1/2) r^(3/2) }
@@ -69,8 +70,7 @@ class SlopeSet:
 
 
 # The most slopes `build_slope_set` lists, about 0.5 GB of `Fraction`s.  The
-# largest family the tests build has 10,369 slopes, at (20, 3/4, 20); every
-# exploratory triple with a <= 20 has at most 2^20 + 1.
+# largest family the tests build has 10,369 slopes, at (20, 3/4, 20).
 MAX_SLOPES = 2**22
 
 
@@ -92,10 +92,13 @@ def _farey_walk(k_max: int, l_exp: int):
         p, q, c, d = c, d, j * c - p, j * d - q
 
 
-def build_slope_set(params: ParamTriple, exploratory: bool = False) -> SlopeSet:
+def build_slope_set(params: ParamTriple) -> SlopeSet:
     """The slopes l/(k n_g), 1 <= k <= k_max, 0 <= l <= k 2^l_exp, sorted and
     distinct: n_g times each Farey fraction c/d of order k_max in
     [0, 2^l_exp], one `Fraction` per term of `_farey_walk`.
+
+    The family is defined for delta <= r <= delta^s only, with
+    k_max = floor(delta^s / r) >= 1; r > delta^s is refused.
 
     A family of more than MAX_SLOPES slopes is refused before any slope is
     built.  |S| is at least floor(2^l_exp) + 1, the k = 1 row, which alone
@@ -107,14 +110,11 @@ def build_slope_set(params: ParamTriple, exploratory: bool = False) -> SlopeSet:
     spec = grid_parameters(params)
     a, b, s = params.a, params.b, params.s
     if b < a * s:
-        if not exploratory:
-            raise InvalidParameterError(
-                f"r = 2^-{b} exceeds delta^s = 2^-({a * s}): slope family needs "
-                "delta <= r <= delta^s (pass exploratory=True to poke around)"
-            )
-        k_max = 1  # exploratory: keep the k = 1 row, no claims attached
-    else:
-        k_max = floor_pow2(b - a * s)
+        raise InvalidParameterError(
+            f"r = 2^-{b} exceeds delta^s = 2^-({a * s}): slope family needs "
+            "delta <= r <= delta^s"
+        )
+    k_max = floor_pow2(b - a * s)
     l_exp = a - 3 * spec.e_m  # delta^(-3s+1/2) r^(3/2) = 2^(a - 3 e_m)
     row = (1 << max(l_exp, 0) >> max(-l_exp, 0)) + 1  # the slopes l/n_g, k = 1
     pairs = k_max + (k_max * (k_max + 1) // 2 << max(l_exp, 0) >> max(-l_exp, 0))
@@ -196,17 +196,31 @@ def covering_number_at_slope(ps: LatticePointSet, slope: ExactSlope) -> int:
     w = isqrt(num^2 + den^2) of its left end: `covering_number_1d` counts
     the keys at width w.
 
-    Its float64 steps are exact for the grid example K at delta = 2^-a and
-    every slope of S.  There 0 <= num <= den <= 2^a (den divides
-    k n_g <= 2^(a s), or n_g <= 2^a when exploratory) and coordinates are
-    below 2^a, so |key| < den 2^a <= 2^52 for a <= 26; K at a >= 27 holds
-    over 2^27 points.  The keys are then exact floats, and the reach slack
-    w * COVER_RTOL is below 1/2, so each comparison with a right end is the
-    integer comparison key <= start + w.
+    The count is exact when den v_max + |num| u_max + w < 2^52 and
+    w < 2^38; any other input is refused before a key is formed.  The
+    coordinates are non-negative, so every key and every start + w lies in
+    (-2^52, 2^52).  Then num and den, both at most w, fit int64, the int64
+    keys do not wrap, and each key is an exact float64.  Floats in that
+    range lie at most 1/2 apart, and the reach slack w * COVER_RTOL is below
+    2^38 * 1e-12 < 0.3, so start + reach rounds into [start + w,
+    start + w + 1): each comparison with a right end is the integer
+    comparison key <= start + w.  The points are sorted, so u_max is the
+    last point's u.  The grid example is inside both bounds at every triple
+    that `build_slope_set` and `gen_grid_example` accept with s = p/q,
+    q <= 16: the largest bound, at (28, 6/7, 26), is just below 2^50.
     """
     num, den = slope.numerator, slope.denominator
-    keys = den * ps.points[:, 1] - num * ps.points[:, 0]
-    return covering_number_1d(keys, math.isqrt(num * num + den * den))
+    w = math.isqrt(num * num + den * den)
+    pts = ps.points
+    u_max = int(pts[-1, 0]) if len(pts) else 0
+    v_max = int(pts[:, 1].max(initial=0))
+    if w >= 1 << 38 or den * v_max + abs(num) * u_max + w >= 1 << 52:
+        raise InvalidParameterError(
+            f"slope {slope} on points up to ({u_max}, {v_max}): the keys "
+            "den*v - num*u and the width must stay below 2^52 and 2^38"
+        )
+    keys = den * pts[:, 1] - num * pts[:, 0]
+    return covering_number_1d(keys, w)
 
 
 @dataclass
@@ -218,12 +232,9 @@ class SharpnessReport:
     record: ExperimentRecord = field(repr=False, default=None)
 
 
-def run_sharpness(
-    params: ParamTriple,
-    exploratory: bool = False,
-    project_full_set: bool = True,
-) -> SharpnessReport:
-    """Full worst-case verification at one parameter triple.
+def run_sharpness(params: ParamTriple, project_full_set: bool = True) -> SharpnessReport:
+    """Full worst-case verification at one triple with delta <= r <= delta^s;
+    r > delta^s is refused, as the slope family is not defined there.
 
     Hard assertions (exact statements): r-separation of S, the grid
     projection bound per slope, and max slope * h <= delta.  Soft reports:
@@ -235,14 +246,10 @@ def run_sharpness(
     at the slopes in order of falling cardinality, only while the maximum so
     far is below the slope's cardinality.  Were max slope * h above delta,
     every slope would be counted; it is not, as every slope is at most 1/m.
-
-    Outside delta <= r <= delta^s the slope family is not defined; with
-    `exploratory` the run proceeds for r > delta^s without any assertions,
-    otherwise that range is rejected.
     """
     a, b, s = params.a, params.b, params.s
     spec = grid_parameters(params)
-    S = build_slope_set(params, exploratory=exploratory)
+    S = build_slope_set(params)
     sep_ok = verify_separation(S)
     G_size = spec.m * spec.n_g
 
@@ -277,12 +284,7 @@ def run_sharpness(
 
     rec = ExperimentRecord(
         "sharpness",
-        params={
-            "log2delta": a,
-            "s": str(s),
-            "log2r": b,
-            "exploratory": exploratory,
-        },
+        params={"log2delta": a, "s": str(s), "log2r": b},
         results={
             "m": spec.m,
             "n_g": spec.n_g,
@@ -301,25 +303,14 @@ def run_sharpness(
             "covering_max_K": covering_max,
         },
     )
-    if not exploratory:
-        rec.check("slope_separation_exact", sep_ok, 1.0 if sep_ok else 0.0, 1.0)
-        rec.check("grid_projection_bound", lemma_ok, max_pc, 4.0 * G_size)
-        rec.check(
-            "segment_projection_at_most_delta",
-            seg_ok,
-            float(seg_proj_max),
-            float(delta_exact),
-        )
-        rec.check(
-            "slope_count_constant",
-            len(S) >= target / 64.0,
-            len(S) / target,
-            1.0 / 64.0,
-        )
-        rec.check("min_line_hits", min_hits >= hit_floor, float(min_hits), hit_floor)
-        rec.soft("max_proj_constant", max_pc / proj_target, 64.0)
-        if covering_max is not None:
-            rec.soft("covering_K_constant", covering_max / proj_target, 64.0)
+    rec.check("slope_separation_exact", sep_ok, 1.0 if sep_ok else 0.0, 1.0)
+    rec.check("grid_projection_bound", lemma_ok, max_pc, 4.0 * G_size)
+    rec.check("segment_projection_at_most_delta", seg_ok, float(seg_proj_max), float(delta_exact))
+    rec.check("slope_count_constant", len(S) >= target / 64.0, len(S) / target, 1.0 / 64.0)
+    rec.check("min_line_hits", min_hits >= hit_floor, float(min_hits), hit_floor)
+    rec.soft("max_proj_constant", max_pc / proj_target, 64.0)
+    if covering_max is not None:
+        rec.soft("covering_K_constant", covering_max / proj_target, 64.0)
 
     return SharpnessReport(
         slope_count=len(S),

@@ -445,6 +445,27 @@ def test_slope_family_beyond_max_slopes_is_invalid(capsys):
     assert "more than 2^22 slopes" in err
 
 
+ABOVE_DELTA_S = ["sharpness", "--log2delta", "16", "--s", "3/4", "--log2r", "10", "--out", "-"]
+
+
+def test_sharpness_exploratory_is_a_usage_error(capsys):
+    # r > delta^s has no slope family, and no option runs a part of one there
+    with pytest.raises(SystemExit) as exc:
+        main([*ABOVE_DELTA_S, "--exploratory"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --exploratory" in err and "Traceback" not in err
+
+
+def test_sharpness_above_delta_s_is_invalid(capsys):
+    assert main(ABOVE_DELTA_S) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("invalid parameters: r = 2^-10 exceeds delta^s = 2^-(12): "
+                   "slope family needs delta <= r <= delta^s\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["esets", "--in", str(GOLDEN_GRID3), "--log2delta", "30", "--s", "3/4", "--log2r", "24"],
     ["incidence", "--in", str(GOLDEN_GRID3), "--log2delta", "30", "--s", "3/4",

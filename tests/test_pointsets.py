@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -326,6 +327,21 @@ class TestPointBudget:
     def test_a_pset_count_beyond_the_bound_names_the_header(self):
         with pytest.raises(ParseError, match="line 1:"):
             read_pset(io.StringIO(f"PSET v1 n=2 count={MAX_POINTS + 1}\n0 0\n"))
+
+    def test_reading_peaks_below_64_bytes_a_point(self):
+        # int64 coordinates as they are read, then LatticePointSet's sort
+        n, count = 12, 2**16
+        flat = np.random.default_rng(3).choice(4**n, size=count, replace=False).tolist()
+        text = io.StringIO(f"PSET v1 n={n} count={count}\n"
+                           + "".join(f"{f >> n} {f & (2**n - 1)}\n" for f in flat))
+        tracemalloc.start()
+        try:
+            ps = read_pset(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ps) == count
+        assert peak / count < 64
 
 
 def _fault(draw, row: list[str], n_index: int, side: int, earlier: list[list[str]]):

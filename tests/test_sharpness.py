@@ -103,27 +103,6 @@ class TestBuildSlopeSet:
             assert all(type(x) is Fraction for x in slopes)
         assert slopes == [0, Fraction(1, 2**16)]
 
-    def test_exploratory_is_the_k1_row(self):
-        # r > delta^s: k_max = 1 and S is l/n_g for 0 <= l <= 2^l_exp
-        checked = 0
-        for s in (Fraction(1, 2), Fraction(5, 8), Fraction(2, 3), Fraction(3, 4)):
-            for a in range(21):
-                for b in range(a + 1):
-                    params = ParamTriple(Scale(a), s, b)
-                    try:
-                        spec = grid_parameters(params)
-                    except InvalidParameterError:
-                        continue
-                    l_exp = a - 3 * spec.e_m
-                    if b >= a * s or l_exp >= 12:
-                        continue
-                    S = build_slope_set(params, exploratory=True)
-                    assert S.k_max == 1
-                    row = [Fraction(l, spec.n_g) for l in range((1 << l_exp) + 1)]
-                    assert S.slopes == row, (a, str(s), b)
-                    checked += 1
-        assert checked > 50
-
     @pytest.mark.parametrize("a, s, b, size", [
         (*FLAGSHIP, 1025),  # 1025 pairs (k, l), all distinct
         (*K_MAX_2, 2**12 + 1),  # 6146 pairs (k, l): the family is counted by a walk
@@ -138,7 +117,7 @@ class TestBuildSlopeSet:
 
     @pytest.mark.parametrize("a, s, b, budget", [
         (62, Fraction(3, 4), 47, 2**22),  # k_max = 1, l_exp = 38: 2^38 + 1 slopes
-        (8, Fraction(3, 4), 4, 2**8),  # k_max = 1, l_exp = 8: 2^8 + 1 slopes
+        (8, Fraction(3, 4), 6, 2**5),  # k_max = 1, l_exp = 5: 2^5 + 1 slopes
     ])
     def test_long_k1_row_is_refused_before_any_walk(self, monkeypatch, a, s, b, budget):
         params = ParamTriple(Scale(a), s, b)
@@ -149,11 +128,11 @@ class TestBuildSlopeSet:
         with pytest.raises(InvalidParameterError,
                            match=rf"^the slope family at \(a, s, b\) = \({a}, {s}, {b}\) "
                                  r"has more than 2\^22 slopes$"):
-            build_slope_set(params, exploratory=True)
+            build_slope_set(params)
         assert walks == []
         if budget < 2**22:
             monkeypatch.setattr(sharpness, "MAX_SLOPES", budget + 1)
-            assert len(build_slope_set(params, exploratory=True)) == budget + 1
+            assert len(build_slope_set(params)) == budget + 1
 
     def test_zero_and_nonzero_always_present(self):
         # S always holds a nonzero slope besides 0 in the valid range
@@ -352,15 +331,6 @@ class TestRunSharpness:
         with pytest.raises(InvalidParameterError, match="delta <= r <= delta\\^s"):
             run_sharpness(params)
 
-    def test_exploratory_runs_without_assertions(self):
-        params = ParamTriple(Scale(16), Fraction(3, 4), 10)
-        rep = run_sharpness(params, exploratory=True, project_full_set=False)
-        assert rep.record.assertions == []
-        assert rep.slope_count >= 1
-        spec = grid_parameters(params)
-        for num, den, _, pc in rep.per_slope[:: len(rep.per_slope) // 8]:
-            assert pc == distinct_keys_ref(spec.m, spec.n_g, num, den)
-
     def test_grid_matches_slope_parameters(self):
         params = ParamTriple(Scale(12), Fraction(3, 4), 10)
         ps = gen_grid_example(params)
@@ -418,6 +388,23 @@ class TestFullSetCoverBound:
         assert count((0, 0), (1, 2)) == 1  # keys 0 and 5 share an interval
         assert count((0, 0), (2, 3)) == 2  # keys 0 and 6 do not
         assert count((0, 0), (1, 2), (2, 4)) == 2  # keys 0, 5, 10
+
+    @pytest.mark.parametrize("n, points, slope", [
+        (62, [(0, 2**53 + 3), (0, 2**53 + 5)], Fraction(0)),  # float64 keys: 1, not 2
+        (62, [(0, (2**63 - 1) // 3), (0, (2**63 - 1) // 3 + 1)], Fraction(1, 3)),  # int64 wraps
+        (2, [(1, 0), (0, 1)], Fraction(1, 2**40)),  # slack w * COVER_RTOL > 1: 1, not 2
+    ], ids=["float-keys", "int64-wrap", "wide-slack"])
+    def test_keys_it_cannot_count_exactly_are_refused(self, n, points, slope):
+        K = LatticePointSet(Scale(n), np.array(points))
+        with pytest.raises(InvalidParameterError, match=r"below 2\^52 and 2\^38$"):
+            sharpness.covering_number_at_slope(K, slope)
+
+    def test_the_width_bound_is_2_38(self):
+        # keys -1 and den lie w + 1 apart, w = den: counted below 2^38, refused at it
+        K = LatticePointSet(Scale(2), np.array([(1, 0), (0, 1)]))
+        assert sharpness.covering_number_at_slope(K, Fraction(1, 2**38 - 1)) == 2
+        with pytest.raises(InvalidParameterError):
+            sharpness.covering_number_at_slope(K, Fraction(1, 2**38))
 
     @pytest.mark.parametrize(
         "params", SMALL_TRIPLES + [ParamTriple(Scale(14), Fraction(3, 4), 13)],
