@@ -33,13 +33,7 @@ from .pointsets import (
     read_pset,
     write_pset,
 )
-from .projections import (
-    compute_E_s,
-    covering_number_1d,
-    covering_number_directions,
-    esets_csv,
-    projection_values,
-)
+from .projections import compute_E_s, covering_number_directions, esets_csv, project
 from .records import ExperimentRecord, record_from_dict, records_to_csv
 from .sharpness import per_slope_csv, run_sharpness
 
@@ -73,26 +67,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _number_list(convert, kind: str):
-    """argparse type for a comma-separated list of `kind` values."""
-
-    def parse(text: str) -> list:
-        try:
-            return [convert(x) for x in text.split(",")]
-        except (ValueError, argparse.ArgumentTypeError):
-            raise argparse.ArgumentTypeError(
-                f"not a comma-separated list of {kind}s: {text!r}"
-            ) from None
-
-    return parse
+def _int_list(text: str) -> list[int]:
+    """argparse type for a comma-separated list of integers."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}"
+        ) from None
 
 
-def _emit(payload, out_path: str | None) -> None:
-    text = (
-        payload
-        if isinstance(payload, str)
-        else json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    )
+def _emit(text: str, out_path: str | None) -> None:
     if out_path and out_path != "-":
         with open(out_path, "w") as f:
             f.write(text)
@@ -145,17 +130,19 @@ def cmd_gen(args) -> int:
 def cmd_project(args) -> int:
     ps = _load_pset(args.infile)
     e = Direction(args.theta)
-    vals = projection_values(ps, e)
-    width = args.width if args.width is not None else ps.scale.delta
-    payload = {
-        "theta": e.theta,
-        "width": width,
-        "covering_number": covering_number_1d(vals, width),
-        "n_values": int(len(vals)),
-        "value_min": float(vals[0]) if len(vals) else None,
-        "value_max": float(vals[-1]) if len(vals) else None,
-    }
-    _emit(payload, args.out)
+    prof = project(ps, e)
+    vals = prof.values
+    rec = ExperimentRecord(
+        "project",
+        params={"theta": e.theta, "width": ps.scale.delta},
+        results={
+            "covering_number": prof.covering_number,
+            "n_values": len(vals),
+            "value_min": float(vals[0]) if len(vals) else None,
+            "value_max": float(vals[-1]) if len(vals) else None,
+        },
+    )
+    _emit(rec.to_json(), args.out)
     return EXIT_OK
 
 
@@ -234,7 +221,7 @@ def cmd_entropy(args) -> int:
     elif args.entropy_cmd == "multiscale":
         rec = multiscale_check(mu, Direction(args.theta), args.m)
     elif args.entropy_cmd == "marstrand":
-        rec = marstrand_average(mu, args.m, A=args.A, s_values=tuple(args.s_list))
+        rec = marstrand_average(mu, args.m)
     else:  # cover
         rec = covering_from_entropy(mu, args.s)
     _emit(rec.to_json(), args.out)
@@ -311,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("project", help="project a point set along a direction")
     pr.add_argument("--in", dest="infile", required=True)
     pr.add_argument("--theta", type=_finite_float, required=True, help="angle in [0,pi), radians")
-    pr.add_argument("--width", type=_finite_float, help="covering width (default delta)")
     add_common(pr)
     pr.set_defaults(func=cmd_project)
 
@@ -350,9 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     em.add_argument("--theta", type=_finite_float, required=True)
     ema = esub.add_parser("marstrand")
     ema.add_argument("--m", type=int, required=True)
-    ema.add_argument("--A", type=_finite_float)
-    ema.add_argument("--s-list", type=_number_list(_finite_float, "finite number"),
-                     default="0.5,0.75,0.9")
     ecov = esub.add_parser("cover")
     ecov.add_argument("--s", type=_finite_float, required=True)
     for sp in (eh, ec, em, ema, ecov):
@@ -362,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ad = sub.add_parser("adreg", help="four-corners direction-averaged covering numbers")
     ad.add_argument("--level", type=int, required=True)
-    ad.add_argument("--plist", type=_number_list(int, "integer"), required=True,
+    ad.add_argument("--plist", type=_int_list, required=True,
                     help="comma-separated direction counts")
     ad.add_argument("--s", type=_finite_float, required=True)
     add_common(ad)

@@ -51,6 +51,8 @@ MASS_TOL = 1e-12
 REGULARITY_BLOCK = 512
 # Regularity constant A above which `marstrand_average` flags the measure.
 REGULARITY_ALARM_A = 100.0
+# Exponents s < 1 at which `marstrand_average` reports its entropy deficit.
+MARSTRAND_S = (0.5, 0.75, 0.9)
 
 
 def shannon(masses) -> float:
@@ -355,22 +357,17 @@ def ad_regularity_check(mu: DyadicMeasure) -> ADRegularityReport:
     return ADRegularityReport(worst_lower, worst_upper, counts)
 
 
-def marstrand_average(
-    mu: DyadicMeasure,
-    m: int,
-    A: float | None = None,
-    s_values: tuple[float, ...] = (0.5, 0.75, 0.9),
-) -> ExperimentRecord:
+def marstrand_average(mu: DyadicMeasure, m: int, A: float | None = None) -> ExperimentRecord:
     """Average projected entropy and energy over the 2^m-point direction grid.
 
     The average of H_m over directions is bounded below by s minus a
     multiple of A * (m 2^((s-1)m) + 1/m) for every s < 1; the multiple is an
-    absolute constant that is not pinned, so per-s deficits are reported, not
-    asserted.  The measured regularity constant A is attached (computed here
-    unless supplied) and flagged against REGULARITY_ALARM_A.  A supplied A
-    must be at least 1, since r/A <= mu(B) <= A r has no solution below 1,
-    and A (m + 1) must be finite, so that every threshold is.  Each s must
-    lie in [0, 1), where the bound is stated.
+    absolute constant that is not pinned, so the deficit at each s in
+    MARSTRAND_S is reported, not asserted.  The measured regularity constant
+    A is attached (computed here unless supplied) and flagged against
+    REGULARITY_ALARM_A.  A supplied A must be at least 1, since
+    r/A <= mu(B) <= A r has no solution below 1, and A (m + 1) must be
+    finite, so that every threshold is.
 
     Each direction bins the atom centers as `project_measure` does, into
     [0, 2^m) since w < 1, and reads H_m and the L^2 energy 2^m sum p^2 off
@@ -381,9 +378,6 @@ def marstrand_average(
         raise InvalidParameterError("marstrand_average needs a planar measure")
     if not (0 < m <= mu.level):
         raise InvalidParameterError(f"need 0 < m <= {mu.level}, got m = {m}")
-    for s in s_values:
-        if not 0.0 <= s < 1.0:
-            raise InvalidParameterError(f"s={s} outside [0, 1)")
     # built first, so an oversized grid is refused before the regularity sweep
     directions = direction_grid(1 << m)
     if A is None:
@@ -416,7 +410,7 @@ def marstrand_average(
             "per_direction_max": float(np.max(hs)),
         },
     )
-    for s in s_values:
+    for s in MARSTRAND_S:
         bound_term = m * 2.0 ** ((s - 1.0) * m) + 1.0 / m
         rec.results[f"deficit_s_{s}"] = s - avg_h
         rec.soft(f"deficit_vs_A_bound_s_{s}", s - avg_h, A * bound_term)

@@ -24,7 +24,7 @@ from projlab import (
     entropy,
     project_measure,
 )
-from projlab.entropy import REGULARITY_ALARM_A
+from projlab.entropy import MARSTRAND_S, REGULARITY_ALARM_A
 
 
 def brute_min_cover(values, width: float) -> int:
@@ -269,12 +269,7 @@ def l2_energy_1d_ref(nu: DyadicMeasure, m: int) -> float:
     return float(2.0**m * (agg * agg).sum())
 
 
-def marstrand_ref(
-    mu: DyadicMeasure,
-    m: int,
-    A: float | None = None,
-    s_values: tuple[float, ...] = (0.5, 0.75, 0.9),
-) -> ExperimentRecord:
+def marstrand_ref(mu: DyadicMeasure, m: int, A: float | None = None) -> ExperimentRecord:
     """`marstrand_average` through one projected `DyadicMeasure` per
     direction."""
     if not (0 < m <= mu.level):
@@ -301,7 +296,7 @@ def marstrand_ref(
             "per_direction_max": float(np.max(hs)),
         },
     )
-    for s in s_values:
+    for s in MARSTRAND_S:
         bound_term = m * 2.0 ** ((s - 1.0) * m) + 1.0 / m
         rec.results[f"deficit_s_{s}"] = s - avg_h
         rec.soft(f"deficit_vs_A_bound_s_{s}", s - avg_h, A * bound_term)

@@ -1,6 +1,7 @@
 """In-process runs of every `projlab` subcommand on small inputs."""
 
 import csv
+import io
 import json
 import math
 from fractions import Fraction
@@ -73,7 +74,9 @@ def test_gen(tmp_path, capsys):
 
 def test_project(grid3, tmp_path):
     payload = _run(["project", "--in", str(grid3), "--theta", "0"], tmp_path / "p.json")
-    assert payload["covering_number"] >= 1
+    assert payload["name"] == "project"
+    assert payload["params"] == {"theta": 0.0, "width": 2.0**-8}
+    assert payload["results"]["covering_number"] >= 1
 
 
 def test_project_at_negative_zero_prints_the_bytes_of_zero(grid3, tmp_path):
@@ -85,6 +88,7 @@ def test_project_at_negative_zero_prints_the_bytes_of_zero(grid3, tmp_path):
                      "--out", str(out)]) == EXIT_OK
         written.append(out.read_bytes())
     assert written[0] == written[1]
+    assert math.copysign(1.0, json.loads(written[1])["params"]["theta"]) == 1.0
 
 
 def test_incidence_on_an_empty_set_is_invalid(tmp_path, capsys):
@@ -97,36 +101,38 @@ def test_incidence_on_an_empty_set_is_invalid(tmp_path, capsys):
     assert "point set is empty" in err
 
 
-@pytest.mark.parametrize("width", ["nan", "inf", "-inf"])
-def test_project_rejects_a_non_finite_width(grid3, capsys, width):
-    # "=": argparse reads a separate "-inf" as an option
-    argv = ["project", "--in", str(grid3), "--theta", "0", f"--width={width}"]
+@pytest.mark.parametrize("argv", [
+    ["project", "--in", str(GOLDEN_GRID3), "--theta", "0", "--width", "0.01"],
+    ["entropy", "marstrand", "--in", str(GOLDEN / "corners5.dmeas"), "--m", "3", "--A", "2"],
+    ["entropy", "marstrand", "--in", str(GOLDEN / "corners5.dmeas"), "--m", "3",
+     "--s-list", "0.5,0.75"],
+], ids=["project-width", "marstrand-A", "marstrand-s-list"])
+def test_retired_option_is_a_usage_error(capsys, argv):
+    # the width is the set's own delta, A is measured, the s are MARSTRAND_S
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([*argv, "--out", "-"])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "not a finite number" in err
+    assert "unrecognized arguments" in err
+    assert "Traceback" not in err
 
 
-# every float option but --width (above), each with a finite value it accepts
+# every float option, after the other options its command needs
 FLOAT_OPTIONS = [
-    (["adreg", "--level", "3", "--plist", "2,4"], "--s", "0.75"),
-    (["project", "--in", "unused.pset"], "--theta", "0"),
-    (["entropy", "multiscale", "--in", "unused.dmeas", "--m", "2"], "--theta", "0.7"),
-    (["entropy", "marstrand", "--in", "unused.dmeas", "--m", "4"], "--A", "2"),
-    (["entropy", "marstrand", "--in", "unused.dmeas", "--m", "4"], "--s-list", "0.5,{}"),
-    (["entropy", "cover", "--in", "unused.dmeas"], "--s", "0.5"),
+    (["adreg", "--level", "3", "--plist", "2,4"], "--s"),
+    (["project", "--in", "unused.pset"], "--theta"),
+    (["entropy", "multiscale", "--in", "unused.dmeas", "--m", "2"], "--theta"),
+    (["entropy", "cover", "--in", "unused.dmeas"], "--s"),
 ]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity", "1/0", "1e400"])
-@pytest.mark.parametrize("argv, option, finite", FLOAT_OPTIONS,
-                         ids=[f"{a[0]}-{a[1]}-{o}" for a, o, _ in FLOAT_OPTIONS])
-def test_non_finite_float_option_is_a_usage_error(capsys, argv, option, finite, value):
-    bad = finite.format(value) if "{}" in finite else value
+@pytest.mark.parametrize("argv, option", FLOAT_OPTIONS,
+                         ids=[f"{a[0]}-{a[1]}-{o}" for a, o in FLOAT_OPTIONS])
+def test_non_finite_float_option_is_a_usage_error(capsys, argv, option, value):
     with pytest.raises(SystemExit) as exc:
-        main([*argv, f"{option}={bad}"])
+        main([*argv, f"{option}={value}"])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -137,11 +143,7 @@ def test_non_finite_float_option_is_a_usage_error(capsys, argv, option, finite, 
 # finite values that would overflow a bound term or a threshold
 @pytest.mark.parametrize("argv", [
     ["entropy", "cover", "--in", str(GOLDEN / "line.dmeas"), "--s", "400"],
-    ["entropy", "marstrand", "--in", str(GOLDEN / "corners5.dmeas"), "--m", "3",
-     "--s-list", "1e300"],
-    ["entropy", "marstrand", "--in", str(GOLDEN / "corners5.dmeas"), "--m", "3",
-     "--A", "1e308"],
-], ids=["cover-s", "marstrand-s-list", "marstrand-A"])
+], ids=["cover-s"])
 def test_huge_finite_float_option_is_invalid(capsys, argv):
     assert main([*argv, "--out", "-"]) == EXIT_INVALID
     out, err = capsys.readouterr()
@@ -483,7 +485,7 @@ def test_direction_grids_beyond_max_directions_are_invalid(capsys, argv):
 def test_marstrand_grid_beyond_max_directions_is_invalid(tmp_path, capsys):
     path = tmp_path / "deep.dmeas"
     path.write_text("DMEAS v1 d=2 n=23\n0 0 1.0\n")
-    argv = ["entropy", "marstrand", "--in", str(path), "--m", "23", "--A", "1"]
+    argv = ["entropy", "marstrand", "--in", str(path), "--m", "23"]
     assert main([*argv, "--out", "-"]) == EXIT_INVALID
     out, err = capsys.readouterr()
     assert out == ""
@@ -499,20 +501,9 @@ def test_adreg_s_outside_theorem_2s_range_is_invalid(capsys, s):
     assert "outside [1/2, 1)" in err
 
 
-@pytest.mark.parametrize("A", ["-5", "0", "0.999"])
-def test_marstrand_regularity_constant_below_1_is_invalid(plane_measure, capsys, A):
-    argv = ["entropy", "marstrand", "--in", str(plane_measure), "--m", "4", f"--A={A}",
-            "--out", "-"]
-    assert main(argv) == EXIT_INVALID
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "must be at least 1" in err
-
-
 @pytest.mark.parametrize("argv", [
     ["adreg", "--level", "3", "--plist", "2,x", "--s", "0.75"],
     ["adreg", "--level", "3", "--plist", "", "--s", "0.75"],
-    ["entropy", "marstrand", "--in", "unused.dmeas", "--m", "4", "--s-list", "0.5,zz"],
 ])
 def test_bad_number_list_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -552,6 +543,20 @@ def test_report_cells_equal_each_records_flat_values(grid3, tmp_path):
                 assert float(cell) == flat[key], key
             else:
                 assert cell == str(flat[key]), key
+
+
+def test_report_flattens_a_project_record(capsys):
+    assert main(["report", str(GOLDEN / "project.json")]) == EXIT_OK
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert row.pop("name") == "project"
+    assert {key: float(cell) for key, cell in row.items()} == {
+        "param.theta": 0.7,
+        "param.width": 2.0**-8,
+        "result.covering_number": 130,
+        "result.n_values": 384,
+        "result.value_max": 0.7054723161677053,
+        "result.value_min": 0.0,
+    }
 
 
 def test_report_to_stdout(capsys):

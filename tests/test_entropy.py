@@ -296,6 +296,11 @@ class TestAgainstPerCubeReferences:
         with pytest.raises(InvalidParameterError, match="at least 1"):
             marstrand_average(_four_corners(3), 3, A=A)
 
+    def test_marstrand_rejects_a_regularity_constant_whose_thresholds_overflow(self):
+        # A (m + 1) = 4e308 is past the float range, so a threshold would be inf
+        with pytest.raises(InvalidParameterError, match=r"A\*\(m\+1\) overflows"):
+            marstrand_average(_four_corners(3), 3, A=1e308)
+
     @settings(max_examples=60, deadline=None)
     @given(_measures().filter(lambda mu: mu.level >= 2), _THETAS, st.integers(1, 7))
     def test_multiscale(self, mu, theta, m):

@@ -29,6 +29,7 @@ PSET = GOLDEN / "grid3.pset"
 DMEAS = GOLDEN / "corners5.dmeas"
 LINE = GOLDEN / "line.dmeas"
 TRIPLE = ["--log2delta", "8", "--s", "3/4", "--log2r", "6"]
+GEN_GRID3 = ["gen", "--shape", "grid3", *TRIPLE]
 
 # name -> argv; "{pset}" is the generated grid3 set, "{dmeas}" the frozen
 # level-5 four-corners measure, "{line}" its frozen projection to a line,
@@ -37,9 +38,10 @@ TRIPLE = ["--log2delta", "8", "--s", "3/4", "--log2r", "6"]
 CASES = {
     "adreg": ["adreg", "--level", "5", "--plist", "2,3,4,8,16", "--s", "0.75"],
     "entropy_H": ["entropy", "H", "--in", "{dmeas}"],
+    "entropy_H_3": ["entropy", "H", "--in", "{dmeas}", "--m", "3"],
     "entropy_cef": ["entropy", "cef", "--in", "{dmeas}", "--fine", "6", "--coarse", "3"],
     "entropy_cover": ["entropy", "cover", "--in", "{line}", "--s", "0.5"],
-    # no --A, so the regularity sweep runs and its constant is pinned too
+    # the CLI measures A, so the regularity sweep's constant is pinned too
     "entropy_marstrand": ["entropy", "marstrand", "--in", "{dmeas}", "--m", "5"],
     "entropy_multiscale": ["entropy", "multiscale", "--in", "{dmeas}", "--m", "2",
                            "--theta", "0.7"],
@@ -47,6 +49,9 @@ CASES = {
               "--csv", "{out}/esets.csv"],
     # no --sweep: the default 4·2^8 = 1024 directions
     "esets_default": ["esets", "--in", "{pset}", *TRIPLE, "--csv", "{out}/esets_default.csv"],
+    "gen_fourcorners": ["gen", "--shape", "fourcorners", "--level", "2", "--n", "5",
+                        "--out", "{out}/gen_fourcorners.pset"],
+    "gen_segment": ["gen", "--shape", "segment", "--n", "4", "--out", "{out}/gen_segment.pset"],
     "incidence": ["incidence", "--in", "{pset}", *TRIPLE, "--sweep", "256"],
     "project": ["project", "--in", "{pset}", "--theta", "0.7"],
     "report": ["report", "{golden}/esets.json", "{golden}/incidence.json",
@@ -54,13 +59,16 @@ CASES = {
     "sharpness_8_6": ["sharpness", *TRIPLE, "--csv", "{out}/sharpness_8_6.csv"],
     "sharpness_14_13": ["sharpness", "--log2delta", "14", "--s", "3/4",
                         "--log2r", "13", "--csv", "{out}/sharpness_14_13.csv"],
+    # the benchmark's flagship triple
+    "sharpness_16_12": ["sharpness", "--log2delta", "16", "--s", "3/4", "--log2r", "12",
+                        "--skip-full-set"],
 }
 
 
 @pytest.fixture(scope="module")
 def pset(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden") / "grid3.pset"
-    assert main(["gen", "--shape", "grid3", *TRIPLE, "--out", str(path)]) == EXIT_OK
+    assert main([*GEN_GRID3, "--out", str(path)]) == EXIT_OK
     return path
 
 
@@ -104,21 +112,34 @@ def test_every_golden_file_is_pinned():
 
 
 def _leaf_commands(parser, prefix=()):
-    """The argv prefix of every subcommand without subcommands of its own."""
+    """(argv prefix, parser) of every subcommand without subcommands of its
+    own."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subs:
-        yield prefix
+        yield prefix, parser
     for action in subs:
         for name, sub in action.choices.items():
             yield from _leaf_commands(sub, (*prefix, name))
 
 
 def test_every_leaf_command_is_pinned():
-    # test_gen pins `gen`; every other command starts some case
-    leaves = set(_leaf_commands(build_parser()))
+    leaves = dict(_leaf_commands(build_parser()))
     assert ("entropy", "cover") in leaves
     starts = {tuple(argv[:len(leaf)]) for leaf in leaves for argv in CASES.values()}
-    assert sorted(leaves - starts) == [("gen",)]
+    assert sorted(leaves.keys() - starts) == []
+
+
+def test_every_option_is_set_by_some_case():
+    # test_command appends --out; the pset fixture sets gen's grid3 options
+    argvs = [*CASES.values(), GEN_GRID3]
+    unset = []
+    for leaf, parser in _leaf_commands(build_parser()):
+        used = {"--out"} | {arg for argv in argvs if tuple(argv[:len(leaf)]) == leaf
+                            for arg in argv}
+        unset += [(*leaf, action.option_strings[0]) for action in parser._actions
+                  if action.option_strings and "-h" not in action.option_strings
+                  and not used & set(action.option_strings)]
+    assert unset == []
 
 
 @pytest.mark.parametrize("name", CASES)
