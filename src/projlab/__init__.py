@@ -9,7 +9,6 @@ constant-free bound reported as a measured ratio.
 
 from .core import (
     Direction,
-    ExactSlope,
     InvalidParameterError,
     ParamTriple,
     Scale,
@@ -61,7 +60,6 @@ from .projections import (
 from .records import ExperimentRecord, records_to_csv
 from .sharpness import (
     SharpnessReport,
-    SlopeSet,
     build_slope_set,
     count_line_hits,
     projected_cardinality,
@@ -77,7 +75,6 @@ __all__ = [
     "DirectionSetES",
     "DyadicMeasure",
     "EntropyValue",
-    "ExactSlope",
     "ExperimentRecord",
     "IncidenceCount",
     "InvalidParameterError",
@@ -87,7 +84,6 @@ __all__ = [
     "ProjectionProfile",
     "Scale",
     "SharpnessReport",
-    "SlopeSet",
     "TubeFamily",
     "ad_regularity_check",
     "build_slope_set",

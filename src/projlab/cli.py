@@ -93,14 +93,9 @@ def _record_exit(rec: ExperimentRecord) -> int:
     return EXIT_OK
 
 
-def _load_pset(path: str):
+def _load(read, path: str):
     with open(path, encoding="utf-8") as f:
-        return read_pset(f)
-
-
-def _load_dmeas(path: str):
-    with open(path, encoding="utf-8") as f:
-        return read_dmeas(f)
+        return read(f)
 
 
 def _params(args) -> ParamTriple:
@@ -128,7 +123,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_project(args) -> int:
-    ps = _load_pset(args.infile)
+    ps = _load(read_pset, args.infile)
     e = Direction(args.theta)
     prof = project(ps, e)
     vals = prof.values
@@ -147,7 +142,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_esets(args) -> int:
-    ps = _load_pset(args.infile)
+    ps = _load(read_pset, args.infile)
     params = _params(args)
     es = compute_E_s(ps, params, sweep=args.sweep)
     n_cov = covering_number_directions(es, params.r)
@@ -181,7 +176,7 @@ def cmd_esets(args) -> int:
 
 
 def cmd_incidence(args) -> int:
-    ps = _load_pset(args.infile)
+    ps = _load(read_pset, args.infile)
     params = _params(args)
     es = compute_E_s(ps, params, sweep=args.sweep)
     tubes = build_tubes(ps, es)
@@ -201,12 +196,13 @@ def cmd_sharpness(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    mu = _load_dmeas(args.infile)
+    mu = _load(read_dmeas, args.infile)
     if args.entropy_cmd == "H":
-        ev = entropy(mu, args.m if args.m is not None else mu.level)
+        m = args.m if args.m is not None else mu.level
+        ev = entropy(mu, m)
         rec = ExperimentRecord(
             "entropy_value",
-            params={"m": ev.level, "n": mu.level, "d": mu.dim},
+            params={"m": m, "n": mu.level, "d": mu.dim},
             results={"raw_nats": ev.raw, "normalized": ev.normalized},
         )
     elif args.entropy_cmd == "cef":

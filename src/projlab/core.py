@@ -7,8 +7,8 @@ half-circle.  Arc lengths on the quotient are half the corresponding full
 S^1 arc lengths.
 
 Angles are ordinary doubles.  Slopes that feed the exact grid construction
-are `fractions.Fraction` values (alias `ExactSlope`), compared by
-cross-multiplication, never through floats.
+are `fractions.Fraction` values, compared by cross-multiplication, never
+through floats.
 
 `_group_rows` groups integer rows, such as the level-k cube indices of the
 dyadic coarsenings, by one lexsort of their columns; `_row_starts` marks
@@ -25,11 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-PI = math.pi
-
-# Exact rational slope: reduced, positive denominator, exact ordering.
-ExactSlope = Fraction
 
 
 class InvalidParameterError(ValueError):
@@ -65,11 +60,11 @@ class Direction:
     def __post_init__(self):
         if not math.isfinite(self.theta):
             raise InvalidParameterError(f"theta={self.theta} must be finite")
-        t = math.fmod(self.theta, PI) + 0.0  # + 0.0 turns -0.0 into 0.0
+        t = math.fmod(self.theta, math.pi) + 0.0  # + 0.0 turns -0.0 into 0.0
         if t < 0.0:
-            t += PI
-        if t >= PI:  # fmod roundoff can land exactly on pi
-            t -= PI
+            t += math.pi
+        if t >= math.pi:  # fmod roundoff can land exactly on pi
+            t -= math.pi
         object.__setattr__(self, "theta", t)
 
     @property
@@ -175,7 +170,7 @@ def direction_angles(p: int) -> np.ndarray:
     does, so these are the grid's thetas bit for bit, at 8 bytes a
     direction.  A grid of more than MAX_DIRECTIONS directions is refused."""
     _check_grid_size(p)
-    return PI * np.arange(p) / p
+    return math.pi * np.arange(p) / p
 
 
 def direction_grid(p: int) -> list[Direction]:
@@ -187,7 +182,7 @@ def direction_grid(p: int) -> list[Direction]:
     return [Direction(t) for t in direction_angles(p).tolist()]
 
 
-def perpendicular_direction(slope: ExactSlope | int) -> Direction:
+def perpendicular_direction(slope: Fraction | int) -> Direction:
     """Direction perpendicular to lines of the given slope.
 
     The returned e is proportional to (-slope, 1); projection onto e computes

@@ -69,7 +69,6 @@ def shannon(masses) -> float:
 class EntropyValue:
     raw: float  # nats
     normalized: float  # raw / (level * log 2); 0 at level 0
-    level: int
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ def entropy(mu: DyadicMeasure, m: int) -> EntropyValue:
     """Dyadic entropy of mu aggregated to level m."""
     _, agg = mu.coarsen(m)
     raw = shannon(agg)
-    return EntropyValue(raw, raw / (m * LOG2) if m > 0 else 0.0, m)
+    return EntropyValue(raw, raw / (m * LOG2) if m > 0 else 0.0)
 
 
 def conditional_entropy(mu: DyadicMeasure, fine: int, coarse: int) -> float:

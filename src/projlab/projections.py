@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PI, Direction, InvalidParameterError, ParamTriple, direction_angles
+from .core import Direction, InvalidParameterError, ParamTriple, direction_angles
 from .pointsets import LatticePointSet
 
 # Closed-interval coverage tolerance, relative to the interval width.
@@ -265,16 +265,11 @@ def _project_coords(xy: tuple[np.ndarray, np.ndarray], e: Direction) -> np.ndarr
     return v
 
 
-def projection_values(ps: LatticePointSet, e: Direction) -> np.ndarray:
-    """Orthogonal projection values of the set along e, in the set's unit
-    coordinates (lattice points times its own delta), sorted ascending."""
-    return np.sort(_project_coords(_unit_coords(ps), e))
-
-
 def project(ps: LatticePointSet, e: Direction) -> ProjectionProfile:
-    """`projection_values` along e, with the covering number at the set's
-    own delta attached."""
-    vals = projection_values(ps, e)
+    """Orthogonal projection values of the set along e, in the set's unit
+    coordinates (lattice points times its own delta), sorted ascending, with
+    the covering number at the set's own delta attached."""
+    vals = np.sort(_project_coords(_unit_coords(ps), e))
     return ProjectionProfile(vals, covering_number_1d(vals, ps.scale.delta))
 
 
@@ -358,7 +353,7 @@ def compute_E_s(
     box = _BoxBins(xy, params.delta)
     counts = np.full(sweep, stop, dtype=np.int64)
     member_starts = []
-    widening = box.diam * PI / sweep  # the widened width grows this much per angle step
+    widening = box.diam * math.pi / sweep  # the widened width grows this much per angle step
     i, n = 0, 1  # the next run is [i, i + n); a run of one is at spread 0
     probe = True  # no run left open since the last walked direction
     while i < sweep:

@@ -94,7 +94,7 @@ def _csv_cell(v) -> str:
     if isinstance(v, float):
         return f"{v:.17g}"
     s = str(v)
-    if any(ch in s for ch in ',"\n'):
+    if any(ch in s for ch in ',"\r\n'):
         s = '"' + s.replace('"', '""') + '"'
     return s
 
@@ -104,6 +104,6 @@ def records_to_csv(records: list[ExperimentRecord], stream) -> None:
     keys a record lacks are left blank."""
     rows = [r.flat() for r in records]
     cols = sorted({k for row in rows for k in row})
-    stream.write(",".join(cols) + "\n")
+    stream.write(",".join(map(_csv_cell, cols)) + "\n")
     for row in rows:
         stream.write(",".join(_csv_cell(row.get(c)) for c in cols) + "\n")

@@ -51,22 +51,12 @@ from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
 
-from .core import ExactSlope, InvalidParameterError, ParamTriple, floor_pow2
+from .core import InvalidParameterError, ParamTriple, floor_pow2
 from .pointsets import LatticePointSet, gen_grid_example, grid_parameters
 # `project` is unused here, but the benchmark's own test
 # `test_tracer_restores_the_library` reads `sharpness.project`.
 from .projections import covering_number_1d, project  # noqa: F401
 from .records import ExperimentRecord
-
-
-@dataclass(frozen=True)
-class SlopeSet:
-    params: ParamTriple
-    slopes: list[ExactSlope]  # sorted, deduplicated, exact
-    k_max: int  # floor(delta^s / r)
-
-    def __len__(self) -> int:
-        return len(self.slopes)
 
 
 # The most slopes `build_slope_set` lists, about 0.5 GB of `Fraction`s.  The
@@ -92,10 +82,10 @@ def _farey_walk(k_max: int, l_exp: int):
         p, q, c, d = c, d, j * c - p, j * d - q
 
 
-def build_slope_set(params: ParamTriple) -> SlopeSet:
-    """The slopes l/(k n_g), 1 <= k <= k_max, 0 <= l <= k 2^l_exp, sorted and
-    distinct: n_g times each Farey fraction c/d of order k_max in
-    [0, 2^l_exp], one `Fraction` per term of `_farey_walk`.
+def build_slope_set(params: ParamTriple) -> list[Fraction]:
+    """The slopes l/(k n_g), 1 <= k <= k_max, 0 <= l <= k 2^l_exp, as a list
+    of exact `Fraction`s, sorted and distinct: n_g times each Farey fraction
+    c/d of order k_max in [0, 2^l_exp], one per term of `_farey_walk`.
 
     The family is defined for delta <= r <= delta^s only, with
     k_max = floor(delta^s / r) >= 1; r > delta^s is refused.
@@ -124,21 +114,20 @@ def build_slope_set(params: ParamTriple) -> SlopeSet:
             f"the slope family at (a, s, b) = ({a}, {s}, {b}) has more than 2^22 slopes"
         )
     n_g = spec.n_g
-    return SlopeSet(params, [Fraction(c, d * n_g) for c, d in _farey_walk(k_max, l_exp)], k_max)
+    return [Fraction(c, d * n_g) for c, d in _farey_walk(k_max, l_exp)]
 
 
-def verify_separation(S: SlopeSet) -> bool:
-    """Consecutive distinct slopes differ by at least r, compared exactly:
-    n2/d2 - n1/d1 >= 2^-b exactly when (n2 d1 - n1 d2) 2^b >= d1 d2."""
-    b = S.params.b
-    pairs = [(x.numerator, x.denominator) for x in S.slopes]
+def verify_separation(slopes: list[Fraction], b: int) -> bool:
+    """Consecutive slopes of the list differ by at least r = 2^-b, compared
+    exactly: n2/d2 - n1/d1 >= 2^-b exactly when (n2 d1 - n1 d2) 2^b >= d1 d2."""
+    pairs = [(x.numerator, x.denominator) for x in slopes]
     return all(
         (n2 * d1 - n1 * d2) << b >= d1 * d2
         for (n1, d1), (n2, d2) in zip(pairs, pairs[1:])
     )
 
 
-def count_line_hits(G_params: ParamTriple, slope: ExactSlope) -> int:
+def count_line_hits(G_params: ParamTriple, slope: Fraction) -> int:
     """|G cap line through the origin with the given slope|, exact.
 
     Column k' in [0, m) is hit when l' = k' n_g num / den is an integer in
@@ -155,7 +144,7 @@ def count_line_hits(G_params: ParamTriple, slope: ExactSlope) -> int:
     return -(-L // g)
 
 
-def projected_cardinality(G_params: ParamTriple, slope: ExactSlope) -> int:
+def projected_cardinality(G_params: ParamTriple, slope: Fraction) -> int:
     """Number of distinct values of the functional y - slope*x over the grid
     G, counted exactly in closed form.
 
@@ -186,7 +175,7 @@ def projected_cardinality(G_params: ParamTriple, slope: ExactSlope) -> int:
     return c * n_g + (m - c) * min(abs(num) * n_g // g, n_g)
 
 
-def covering_number_at_slope(ps: LatticePointSet, slope: ExactSlope) -> int:
+def covering_number_at_slope(ps: LatticePointSet, slope: Fraction) -> int:
     """N(pi_e P, delta) along e = `perpendicular_direction(slope)`, on P's
     integer keys.
 
@@ -250,12 +239,12 @@ def run_sharpness(params: ParamTriple, project_full_set: bool = True) -> Sharpne
     a, b, s = params.a, params.b, params.s
     spec = grid_parameters(params)
     S = build_slope_set(params)
-    sep_ok = verify_separation(S)
+    sep_ok = verify_separation(S, b)
     G_size = spec.m * spec.n_g
 
     per_slope = []
     lemma_ok = True
-    for sigma in S.slopes:
+    for sigma in S:
         hits = count_line_hits(params, sigma)
         pc = projected_cardinality(params, sigma)
         lemma_ok &= pc * max(hits, 1) <= 4 * G_size
@@ -265,7 +254,7 @@ def run_sharpness(params: ParamTriple, project_full_set: bool = True) -> Sharpne
     proj_target = params.delta_pow(-s)
     max_pc = max(pc for _, _, _, pc in per_slope)
     min_hits = min(h for _, _, h, _ in per_slope)
-    seg_proj_max = S.slopes[-1] * spec.h
+    seg_proj_max = S[-1] * spec.h
     delta_exact = Fraction(1, 1 << a)
     seg_ok = seg_proj_max <= delta_exact  # sigma * h <= delta at every slope
     # floor((r/delta)^(1/2) / 2) = floor(2^((a-b-2)/2)), exact
@@ -276,7 +265,7 @@ def run_sharpness(params: ParamTriple, project_full_set: bool = True) -> Sharpne
         K = gen_grid_example(params)
         cards = (pc for _, _, _, pc in per_slope)
         covering_max = 0
-        by_card = sorted(zip(cards, S.slopes), key=itemgetter(0), reverse=True)
+        by_card = sorted(zip(cards, S), key=itemgetter(0), reverse=True)
         for pc, sigma in by_card:
             if seg_ok and covering_max >= pc:
                 break  # no slope left can raise the maximum
@@ -291,7 +280,7 @@ def run_sharpness(params: ParamTriple, project_full_set: bool = True) -> Sharpne
             "h": float(spec.h),
             "G_size": G_size,
             "slope_count": len(S),
-            "k_max": S.k_max,
+            "k_max": floor_pow2(b - a * s),
             "target": target,
             "slope_count_over_target": len(S) / target,
             "max_proj_cardinality": max_pc,

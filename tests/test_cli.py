@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import parser_text
+from conftest import parser_text, raw_projection_ref
 from projlab import (
     DyadicMeasure,
     ParamTriple,
@@ -28,7 +28,6 @@ from projlab import (
     write_dmeas,
 )
 from projlab.cli import EXIT_ASSERTION, EXIT_INVALID, EXIT_IO, EXIT_OK, main
-from projlab.projections import projection_values
 from projlab.records import record_from_dict
 
 TRIPLE = ["--log2delta", "8", "--s", "3/4", "--log2r", "6"]
@@ -257,7 +256,8 @@ def test_incidence_tubes_are_delta_wide(tmp_path):
     fam = build_tubes(ps, es)
     assert fam.scale_delta == delta
     for d in es.members:
-        assert len(fam.starts[d.theta]) == covering_number_1d(projection_values(ps, d), delta)
+        vals = np.sort(raw_projection_ref(ps, d))
+        assert len(fam.starts[d.theta]) == covering_number_1d(vals, delta)
 
 
 def test_sharpness(tmp_path):
@@ -557,6 +557,17 @@ def test_report_flattens_a_project_record(capsys):
         "result.value_max": 0.7054723161677053,
         "result.value_min": 0.0,
     }
+
+
+def test_report_quotes_commas_quotes_and_returns_in_keys_and_cells(tmp_path, capsys):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"name": "a\rb", "params": {"a,b": 1, 'q"': 2},
+                                "results": {"note": 'x,"y"\r\nz'}}))
+    assert main(["report", str(path)]) == EXIT_OK
+    flat = record_from_dict(json.loads(path.read_text())).flat()
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == sorted(flat)
+    assert rows == [[str(flat[key]) for key in header]]
 
 
 def test_report_to_stdout(capsys):

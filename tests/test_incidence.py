@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import searchsorted_cover_starts
+from conftest import raw_projection_ref, searchsorted_cover_starts
 from projlab import (
     InvalidParameterError,
     LatticePointSet,
@@ -22,7 +22,7 @@ from projlab import (
     upper_bound_report,
 )
 from projlab.incidence import TubeFamily
-from projlab.projections import COVER_RTOL, projection_values
+from projlab.projections import COVER_RTOL
 
 PI = math.pi
 
@@ -47,7 +47,7 @@ def reference_tubes(ps, dirs, delta):
     """Tubes along any directions, the greedy starts found one interval at
     a time over the sorted projection values."""
     return TubeFamily(delta, dirs, {
-        d.theta: searchsorted_cover_starts(projection_values(ps, d), delta) for d in dirs
+        d.theta: searchsorted_cover_starts(np.sort(raw_projection_ref(ps, d)), delta) for d in dirs
     })
 
 

@@ -343,6 +343,21 @@ class TestPointBudget:
         assert len(ps) == count
         assert peak / count < 64
 
+    # peaks measured at about 40, 56 and 41 B a point
+    @pytest.mark.parametrize("make", [
+        lambda: gen_segment(Scale(16)),
+        lambda: gen_four_corners(8, Scale(16)),
+        lambda: gen_grid_example(ParamTriple(Scale(16), Fraction(3, 4), 12)),  # 81,920 points
+    ], ids=["segment", "four-corners", "grid"])
+    def test_generating_peaks_below_64_bytes_a_point(self, make):
+        tracemalloc.start()
+        try:
+            ps = make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(ps) < 64
+
 
 def _fault(draw, row: list[str], n_index: int, side: int, earlier: list[list[str]]):
     """`row` with one fault drawn: a wrong field count, a field that is not a

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import distinct_keys_ref, line_hits_ref, slope_set_ref
+from conftest import distinct_keys_ref, line_hits_ref, raw_projection_ref, slope_set_ref
 from projlab import (
     InvalidParameterError,
     LatticePointSet,
@@ -22,8 +22,7 @@ from projlab import (
     verify_separation,
 )
 from projlab import sharpness
-from projlab.projections import covering_number_1d, projection_values
-from projlab.sharpness import SlopeSet
+from projlab.projections import covering_number_1d
 
 
 def valid_triples(max_count=None, max_a=20):
@@ -76,29 +75,29 @@ class TestBuildSlopeSet:
     def test_flagship_enumeration(self):
         params = ParamTriple(Scale(16), Fraction(3, 4), 12)
         S = build_slope_set(params)
-        assert S.k_max == 1
+        assert run_sharpness(params, project_full_set=False).record.results["k_max"] == 1
         assert len(S) == 1025  # l runs over 0..1024 at k = 1
-        assert S.slopes[0] == 0 and S.slopes[-1] == Fraction(1, 4)
+        assert S[0] == 0 and S[-1] == Fraction(1, 4)
         r = Fraction(1, 2**12)
-        gaps = {b - a for a, b in zip(S.slopes, S.slopes[1:])}
+        gaps = {b - a for a, b in zip(S, S[1:])}
         assert gaps == {r}  # consecutive gaps exactly r
 
     def test_k2_dedup(self):
         # k_max = 2: even-l slopes at k = 2 coincide with k = 1 slopes
         params = ParamTriple(Scale(20), Fraction(3, 4), 16)
         S = build_slope_set(params)
-        assert S.k_max == 2
+        assert run_sharpness(params, project_full_set=False).record.results["k_max"] == 2
         n_g = grid_parameters(params).n_g
         k1 = {Fraction(l, n_g) for l in range(2**11 + 1)}
         k2 = {Fraction(l, 2 * n_g) for l in range(2**12 + 1)}
-        assert set(S.slopes) == k1 | k2
+        assert set(S) == k1 | k2
         assert len(S) == 2**12 + 1  # dedup removed the even-l overlap
 
     def test_matches_fraction_enumeration(self):
         # every valid triple with a <= 20, and three with k_max = 2^14 to 2^16
         deep = [ParamTriple(Scale(a), Fraction(1, 2), b) for a, b in ((28, 28), (32, 30), (32, 32))]
         for params in valid_triples(max_a=20) + deep:
-            slopes = build_slope_set(params).slopes
+            slopes = build_slope_set(params)
             assert slopes == slope_set_ref(params), (params.a, str(params.s), params.b)
             assert all(type(x) is Fraction for x in slopes)
         assert slopes == [0, Fraction(1, 2**16)]
@@ -138,7 +137,7 @@ class TestBuildSlopeSet:
         # S always holds a nonzero slope besides 0 in the valid range
         for params in valid_triples(max_count=12):
             S = build_slope_set(params)
-            assert S.slopes[0] == 0
+            assert S[0] == 0
             assert len(S) >= 2
 
     def test_out_of_range_rejected(self):
@@ -150,18 +149,16 @@ class TestBuildSlopeSet:
 class TestSeparation:
     def test_single_slope(self):
         params = ParamTriple(Scale(8), Fraction(1, 2), 8)
-        S = SlopeSet(params, [Fraction(0)], 1)
-        assert verify_separation(S)
+        assert verify_separation([Fraction(0)], params.b)
 
     def test_flagship_exact_gaps(self):
-        S = build_slope_set(ParamTriple(Scale(*[16][:1]), Fraction(3, 4), 12))
-        assert verify_separation(S)
+        params = ParamTriple(Scale(16), Fraction(3, 4), 12)
+        assert verify_separation(build_slope_set(params), params.b)
 
     def test_adversarial_violation(self):
         params = ParamTriple(Scale(8), Fraction(1, 2), 4)
         r_half = Fraction(1, 2**5)
-        S = SlopeSet(params, [Fraction(0), r_half], 1)
-        assert not verify_separation(S)
+        assert not verify_separation([Fraction(0), r_half], params.b)
 
     # consecutive gaps r + j 2^-60: j = 0 is exactly r, j = -1 just below it,
     # and |j| <= 2^39 keeps every gap positive for r >= 2^-20
@@ -184,14 +181,14 @@ class TestSeparation:
         for j in shifts:
             slopes.append(slopes[-1] + r + Fraction(j, 2**60))
         want = all(y - x >= r for x, y in zip(slopes, slopes[1:]))
-        assert verify_separation(SlopeSet(params, slopes, 1)) == want
+        assert verify_separation(slopes, params.b) == want
 
     def test_twenty_plus_valid_triples(self):
         triples = valid_triples(max_count=24)
         assert len(triples) >= 20
         for params in triples:
             S = build_slope_set(params)
-            assert verify_separation(S), (params.a, str(params.s), params.b)
+            assert verify_separation(S, params.b), (params.a, str(params.s), params.b)
             target = params.delta_pow(-params.s) * math.sqrt(
                 params.delta / params.r
             )
@@ -210,7 +207,7 @@ class TestLineHits:
     def test_extreme_slope(self):
         params = ParamTriple(Scale(16), Fraction(3, 4), 12)
         S = build_slope_set(params)
-        hits = count_line_hits(params, S.slopes[-1])
+        hits = count_line_hits(params, S[-1])
         assert hits >= 2  # floor((r/delta)^(1/2)/2) = 2
 
     @settings(max_examples=300, deadline=None)
@@ -231,7 +228,7 @@ class TestLineHits:
                 int(math.isqrt(2 ** (a - b - 2))) if a - b >= 2 else 0
             )
             S = build_slope_set(params)
-            for sigma in S.slopes:
+            for sigma in S:
                 assert count_line_hits(params, sigma) >= max(floor_target, 1)
 
 
@@ -275,7 +272,7 @@ class TestProjectedCardinality:
         params = ParamTriple(Scale(a), s, b)
         spec = grid_parameters(params)
         periods = []
-        for sigma in build_slope_set(params).slopes:
+        for sigma in build_slope_set(params):
             num, den = sigma.numerator, sigma.denominator
             periods.append(den // math.gcd(den, spec.n_g))
             want = distinct_keys_ref(spec.m, spec.n_g, num, den)
@@ -287,7 +284,7 @@ class TestProjectedCardinality:
         params = ParamTriple(Scale(a), s, b)
         spec = grid_parameters(params)
         G_size = spec.m * spec.n_g
-        for sigma in build_slope_set(params).slopes:
+        for sigma in build_slope_set(params):
             pc = projected_cardinality(params, sigma)
             hits = count_line_hits(params, sigma)
             assert pc * hits <= 4 * G_size
@@ -299,9 +296,9 @@ class TestRunSharpness:
         rep = run_sharpness(params)
         assert rep.slope_count == 1025
         S = build_slope_set(params)
-        assert verify_separation(S)
+        assert verify_separation(S, params.b)
         assert rep.record.results["line_hit_min"] >= 2
-        assert S.slopes[-1] * grid_parameters(params).h == Fraction(1, 2**16)  # exactly delta
+        assert S[-1] * grid_parameters(params).h == Fraction(1, 2**16)  # exactly delta
         assert rep.max_proj_cardinality <= 64 * 2**12
         assert rep.covering_max_K <= 64 * 2**12
         assert not rep.record.failed
@@ -344,9 +341,9 @@ def _all_slopes_max(params):
     K = gen_grid_example(params)
     return max(
         covering_number_1d(
-            projection_values(K, perpendicular_direction(sigma)), params.delta
+            np.sort(raw_projection_ref(K, perpendicular_direction(sigma))), params.delta
         )
-        for sigma in build_slope_set(params).slopes
+        for sigma in build_slope_set(params)
     )
 
 
@@ -370,8 +367,8 @@ class TestFullSetCoverBound:
     def test_cover_at_most_cardinality_every_slope(self):
         for params in SMALL_TRIPLES:
             K = gen_grid_example(params)
-            for sigma in build_slope_set(params).slopes:
-                vals = projection_values(K, perpendicular_direction(sigma))
+            for sigma in build_slope_set(params):
+                vals = np.sort(raw_projection_ref(K, perpendicular_direction(sigma)))
                 n = covering_number_1d(vals, params.delta)
                 pc = projected_cardinality(params, sigma)
                 where = (params.a, str(params.s), params.b, sigma)
