@@ -7,6 +7,7 @@ failure.  All emitted JSON is key-sorted, so reruns are byte identical.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -33,7 +34,7 @@ from .pointsets import (
     read_pset,
     write_pset,
 )
-from .projections import compute_E_s, covering_number_directions, esets_csv, project
+from .projections import compute_E_s, esets_csv, esets_record, project
 from .records import ExperimentRecord, record_from_dict, records_to_csv
 from .sharpness import per_slope_csv, run_sharpness
 
@@ -85,7 +86,9 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _record_exit(rec: ExperimentRecord) -> int:
+def _record_exit(rec: ExperimentRecord, out_path: str | None) -> int:
+    """Emit the record, then exit 3 if a hard assertion failed."""
+    _emit(rec.to_json(), out_path)
     if rec.failed:
         names = [a.name for a in rec.assertions if a.status == "fail"]
         print(f"hard assertion failed: {', '.join(names)}", file=sys.stderr)
@@ -137,52 +140,23 @@ def cmd_project(args) -> int:
             "value_max": float(vals[-1]) if len(vals) else None,
         },
     )
-    _emit(rec.to_json(), args.out)
-    return EXIT_OK
+    return _record_exit(rec, args.out)
 
 
 def cmd_esets(args) -> int:
-    ps = _load(read_pset, args.infile)
-    params = _params(args)
-    es = compute_E_s(ps, params, sweep=args.sweep)
-    n_cov = covering_number_directions(es, params.r)
-    kaufman_target = min(
-        params.delta_pow(-params.s) * math.sqrt(params.delta / params.r),
-        1.0 / params.r,
-    )
-    rec = ExperimentRecord(
-        "esets",
-        params={
-            "log2delta": params.a,
-            "log2r": params.b,
-            "s": str(params.s),
-            "sweep": len(es.sweep_thetas),
-        },
-        results={
-            "threshold": es.threshold,
-            "n_members": len(es.members),
-            "covering_at_r": n_cov,
-            "target": kaufman_target,
-            "ratio_to_target": (n_cov / kaufman_target) if kaufman_target else None,
-            "member_arcs": es.member_arcs(),
-        },
-    )
-    rec.soft("covering_vs_target", n_cov, kaufman_target)
+    es = compute_E_s(_load(read_pset, args.infile), _params(args), sweep=args.sweep)
+    rec = esets_record(es)
     if args.csv:
         with open(args.csv, "w") as f:
             esets_csv(es, f)
-    _emit(rec.to_json(), args.out)
-    return _record_exit(rec)
+    return _record_exit(rec, args.out)
 
 
 def cmd_incidence(args) -> int:
     ps = _load(read_pset, args.infile)
-    params = _params(args)
-    es = compute_E_s(ps, params, sweep=args.sweep)
-    tubes = build_tubes(ps, es)
-    rec = upper_bound_report(ps, tubes, params)
-    _emit(rec.to_json(), args.out)
-    return _record_exit(rec)
+    es = compute_E_s(ps, _params(args), sweep=args.sweep)
+    rec = upper_bound_report(ps, build_tubes(ps, es), es.params)
+    return _record_exit(rec, args.out)
 
 
 def cmd_sharpness(args) -> int:
@@ -191,8 +165,7 @@ def cmd_sharpness(args) -> int:
     if args.csv:
         with open(args.csv, "w") as f:
             per_slope_csv(report, f)
-    _emit(report.record.to_json(), args.out)
-    return _record_exit(report.record)
+    return _record_exit(report.record, args.out)
 
 
 def cmd_entropy(args) -> int:
@@ -220,8 +193,7 @@ def cmd_entropy(args) -> int:
         rec = marstrand_average(mu, args.m)
     else:  # cover
         rec = covering_from_entropy(mu, args.s)
-    _emit(rec.to_json(), args.out)
-    return _record_exit(rec)
+    return _record_exit(rec, args.out)
 
 
 def cmd_adreg(args) -> int:
@@ -242,8 +214,7 @@ def cmd_adreg(args) -> int:
     for row in rec.results["table"]:
         print(f"p={row['p']:>6}  average={row['average']:>14.4f}  "
               f"ratio_to_target={row['ratio_to_target']:.4f}", file=sys.stderr)
-    _emit(rec.to_json(), args.out)
-    return _record_exit(rec)
+    return _record_exit(rec, args.out)
 
 
 def cmd_report(args) -> int:
@@ -258,11 +229,9 @@ def cmd_report(args) -> int:
             records.append(record_from_dict(payload))
         except ValueError as e:
             raise ParseError(f"{path}: {e}", 1) from None
-    if args.out and args.out != "-":
-        with open(args.out, "w") as f:
-            records_to_csv(records, f)
-    else:
-        records_to_csv(records, sys.stdout)
+    text = io.StringIO()
+    records_to_csv(records, text)
+    _emit(text.getvalue(), args.out)
     return EXIT_OK
 
 

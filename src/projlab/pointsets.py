@@ -56,15 +56,16 @@ def _header_scale(n: int) -> Scale:
         raise ParseError(str(e), 1) from None
 
 
-# The most points a generator builds or a PSET file may declare: 16 GiB as
-# int64 pairs.  The largest set the experiments use has 4^12 points.
-MAX_POINTS = 2**30
+# The most points a generator builds or a PSET file may declare: 1 GiB as
+# int64 pairs, and a 4 GiB peak at the 64 B a point that the generators and
+# the reader stay below.  The largest set the experiments use has 4^12 points.
+MAX_POINTS = 2**26
 
 
 def _check_point_count(count: int, what: str) -> None:
     """Refuse a set of more than MAX_POINTS points before allocating it."""
     if count > MAX_POINTS:
-        raise InvalidParameterError(f"{what} has {count} points, above 2^30")
+        raise InvalidParameterError(f"{what} has {count} points, above 2^26")
 
 
 @dataclass(frozen=True)
@@ -267,7 +268,7 @@ def read_pset(stream) -> LatticePointSet:
     scale = _header_scale(n)
     side = scale.side
     if not 0 <= count <= MAX_POINTS:
-        raise ParseError(f"point count {count} outside [0, 2^30]", 1)
+        raise ParseError(f"point count {count} outside [0, 2^26]", 1)
     coords = array("q")  # u0, v0, u1, v1, ... as int64: 16 bytes a point
     lineno = 1
     for lineno, line in enumerate(stream, start=2):

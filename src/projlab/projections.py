@@ -38,11 +38,13 @@ a direction for tubes.
 
     E_s = { e : N(projection of the set along e, delta) <= delta^-s }
 
-on a finite sweep grid of the half-circle.  The threshold comparison is done
-in exact integer arithmetic (count^q <= 2^(a p) for s = p/q), so membership
-at the threshold never depends on float rounding.  Direction loops, here and
-in `incidence`, convert the set to float unit coordinates once, above the
-loop, and project those per direction with the same values as `project`.
+on a finite sweep grid of the half-circle, and returns the count table.
+`DirectionSetES` reads membership off it in exact integer arithmetic
+(count <= floor(delta^-s)), so membership at the threshold never depends
+on float rounding, and `esets_record` compares N(E_s, r) with Theorem 1's
+bound.  Direction loops, here and in `incidence`, convert the set to float
+unit coordinates once, above the loop, and project those per direction with
+the same values as `project`.
 """
 
 from __future__ import annotations
@@ -50,11 +52,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .core import Direction, InvalidParameterError, ParamTriple, direction_angles
 from .pointsets import LatticePointSet
+from .records import ExperimentRecord
 
 # Closed-interval coverage tolerance, relative to the interval width.
 COVER_RTOL = 1e-12
@@ -275,7 +279,8 @@ def project(ps: LatticePointSet, e: Direction) -> ProjectionProfile:
 
 @dataclass(frozen=True)
 class DirectionSetES:
-    """Sweep-grid approximation of E_s, with the full sweep table retained.
+    """Sweep-grid approximation of E_s: the one count table the sweep
+    computes, with membership, members and the threshold as views of it.
 
     `sweep_counts` are exact covering numbers for members; for non-members
     they are min(count, floor(threshold) + 1), since the sweep stops
@@ -285,12 +290,22 @@ class DirectionSetES:
     """
 
     params: ParamTriple
-    members: list[Direction]
-    threshold: float  # delta^-s, for display; membership used exact arithmetic
     sweep_thetas: np.ndarray = field(repr=False)
     sweep_counts: np.ndarray = field(repr=False)
-    sweep_is_member: np.ndarray = field(repr=False)
     member_starts: list[np.ndarray] = field(repr=False)
+
+    @property
+    def threshold(self) -> float:
+        """delta^-s, for display; membership uses exact arithmetic."""
+        return self.params.delta_pow(-self.params.s)
+
+    @property
+    def sweep_is_member(self) -> np.ndarray:
+        return self.sweep_counts <= self.params.floor_delta_pow(self.params.s)
+
+    @cached_property
+    def members(self) -> list[Direction]:
+        return [Direction(t) for t in self.sweep_thetas[self.sweep_is_member].tolist()]
 
     def member_arcs(self) -> list[tuple[float, float]]:
         """Membership as maximal runs [theta_lo, theta_hi] of consecutive
@@ -345,8 +360,7 @@ def compute_E_s(
         sweep = 4 * params.scale.side
     if sweep < 1:
         raise InvalidParameterError(f"sweep={sweep} must be >= 1")
-    t_int = params.floor_delta_pow(params.s)  # floor(delta^-s), exact
-    stop = t_int + 1
+    stop = params.floor_delta_pow(params.s) + 1  # floor(delta^-s) + 1, exact
     thetas = direction_angles(sweep)
     th = thetas.tolist()
     xy = _unit_coords(ps)
@@ -379,16 +393,7 @@ def compute_E_s(
                 member_starts.append(starts)
             i += 1
             probe = True
-    is_member = counts <= t_int
-    return DirectionSetES(
-        params=params,
-        members=[Direction(t) for t in thetas[is_member].tolist()],
-        threshold=params.delta_pow(-params.s),
-        sweep_thetas=thetas,
-        sweep_counts=counts,
-        sweep_is_member=is_member,
-        member_starts=member_starts,
-    )
+    return DirectionSetES(params, thetas, counts, member_starts)
 
 
 def covering_number_directions(es: DirectionSetES, r: float) -> int:
@@ -429,6 +434,30 @@ def covering_number_circle(points, r: float) -> int:
         for idx in range(k)
         if (th[pivot] - th[idx]) % np.pi <= reach
     )
+
+
+def esets_record(es: DirectionSetES) -> ExperimentRecord:
+    """The `esets` record: the members and N(E_s, r) of the sweep against
+    Theorem 1's bound min{delta^-s (delta/r)^(1/2), 1/r}, a soft check.  The
+    bound is at least 2^-31, as delta/r >= 2^-62, so the ratio is defined."""
+    params = es.params
+    n_cov = covering_number_directions(es, params.r)
+    target = min(es.threshold * math.sqrt(params.delta / params.r), 1.0 / params.r)
+    rec = ExperimentRecord(
+        "esets",
+        params={"log2delta": params.a, "log2r": params.b, "s": str(params.s),
+                "sweep": len(es.sweep_thetas)},
+        results={
+            "threshold": es.threshold,
+            "n_members": len(es.members),
+            "covering_at_r": n_cov,
+            "target": target,
+            "ratio_to_target": n_cov / target,
+            "member_arcs": es.member_arcs(),
+        },
+    )
+    rec.soft("covering_vs_target", n_cov, target)
+    return rec
 
 
 def esets_csv(es: DirectionSetES, stream) -> None:

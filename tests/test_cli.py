@@ -416,7 +416,17 @@ def test_point_counts_beyond_max_points_are_invalid(capsys, argv):
     assert main(argv) == EXIT_INVALID
     out, err = capsys.readouterr()
     assert out == ""
-    assert "points, above 2^30" in err
+    assert "points, above 2^26" in err
+
+
+def test_first_segment_over_the_point_budget_writes_nothing(tmp_path, capsys):
+    # 2^27 points, the first segment level over MAX_POINTS = 2^26
+    out = tmp_path / "segment.pset"
+    assert main(["gen", "--shape", "segment", "--n", "27", "--out", str(out)]) == EXIT_INVALID
+    assert not out.exists()
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == f"invalid parameters: the segment at n=27 has {2**27} points, above 2^26\n"
 
 
 DEEP_K_MAX = ["sharpness", "--log2delta", "32", "--s", "1/2", "--log2r", "32", "--out", "-"]
@@ -435,7 +445,7 @@ def test_sharpness_at_deep_k_max_refuses_the_full_set(capsys):
     assert main(DEEP_K_MAX) == EXIT_INVALID
     out, err = capsys.readouterr()
     assert out == ""
-    assert "points, above 2^30" in err
+    assert "points, above 2^26" in err
 
 
 def test_slope_family_beyond_max_slopes_is_invalid(capsys):

@@ -494,6 +494,35 @@ class TestAdregDirections:
         assert [a.status for a in rec.assertions] == ["pass"]
 
 
+class TestEntropyWork:
+    """Work counts of the benchmark's `entropy` workload on its four-corners
+    measure at L = 6: a change that does more work fails, one that does less
+    passes."""
+
+    def _spy(self, monkeypatch, name):
+        module = importlib.import_module("projlab.entropy")
+        work = {"calls": 0, "values": 0}
+        real = getattr(module, name)
+
+        def spy(values, *args):
+            work["calls"] += 1
+            work["values"] += len(values)
+            return real(values, *args)
+
+        monkeypatch.setattr(module, name, spy)
+        return work
+
+    def test_regularity_sweep_reads_its_annuli_within_their_counts(self, monkeypatch):
+        work = self._spy(monkeypatch, "_annulus")
+        ad_regularity_check(from_pointset(gen_four_corners(6, Scale(12))))
+        assert work["values"] <= 928_160 and work["calls"] <= 192
+
+    def test_adreg_counts_each_distinct_direction_once(self, monkeypatch):
+        work = self._spy(monkeypatch, "covering_number_1d")
+        theorem_main2_experiment(6, [2, 8, 16], 0.75)
+        assert work["calls"] <= 16
+
+
 class TestOversizedGridsAreRefusedFirst:
     """A grid of more than MAX_DIRECTIONS directions is refused before any
     work that scales with the measure or the set."""

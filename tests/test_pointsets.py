@@ -316,13 +316,17 @@ class TestPointBudget:
         lambda: gen_grid_example(ParamTriple(Scale(40), Fraction(3, 4), 20)),  # 2^41
     ], ids=["segment", "four-corners", "grid"])
     def test_sets_beyond_max_points_are_refused_before_allocating(self, make):
-        with pytest.raises(InvalidParameterError, match="points, above 2\\^30"):
+        with pytest.raises(InvalidParameterError, match="points, above 2\\^26"):
             make()
 
     def test_the_bound_itself_is_allowed(self):
         _check_point_count(MAX_POINTS, "a set")
         with pytest.raises(InvalidParameterError):
             _check_point_count(MAX_POINTS + 1, "a set")
+
+    def test_the_bound_peaks_within_4_gib_at_64_bytes_a_point(self):
+        # every path's tracemalloc peak is held below 64 B a point here
+        assert MAX_POINTS * 64 <= 4 * 2**30
 
     def test_a_pset_count_beyond_the_bound_names_the_header(self):
         with pytest.raises(ParseError, match="line 1:"):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 from fractions import Fraction
@@ -39,6 +40,7 @@ from projlab.projections import (
     _unit_coords,
     covering_number_circle,
     esets_csv,
+    esets_record,
 )
 
 PI = math.pi
@@ -485,8 +487,34 @@ def _sweep_with_flags(flags) -> DirectionSetES:
     flags = np.array(flags, dtype=bool)
     thetas = PI * np.arange(len(flags)) / max(len(flags), 1)
     params = ParamTriple(Scale(4), Fraction(3, 4), 2)
-    return DirectionSetES(params, [], 0.0, thetas, np.zeros(len(flags), dtype=np.int64),
-                          flags, [])
+    counts = np.where(flags, 0, params.floor_delta_pow(params.s) + 1)
+    return DirectionSetES(params, thetas, counts, [])
+
+
+class TestCountTable:
+    """`DirectionSetES` stores the sweep's table; the rest are views."""
+
+    def test_stores_only_what_the_sweep_computes(self):
+        names = [f.name for f in dataclasses.fields(DirectionSetES)]
+        assert names == ["params", "sweep_thetas", "sweep_counts", "member_starts"]
+
+    def test_views_compare_the_counts_with_the_floor_exactly(self):
+        params = ParamTriple(Scale(8), Fraction(3, 4), 6)
+        t = params.floor_delta_pow(params.s)
+        es = DirectionSetES(params, np.array([0.0, 1.0]), np.array([t, t + 1]),
+                            [np.zeros(t)])
+        assert es.sweep_is_member.tolist() == [True, False]
+        assert es.members == [Direction(0.0)]
+        assert es.members is es.members
+        assert es.threshold == params.delta_pow(-params.s) == 2.0**6
+
+    def test_record_of_a_table_without_members(self):
+        params = ParamTriple(Scale(8), Fraction(3, 4), 6)
+        stop = params.floor_delta_pow(params.s) + 1
+        es = DirectionSetES(params, PI * np.arange(8) / 8, np.full(8, stop), [])
+        res = esets_record(es).results
+        assert (res["n_members"], res["covering_at_r"], res["member_arcs"]) == (0, 0, [])
+        assert res["ratio_to_target"] == 0.0
 
 
 class TestMemberArcs:
